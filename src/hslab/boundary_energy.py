@@ -11,10 +11,12 @@ becomes y_N = tau * g(y') and each energy piece reduces to
     (half-space radial integral on [0, 2*delta/tau])
   - (sliver integral between y_N = 0 and y_N = tau * g(y')).
 
-Sliver integrals are computed as an exact tensor Gauss-Legendre pass over
-the box |y'_i| <= 10 blended smoothly (on 8 <= |y'| <= 10) into a radial
-tail that replaces the anisotropic floor by its exact spherical average
-(g averaged over directions is (H / (2(N-1))) * |y'|**2, H the mean
+The ledger integrands (gradient, critical mass, plain L2 mass, one mass per
+far site) are rows of one stacked radial density.  Their slivers come from
+one exact tensor Gauss-Legendre walk over the box |y'_i| <= 10 for all rows
+at once, blended smoothly (on 8 <= |y'| <= 10) into a radial tail per row
+that replaces the anisotropic floor by its exact spherical average (g
+averaged over directions is (H / (2(N-1))) * |y'|**2, H the mean
 curvature); the tail's inner integral saturates instead of being
 linearised, which keeps it integrable in every dimension, including the
 logarithmically divergent linearisation in dimension three.
@@ -38,6 +40,8 @@ import numpy as np
 from .extremals import HSParams
 from .identities import Placement, SingularitySite, ps_threshold
 from .quadrature import (
+    KRONROD15_NODES,
+    KRONROD15_WEIGHTS,
     QuadratureSettings,
     RadialPowerIntegrand,
     adaptive_gauss_kronrod,
@@ -45,7 +49,6 @@ from .quadrature import (
     integrate_radial_power,
     sphere_surface_area,
 )
-from .quadrature import _build_rule  # shared panel rule
 
 __all__ = [
     "BoundaryGeometry",
@@ -111,7 +114,8 @@ class BoundaryGeometry:
 
 def _smooth_fall(t: np.ndarray) -> np.ndarray:
     """C^2 descent from 1 at t=0 to 0 at t=1: 1 - t**3 (10 - 15 t + 6 t**2)."""
-    return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
+    # clamped: near t = 1 it rounds to -1e-15, whose fractional powers are NaN
+    return np.maximum(1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t), 0.0)
 
 
 def _smooth_fall_slope(t: np.ndarray) -> np.ndarray:
@@ -215,73 +219,72 @@ class MarginReport:
 # ---------------------------------------------------------------------------
 
 
-def _profile_pack(p: HSParams, tau: float, cut: CutoffSpec | None):
-    """Radial densities of the (optionally cutoff) bubble in scaled coordinates.
+def _profile_pack(
+    p: HSParams, tau: float, cut: CutoffSpec | None, rows: Sequence[str | float]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Stacked radial densities of the (optionally cutoff) bubble in scaled coordinates.
 
-    Returns callables of t = |y|:
-      grad(t) : |d/dt (eta~ * U1)|**2         (squared radial derivative)
-      mass(t) : (eta~ * U1)**q * t**(-s)      with q the critical exponent
-      l2(t)   : (eta~ * U1)**2
-      powq(q') : t -> (eta~ * U1)**q'         for arbitrary exponent q'
+    Returns dens(t) for t = |y|, an array with one leading entry per row:
+      "grad" : |d/dt (eta~ * U1)|**2        (squared radial derivative)
+      "mass" : (eta~ * U1)**q * t**(-s)     with q the critical exponent
+      "l2"   : (eta~ * U1)**2
+      q'     : (eta~ * U1)**q'              for a number q'
     where U1(t) = (1 + t**(2-s))**kappa, kappa = (2-N)/(2-s), and
     eta~(t) = eta(tau * t) is the cutoff seen at scale tau (eta~ == 1 when
-    ``cut`` is None, giving the pure whole-profile densities).
+    ``cut`` is None, giving the pure whole-profile densities).  The powers
+    t**(1-s), 1 + t**(2-s), U1 and U1' are computed once for all rows, and
+    eta~ only where tau * t > delta (elsewhere it is exactly 1, its slope
+    exactly 0).  A row's values do not depend on the other rows.
     """
     n, s = p.N, p.s
     kappa = (2.0 - n) / (2.0 - s)
     b = 2.0 * (n - s) / (2.0 - s)
     q = p.two_star
 
-    def u1(t):
-        return (1.0 + t ** (2.0 - s)) ** kappa
+    def stack(t, x, u, du, eta, deta) -> np.ndarray:
+        # eta, deta: eta~ and its t-derivative, as arrays or exact constants
+        out = np.empty((len(rows), *t.shape))
+        for v, row in zip(out, rows):
+            if row == "grad":
+                np.square(deta * u + eta * du, out=v)
+            elif row == "mass":
+                np.multiply(eta**q * t ** (-s), x ** (-b), out=v)
+            elif row == "l2":
+                np.square(eta * u, out=v)
+            else:
+                np.multiply(eta**row, x ** (kappa * row), out=v)
+        return out
 
-    def du1(t):
-        return (2.0 - n) * t ** (1.0 - s) * (1.0 + t ** (2.0 - s)) ** (kappa - 1.0)
+    def dens(t: np.ndarray) -> np.ndarray:
+        x = 1.0 + t ** (2.0 - s)
+        u = x**kappa
+        du = (2.0 - n) * t ** (1.0 - s) * x ** (kappa - 1.0)
+        out = stack(t, x, u, du, 1.0, 0.0)
+        if cut is not None and (ramp := tau * t > cut.delta).any():
+            r = tau * t[ramp]
+            out[:, ramp] = stack(
+                t[ramp], x[ramp], u[ramp], du[ramp], cut.value(r), tau * cut.slope(r)
+            )
+        return out
 
-    if cut is None:
-        def grad(t):
-            return (n - 2.0) ** 2 * t ** (2.0 - 2.0 * s) * (1.0 + t ** (2.0 - s)) ** (-b)
-
-        def mass(t):
-            return t ** (-s) * (1.0 + t ** (2.0 - s)) ** (-b)
-
-        def l2(t):
-            return (1.0 + t ** (2.0 - s)) ** (2.0 * kappa)
-
-        def powq(qi: float):
-            return lambda t: (1.0 + t ** (2.0 - s)) ** (kappa * qi)
-    else:
-        def eta(t):
-            return cut.value(tau * t)
-
-        def deta(t):
-            return tau * cut.slope(tau * t)
-
-        def grad(t):
-            return (deta(t) * u1(t) + eta(t) * du1(t)) ** 2
-
-        def mass(t):
-            return eta(t) ** q * t ** (-s) * (1.0 + t ** (2.0 - s)) ** (-b)
-
-        def l2(t):
-            return (eta(t) * u1(t)) ** 2
-
-        def powq(qi: float):
-            return lambda t: eta(t) ** qi * (1.0 + t ** (2.0 - s)) ** (kappa * qi)
-
-    return grad, mass, l2, powq
+    return dens
 
 
 # ---------------------------------------------------------------------------
 # shared quadrature plumbing
 # ---------------------------------------------------------------------------
 
-_GK_NODES, _GK_WK, _ = _build_rule()
 _W_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 8.0)])  # 0, 1/64 .. 128
 _BOX_HALF_WIDTH = 10.0
 _BLEND_LO = 8.0
 _BLEND_HI = 10.0
 _DEFAULT_BOX_NODES = {2: 96, 3: 56, 4: 28}
+# The box walk sums points in chunks of _BOX_CHUNK (the grouping sets the
+# rounding of the ledger) and evaluates the stacked (rows, points, panels, 15)
+# densities in blocks of _STACK_BLOCK points: with four rows a block holds as
+# many values as one integrand over a chunk.
+_BOX_CHUNK = 1 << 14
+_STACK_BLOCK = 1 << 12
 
 
 def _geometric_seeds(lo: float, hi: float) -> list[float]:
@@ -310,50 +313,43 @@ def _blend(rho: np.ndarray) -> np.ndarray:
     return _smooth_fall(t)
 
 
-def _inner_batch(phi: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarray:
-    """integral over w in [0, w_cap] of phi(rho * sqrt(1 + w**2)), per point.
+def _inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarray:
+    """integral over w in [0, w_cap] of dens(rho * sqrt(1 + w**2)), per row and point.
 
     Fixed geometric panel edges (0, 1/64, ..., 128) clipped to each point's
     cap keep the arrays rectangular; panels entirely beyond every cap are
     skipped.  The hard stop at w = 128 truncates only integrands decaying at
     least like w**(3-2N), a relative error below 128**(3-2N).
     """
-    w_max = float(w_cap.max())
-    if w_max <= 0.0:
-        return np.zeros_like(rho)
-    active = int(np.count_nonzero(_W_EDGES[:-1] < w_max))
+    active = int(np.count_nonzero(_W_EDGES[:-1] < w_cap.max()))
     lo = np.minimum(_W_EDGES[:active][None, :], w_cap[:, None])
     hi = np.minimum(_W_EDGES[1 : active + 1][None, :], w_cap[:, None])
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    pts = mid[:, :, None] + half[:, :, None] * _GK_NODES
+    pts = mid[:, :, None] + half[:, :, None] * KRONROD15_NODES
     t = rho[:, None, None] * np.sqrt(1.0 + pts * pts)
-    vals = np.asarray(phi(t), dtype=float)
-    return np.einsum("mpk,k,mp->m", vals, _GK_WK, half)
+    return np.einsum("impk,k,mp->im", dens(t), KRONROD15_WEIGHTS, half)
 
 
-def _box_part(
-    phi: Callable,
-    tau: float,
-    geom: BoundaryGeometry,
-    p: HSParams,
-    box_nodes: int,
-    chunk: int = 1 << 14,
-) -> float:
-    """Blend-weighted sliver integral over the box |y'_i| <= 10, exactly tensorised.
+def _box_pass(
+    dens: Callable, tau: float, geom: BoundaryGeometry, box_nodes: int
+) -> np.ndarray | float:
+    """Blend-weighted sliver integrals of every row over the box |y'_i| <= 10.
 
-    The integrand is even in every tangential coordinate (the floor height
-    depends on squares only), so one orthant is integrated and scaled by
-    2**(N-1).  Floor heights keep their sign: where the quadratic floor dips
-    below the flat one the sliver contributes negatively.
+    One exactly tensorised walk serves all rows (0.0 when no box point lies
+    under a nonzero floor).  The integrand is even in every tangential
+    coordinate (the floor height depends on squares only), so one orthant is
+    integrated and scaled by 2**(N-1).  Floor heights keep their sign: where
+    the quadratic floor dips below the flat one the sliver contributes
+    negatively.
     """
-    d = p.N - 1
+    d = len(geom.curvatures)
     alphas = np.asarray(geom.curvatures, dtype=float)
     nodes, weights = _gl_nodes(box_nodes)
     n_pts = box_nodes**d
     total = 0.0
-    for start in range(0, n_pts, chunk):
-        idx = np.arange(start, min(start + chunk, n_pts))
+    for start in range(0, n_pts, _BOX_CHUNK):
+        idx = np.arange(start, min(start + _BOX_CHUNK, n_pts))
         y = np.empty((idx.size, d))
         wt = np.ones(idx.size)
         rem = idx
@@ -369,20 +365,24 @@ def _box_part(
             continue
         rk = rho[keep]
         fk = floor[keep]
-        inner = _inner_batch(phi, rk, np.abs(fk) / rk) * rk * np.sign(fk)
-        total += float(np.sum(wt[keep] * psi[keep] * inner))
+        w_cap = np.abs(fk) / rk
+        inner = np.concatenate([
+            _inner_stack(dens, rk[j : j + _STACK_BLOCK], w_cap[j : j + _STACK_BLOCK])
+            for j in range(0, rk.size, _STACK_BLOCK)
+        ], axis=1) * rk * np.sign(fk)
+        total = total + np.sum(wt[keep] * psi[keep] * inner, axis=1)
     return total * 2.0**d
 
 
 def _tail_part(
-    phi: Callable,
+    dens: Callable,
     tau: float,
     geom: BoundaryGeometry,
     p: HSParams,
     cap: float | None,
     cfg: QuadratureSettings,
 ) -> float:
-    """Radial tail of the sliver beyond the blend window.
+    """Radial tail of a one-row sliver beyond the blend window.
 
     Outside |y'| = 8 the anisotropic floor is replaced by its spherical
     average tau * gamma * |y'|**2 with gamma = H / (2(N-1)) -- exact when all
@@ -400,7 +400,7 @@ def _tail_part(
 
     def integrand(rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        inner = _inner_batch(phi, rho, tau * g * rho) * rho
+        inner = _inner_stack(dens, rho, tau * g * rho)[0] * rho
         return sgn * omega * (1.0 - _blend(rho)) * rho ** (n - 2.0) * inner
 
     knee = 1.0 / (tau * g)  # where the inner integral saturates
@@ -442,21 +442,25 @@ def _check_dimension(geom: BoundaryGeometry, p: HSParams) -> None:
         )
 
 
-def _sliver(
-    phi: Callable,
-    tau: float,
-    geom: BoundaryGeometry,
+def _slivers(
     p: HSParams,
+    tau: float,
+    cut: CutoffSpec | None,
+    rows: Sequence[str | float],
+    geom: BoundaryGeometry,
     cfg: QuadratureSettings,
     cap: float | None,
     box_nodes: int,
-) -> float:
+) -> list[float]:
+    """Sliver integral of every row: one fused box walk plus one tail per row."""
     if all(a == 0.0 for a in geom.curvatures):
-        return 0.0
-    return (
-        _box_part(phi, tau, geom, p, box_nodes)
-        + _tail_part(phi, tau, geom, p, cap, cfg)
-    )
+        return [0.0] * len(rows)
+    box = _box_pass(_profile_pack(p, tau, cut, rows), tau, geom, box_nodes)
+    tails = [
+        _tail_part(_profile_pack(p, tau, cut, (row,)), tau, geom, p, cap, cfg)
+        for row in rows
+    ]
+    return (box + np.array(tails)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +490,8 @@ def sliver_energy_integral(
     _check_dimension(geom, p)
     cfg = cfg or QuadratureSettings()
     tau = eps ** (1.0 / (2.0 - p.s))
-    grad, _, _, _ = _profile_pack(p, tau, None)
-    return _sliver(grad, tau, geom, p, cfg, None, _resolve_box_nodes(p, box_nodes))
+    nodes = _resolve_box_nodes(p, box_nodes)
+    return _slivers(p, tau, None, ("grad",), geom, cfg, None, nodes)[0]
 
 
 def sliver_mass_integral(
@@ -508,8 +512,8 @@ def sliver_mass_integral(
     _check_dimension(geom, p)
     cfg = cfg or QuadratureSettings()
     tau = eps ** (1.0 / (2.0 - p.s))
-    _, mass, _, _ = _profile_pack(p, tau, None)
-    return _sliver(mass, tau, geom, p, cfg, None, _resolve_box_nodes(p, box_nodes))
+    nodes = _resolve_box_nodes(p, box_nodes)
+    return _slivers(p, tau, None, ("mass",), geom, cfg, None, nodes)[0]
 
 
 def sliver_energy_leading_coefficient(
@@ -544,17 +548,17 @@ def sliver_mass_leading_coefficient(
 
 
 def _half_space_radial(
-    phi: Callable,
+    dens: Callable,
     n: int,
     cap: float,
     cfg: QuadratureSettings,
     extra_breaks: Sequence[float] = (),
 ) -> float:
-    """(1/2) * omega_{N-1} * integral over (0, cap) of phi(rho) * rho**(N-1)."""
+    """(1/2) * omega_{N-1} * integral over (0, cap) of dens(rho) * rho**(N-1), one row."""
 
     def integrand(rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        return phi(rho) * rho ** (n - 1.0)
+        return dens(rho)[0] * rho ** (n - 1.0)
 
     seeds = _geometric_seeds(0.0, cap) + [b for b in extra_breaks if 0.0 < b < cap]
     value = adaptive_gauss_kronrod(
@@ -609,34 +613,24 @@ def bubble_energies(
     nodes = _resolve_box_nodes(p, box_nodes)
     cap = 2.0 * delta / tau
     kink = delta / tau
-    grad, mass, l2, powq = _profile_pack(p, tau, cut)
-
-    sliver_e = _sliver(grad, tau, geom, p, cfg, cap, nodes)
-    sliver_m = _sliver(mass, tau, geom, p, cfg, cap, nodes)
-    grad_energy = _half_space_radial(grad, p.N, cap, cfg, (kink,)) - sliver_e
-    near_mass = _half_space_radial(mass, p.N, cap, cfg, (kink,)) - sliver_m
-    l2_mass = tau**2 * (
-        _half_space_radial(l2, p.N, cap, cfg, (kink,))
-        - _sliver(l2, tau, geom, p, cfg, cap, nodes)
-    )
-    far = []
-    for dist, si in sites:
-        qi = 2.0 * (p.N - si) / (p.N - 2.0)
-        phi = powq(qi)
-        value = (
-            _half_space_radial(phi, p.N, cap, cfg, (kink,))
-            - _sliver(phi, tau, geom, p, cfg, cap, nodes)
-        )
-        far.append(tau**si * delta ** (-si) * value)
-
+    # rows: grad, near mass, L2, then (eta~ * U1)**q_i for each far site's mass
+    rows = ("grad", "mass", "l2", *(2.0 * (p.N - si) / (p.N - 2.0) for _, si in sites))
+    slivers = _slivers(p, tau, cut, rows, geom, cfg, cap, nodes)
+    whole = [
+        _half_space_radial(_profile_pack(p, tau, cut, (row,)), p.N, cap, cfg, (kink,))
+        - sliver
+        for row, sliver in zip(rows, slivers)
+    ]
     return EnergyBreakdown(
         eps=eps,
-        grad_energy=grad_energy,
-        near_mass=near_mass,
-        far_masses=tuple(far),
-        l2_mass=l2_mass,
-        sliver_energy=sliver_e,
-        sliver_mass=sliver_m,
+        grad_energy=whole[0],
+        near_mass=whole[1],
+        far_masses=tuple(
+            tau**si * delta ** (-si) * value for (_, si), value in zip(sites, whole[3:])
+        ),
+        l2_mass=tau**2 * whole[2],
+        sliver_energy=slivers[0],
+        sliver_mass=slivers[1],
     )
 
 

@@ -31,6 +31,8 @@ import numpy as np
 
 __all__ = [
     "Divergent",
+    "KRONROD15_NODES",
+    "KRONROD15_WEIGHTS",
     "NonFinite",
     "QuadratureSettings",
     "RadialPowerIntegrand",
@@ -95,25 +97,29 @@ def _build_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     wg[[1, 3, 5]] = _GAUSS_W[:3]
     wg[7] = _GAUSS_W[3]
     wg[[9, 11, 13]] = _GAUSS_W[:3][::-1]
+    for rule in (nodes, wk, wg):
+        rule.flags.writeable = False
     return nodes, wk, wg
 
 
-_NODES, _WK, _WG = _build_rule()
+# The ascending 15-point Kronrod nodes and weights on [-1, 1] (read-only),
+# shared by every fixed-panel integral in the package.
+KRONROD15_NODES, KRONROD15_WEIGHTS, _WG = _build_rule()
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: returns (value, error estimate)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid + half * _NODES
+    x = mid + half * KRONROD15_NODES
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape or not np.all(np.isfinite(y)):
         raise NonFinite(f"integrand not finite on panel [{lo!r}, {hi!r}]")
-    ik = half * float(_WK @ y)
+    ik = half * float(KRONROD15_WEIGHTS @ y)
     ig = half * float(_WG @ y)
     # QUADPACK-style scale-aware error estimate
     mean = ik / (hi - lo) if hi != lo else 0.0
-    resasc = half * float(_WK @ np.abs(y - mean))
+    resasc = half * float(KRONROD15_WEIGHTS @ np.abs(y - mean))
     diff = abs(ik - ig)
     if resasc > 0.0 and diff > 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)

@@ -82,6 +82,11 @@ class TestGeometryAndCutoff:
         assert np.all(np.diff(v) <= 0.0)
         assert np.all(cut.slope(r[1:-1]) < 0.0)
 
+    def test_cutoff_never_negative_just_inside_outer_edge(self):
+        # the descent polynomial rounds to about -1e-15 just below r = 2*delta
+        v = CutoffSpec(0.1).value(0.2 * (1.0 - np.logspace(-12, -2, 2000)))
+        assert np.all(v >= 0.0)
+
 
 class TestSliverIntegrals:
     def test_flat_boundary_has_no_sliver(self):
@@ -240,6 +245,90 @@ class TestBubbleEnergies:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             bubble_energies(0.0, FLAT3, CutoffSpec(0.1), [], P31)
+
+    def test_fractional_far_power_near_cutoff_edge_is_finite(self):
+        # a quadrature node lands where the unclamped cutoff was -1e-15,
+        # whose fractional far-site power is NaN
+        b = bubble_energies(
+            0.00021187786299926086,
+            BoundaryGeometry((1.0, 1.0), 0.1),
+            CutoffSpec(0.1),
+            [(0.392, 0.562)],
+            HSParams(3, 1.0114357053040086),
+        )
+        entries = [b.grad_energy, b.near_mass, b.l2_mass, b.sliver_energy,
+                   b.sliver_mass, *b.far_masses]
+        assert len(b.far_masses) == 1
+        assert all(math.isfinite(v) for v in entries)
+
+
+# Ledger entries (grad_energy, near_mass, l2_mass, sliver_energy,
+# sliver_mass, far_masses) computed by the per-integrand box walk that the
+# fused walk replaced, with delta = 0.1.
+LEDGER_REFERENCES = [
+    # N = 3 with 0, 1 and 2 far sites
+    (3, 1.0, (1.0, 1.0), 1e-3, [],
+     (2.16315327406849, 1.0459885932601671, 0.0007887825353916398,
+      0.019474548101433564, 0.0010231729877767282, ())),
+    (3, 1.0, (1.0, 1.0), 1e-3, [(0.5, 0.7)],
+     (2.16315327406849, 1.0459885932601671, 0.0007887825353916398,
+      0.019474548101433564, 0.0010231729877767282, (0.03326749460688805,))),
+    (3, 1.0, (1.0, 1.0), 1e-3, [(0.5, 0.7), (0.4, 0.9)],
+     (2.16315327406849, 1.0459885932601671, 0.0007887825353916398,
+      0.019474548101433564, 0.0010231729877767282,
+      (0.03326749460688805, 0.023252199361061595))),
+    # anisotropic curvatures with a negative entry
+    (4, 1.0, (1.0, -0.5, 2.0), 5e-4, [(0.5, 0.7)],
+     (1.9720605550022017, 0.32885575342820994, 9.215581399277936e-06,
+      0.002093578302031377, 0.00013088060062124834, (0.006014743882003486,))),
+    (5, 0.5, (1.0, 1.0, 1.0, 1.0), 1e-4, [(0.5, 0.7)],
+     (3.9339596018875724, 0.2918683853193855, 2.4286866974171373e-05,
+      0.01396740918904709, 0.0005643096911618358, (0.026844801901507436,))),
+    # tau = 0.009 near delta/10 with curvature 50: box nodes reach
+    # t = 10 * sqrt(1 + 2.25**2) > 2 * delta / tau, across the cutoff ramp
+    (3, 1.0, (50.0, 50.0), 9e-3, [(0.5, 0.7)],
+     (1.0226199851281401, 0.7591188498862503, 0.0014703945739741402,
+      1.7670282753334372, 0.27526659528436637, (0.08816180660841319,))),
+]
+
+
+class TestFusedLedger:
+    @pytest.mark.parametrize("n, s, curv, eps, far, expected", LEDGER_REFERENCES)
+    def test_matches_reference_values(self, n, s, curv, eps, far, expected):
+        b = bubble_energies(
+            eps, BoundaryGeometry(curv, 0.1), CutoffSpec(0.1), far, HSParams(n, s)
+        )
+        got = (b.grad_energy, b.near_mass, b.l2_mass, b.sliver_energy,
+               b.sliver_mass, *b.far_masses)
+        want = (*expected[:5], *expected[5])
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("curv, eps", [((1.0, -0.5, 2.0), 5e-4), ((50.0, 50.0), 9e-3)])
+    def test_far_sites_leave_other_entries_bit_identical(self, curv, eps):
+        p = HSParams(len(curv) + 1, 1.0)
+        geom = BoundaryGeometry(curv, 0.1)
+        runs = [
+            bubble_energies(eps, geom, CutoffSpec(0.1), far, p)
+            for far in ([], [(0.5, 0.7)], [(0.5, 0.7), (0.4, 0.9)])
+        ]
+        for b in runs[1:]:
+            assert b.grad_energy == runs[0].grad_energy
+            assert b.near_mass == runs[0].near_mass
+            assert b.l2_mass == runs[0].l2_mass
+            assert b.sliver_energy == runs[0].sliver_energy
+            assert b.sliver_mass == runs[0].sliver_mass
+        assert runs[2].far_masses[0] == runs[1].far_masses[0]
+
+    def test_pure_profile_slivers_match_reference_values(self):
+        geom = BoundaryGeometry((1.0, -0.5, 2.0), 0.1)
+        assert sliver_energy_integral(1e-3, geom, P41) == pytest.approx(
+            0.0041760798998780385, rel=1e-12, abs=0.0
+        )
+        assert sliver_mass_integral(1e-3, geom, P41) == pytest.approx(
+            0.0002617931365915535, rel=1e-12, abs=0.0
+        )
 
 
 class TestRayPeak:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hslab.quadrature import (
+    KRONROD15_NODES,
+    KRONROD15_WEIGHTS,
     Divergent,
     NonFinite,
     QuadratureSettings,
@@ -37,6 +39,16 @@ class TestAdaptiveGaussKronrod:
     def test_polynomial_exact(self):
         value = adaptive_gauss_kronrod(lambda x: x * x, 0.0, 1.0)
         assert value == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+    def test_exported_kronrod_rule(self):
+        # ascending, symmetric, read-only, and exact for degree-22 monomials
+        assert np.all(np.diff(KRONROD15_NODES) > 0.0)
+        assert np.array_equal(KRONROD15_NODES, -KRONROD15_NODES[::-1])
+        assert np.array_equal(KRONROD15_WEIGHTS, KRONROD15_WEIGHTS[::-1])
+        assert not KRONROD15_NODES.flags.writeable
+        assert not KRONROD15_WEIGHTS.flags.writeable
+        moment = KRONROD15_WEIGHTS @ KRONROD15_NODES**22
+        assert moment == pytest.approx(2.0 / 23.0, rel=1e-13)
 
     def test_sine_closed_form(self):
         value = adaptive_gauss_kronrod(np.sin, 0.0, math.pi)
