@@ -6,7 +6,7 @@ compactness-threshold identities, boundary-bubble energy asymptotics, and a
 grid-based mountain-pass solver, plus the quadrature engine they share.
 """
 
-from . import boundary_energy, cli, extremals, identities, quadrature, variational
+from . import boundary_energy, extremals, identities, quadrature, variational
 
 __all__ = [
     "boundary_energy",

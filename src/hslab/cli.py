@@ -53,7 +53,6 @@ _SCHEMA: dict[str, Any] = {
     "eps_list": _LEAF,
     "beta_list": _LEAF,
     "box_nodes": _LEAF,
-    "c_samples": _LEAF,
     "solver": {"max_iters": _LEAF, "grad_tol": _LEAF, "metric": _LEAF},
     "init": {"type": _LEAF, "site": _LEAF, "eps": _LEAF, "value": _LEAF},
     "output": _LEAF,

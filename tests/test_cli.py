@@ -260,6 +260,12 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "unknown key: params.weird" in capsys.readouterr().err
 
+    def test_c_samples_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWEEP_CFG + "c_samples: [0.1, 1.0]\n")
+        assert main(["sweep-lambda", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown key: c_samples" in capsys.readouterr().err
+
     def test_yaml_parse_error_reports_location(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "params:\n  N: 3\n   s: [unclosed\n")
         assert main(["constants", "--config", cfg,
@@ -284,7 +290,7 @@ class TestInstalledEntryPoint:
         cfg = write_config(tmp_path, CONSTANTS_CFG)
         out = str(tmp_path / "constants.csv")
         proc = subprocess.run(
-            [sys.executable, "-m", "hslab.cli", "constants",
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hslab.cli", "constants",
              "--config", cfg, "--out", out],
             capture_output=True, text=True,
         )

@@ -1,6 +1,7 @@
 """Discrete energy, gradient, Nehari projection, and the ground-state solver."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,6 +11,13 @@ from hslab.extremals import HSParams
 from hslab.identities import Placement, SingularitySite, ps_threshold
 from hslab.quadrature import integrate_box
 from hslab.variational import (
+    _dct1,
+    _edge_volumes,
+    _h1_riesz,
+    _neumann_symbol,
+    _positive_masses,
+    _quadratic_part,
+    _ray_peak,
     BubbleAt,
     Constant,
     Custom,
@@ -39,6 +47,8 @@ from hslab.variational import (
 
 UNIT3 = ((0.0, 1.0),) * 3
 CENTER = (0.5, 0.5, 0.5)
+INTERIOR_PAIR = ((0.3, 0.5, 0.5), (0.7, 0.5, 0.5))
+FACE_PAIR = ((0.0, 0.5, 0.5), (0.7, 0.5, 0.5))
 
 
 def unit_config(nodes=9, lam=1.0, sites=None):
@@ -193,6 +203,95 @@ class TestEnergyAndGradient:
             gradient(np.zeros((9, 9)), cfg)
 
 
+def _reference_quadratic_part(u, cfg):
+    grid = cfg.grid
+    total = 0.0
+    for k in range(grid.N):
+        d = np.diff(u, axis=k) / grid.spacing[k]
+        total += float(np.sum(d * d * _edge_volumes(grid, k)))
+    total += cfg.lam * float(np.sum(u * u * node_volumes(grid)))
+    return total
+
+
+def _reference_positive_masses(u, cfg):
+    vol = node_volumes(cfg.grid)
+    up = np.maximum(u, 0.0)
+    return [float(np.sum(singular_weight(cfg.grid, sing) * up**q * vol))
+            for sing, q in zip(cfg.singularities, cfg.exponents())]
+
+
+def _reference_gradient(u, cfg):
+    grid = cfg.grid
+    g = cfg.lam * u * node_volumes(grid)
+    for k in range(grid.N):
+        d = np.diff(u, axis=k) / grid.spacing[k]
+        flux = d * _edge_volumes(grid, k) / grid.spacing[k]
+        left = [slice(None)] * grid.N
+        right = [slice(None)] * grid.N
+        left[k] = slice(0, -1)
+        right[k] = slice(1, None)
+        g[tuple(right)] += flux
+        g[tuple(left)] -= flux
+    up = np.maximum(u, 0.0)
+    for sing, q in zip(cfg.singularities, cfg.exponents()):
+        g -= singular_weight(grid, sing) * up ** (q - 1.0) * node_volumes(grid)
+    return g
+
+
+def _reference_dct1(a, axis):
+    n = a.shape[axis]
+    middle = np.flip(np.take(a, np.arange(1, n - 1), axis=axis), axis=axis)
+    return np.fft.rfft(np.concatenate([a, middle], axis=axis), axis=axis).real
+
+
+def _reference_h1_riesz(residual, grid, lam):
+    z = residual
+    for k in range(grid.N):
+        z = _reference_dct1(z, k)
+    z = z / _neumann_symbol(grid, lam)
+    scale = 1.0
+    for k in range(grid.N):
+        z = _reference_dct1(z, k)
+        scale *= 2.0 * (grid.nodes_per_axis[k] - 1)
+    return z / scale
+
+
+class TestKernelsMatchPlainForms:
+    """The in-place kernels round exactly like the plain array expressions."""
+
+    @pytest.mark.parametrize("nodes", [16, 21])
+    def test_bit_identical_on_random_fields(self, nodes):
+        grid = DomainGrid(((0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)), (nodes, nodes + 1, nodes + 2))
+        sites = (
+            Singularity((0.3, 0.5, 0.0), 0.5),
+            Singularity((0.0, 1.0, -0.2), 1.2),
+            Singularity((0.7, 1.5, 0.5), 0.5),
+        )
+        cfg = ProblemConfig(grid, 3.0, sites)
+        rng = np.random.default_rng(nodes)
+        for _ in range(3):
+            u = 0.3 + rng.standard_normal(grid.shape)
+            assert _quadratic_part(u, cfg) == _reference_quadratic_part(u, cfg)
+            assert _positive_masses(u, cfg) == _reference_positive_masses(u, cfg)
+            assert np.array_equal(gradient(u, cfg), _reference_gradient(u, cfg))
+            for k in range(grid.N):
+                assert np.array_equal(_dct1(u, k), _reference_dct1(u, k))
+            assert np.array_equal(_h1_riesz(u, grid, cfg.lam),
+                                  _reference_h1_riesz(u, grid, cfg.lam))
+
+
+class TestRayPeak:
+    @pytest.mark.parametrize("exponents", [(1.0, 1.0), (0.5, 1.2)])
+    def test_peak_is_the_energy_at_the_nehari_point(self, exponents):
+        sites = tuple(Singularity(loc, s) for loc, s in zip(INTERIOR_PAIR, exponents))
+        cfg = unit_config(nodes=16, lam=2.0, sites=sites)
+        u = 0.5 + bubble_field(cfg.grid, INTERIOR_PAIR[0], 0.1, exponents[0])
+        t, peak = _ray_peak(_quadratic_part(u, cfg), _positive_masses(u, cfg),
+                            cfg.exponents())
+        assert t == nehari_scale(u, cfg)
+        assert peak == pytest.approx(energy(t * u, cfg), rel=1e-13)
+
+
 class TestNehariScale:
     def test_constant_closed_form(self):
         cfg = unit_config(nodes=9, lam=1.0)
@@ -334,6 +433,30 @@ class TestSolver:
                 energy=1.0, residual_sup=0.0, min_value=0.1, iterations=1,
                 threshold=2.0, below_threshold=False, converged=True,
             )
+
+
+class TestSolverReachesTolerance:
+    """32^3 solves reach grad_tol 1e-6 although their last Armijo decreases
+    fall below the rounding of the energy."""
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def solve(lam, sites):
+        cfg = unit_config(nodes=32, lam=lam, sites=tuple(Singularity(x, 1.0) for x in sites))
+        return mountain_pass_solve(cfg, opts=SolveOptions(max_iters=400))[0]
+
+    @pytest.mark.parametrize("lam", [5.0, 50.0])
+    @pytest.mark.parametrize("sites", [INTERIOR_PAIR, FACE_PAIR], ids=["interior", "face"])
+    def test_converges(self, lam, sites):
+        report = self.solve(lam, sites)
+        assert report.converged, report
+        assert report.residual_sup < 1e-6
+
+    def test_axis_order_does_not_change_the_solution(self):
+        permuted = tuple(tuple(x[i] for i in (1, 2, 0)) for x in INTERIOR_PAIR)
+        plain, turned = self.solve(5.0, INTERIOR_PAIR), self.solve(5.0, permuted)
+        assert plain.converged and turned.converged
+        assert turned.energy == pytest.approx(plain.energy, rel=1e-12)
 
 
 class TestScalingLaws:
