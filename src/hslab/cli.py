@@ -53,7 +53,7 @@ _SCHEMA: dict[str, Any] = {
     "eps_list": _LEAF,
     "beta_list": _LEAF,
     "box_nodes": _LEAF,
-    "solver": {"max_iters": _LEAF, "grad_tol": _LEAF, "metric": _LEAF},
+    "solver": {"max_iters": _LEAF, "grad_tol": _LEAF},
     "init": {"type": _LEAF, "site": _LEAF, "eps": _LEAF, "value": _LEAF},
     "output": _LEAF,
     "field_output": _LEAF,
@@ -407,11 +407,6 @@ def _solve_options(cfg: dict, tol: float | None) -> variational.SolveOptions:
         kwargs["max_iters"] = _as_int(solver["max_iters"], "solver.max_iters")
     if "grad_tol" in solver:
         kwargs["grad_tol"] = _as_float(solver["grad_tol"], "solver.grad_tol")
-    if "metric" in solver:
-        metric = solver["metric"]
-        if metric not in ("h1", "l2"):
-            raise ConfigError(f"solver.metric must be 'h1' or 'l2', got {metric!r}")
-        kwargs["metric"] = metric
     if tol is not None:
         kwargs["grad_tol"] = tol
     try:

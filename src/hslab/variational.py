@@ -16,14 +16,15 @@ energy actually evaluated.
 The solver minimises the energy over the Nehari set (fields with
 d/dt energy(t u) = 0 at t = 1): each iteration rescales the iterate to its
 Nehari point, takes a Barzilai-Borwein step along the negative gradient
-(by default the Riesz representative of the derivative in the
-(grad, grad) + lambda (., .) inner product, applied exactly through fast
-cosine transforms), and backtracks until the composed move decreases the
-Nehari-point energy.  A trial costs one pass for its quadratic part A and
-one for its masses B_i; its Nehari scale and energy then follow in closed
-form as the peak of A t**2/2 - sum_i B_i t**q_i / q_i, and the decrease test
-allows for rounding at the level of ``ROUNDING * |energy|``.  Fields are
-plain numpy arrays shaped like the grid.
+(the Riesz representative of the derivative in the (grad, grad) +
+lambda (., .) inner product, applied exactly by fast diagonalization with
+the generalized eigenpairs of each axis's 1-D stiffness and trapezoid mass),
+and backtracks until the composed move decreases the Nehari-point energy.
+A trial costs one pass for its quadratic part A and one for its masses B_i;
+its Nehari scale and energy then follow in closed form as the peak of
+A t**2/2 - sum_i B_i t**q_i / q_i, and the decrease test allows for rounding
+at the level of ``ROUNDING * |energy|``.  Fields are plain numpy arrays
+shaped like the grid.
 """
 
 from __future__ import annotations
@@ -140,10 +141,8 @@ class DomainGrid:
         return np.linspace(lo, hi, self.nodes_per_axis[k])
 
 
-def _axis_weights(grid: DomainGrid, k: int) -> np.ndarray:
-    """Trapezoid dual-cell lengths along axis k (sum = axis length)."""
-    n = grid.nodes_per_axis[k]
-    h = grid.spacing[k]
+def _axis_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid dual-cell lengths along an axis of n nodes spaced h."""
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
@@ -155,7 +154,7 @@ def _node_volumes(grid: DomainGrid) -> np.ndarray:
     for k in range(grid.N):
         shape = [1] * grid.N
         shape[k] = grid.nodes_per_axis[k]
-        vol = vol * _axis_weights(grid, k).reshape(shape)
+        vol = vol * _axis_weights(grid.nodes_per_axis[k], grid.spacing[k]).reshape(shape)
     vol.flags.writeable = False
     return vol
 
@@ -177,7 +176,7 @@ def _edge_volumes(grid: DomainGrid, axis: int) -> np.ndarray:
         if k == axis:
             ev = ev * np.full(shape[k], grid.spacing[axis]).reshape(rs)
         else:
-            ev = ev * _axis_weights(grid, k).reshape(rs)
+            ev = ev * _axis_weights(grid.nodes_per_axis[k], grid.spacing[k]).reshape(rs)
     ev.flags.writeable = False
     return ev
 
@@ -504,49 +503,72 @@ def nehari_scale(u, cfg: ProblemConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast Neumann inverse (descent metric)
+# fast diagonalization Riesz map (descent metric)
 # ---------------------------------------------------------------------------
 
 
-def _dct1(a: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalised type-I cosine transform along ``axis`` (involutive up to
-    the factor 2(n-1)), computed through an even extension and a real FFT."""
-    n = a.shape[axis]
-    shape = list(a.shape)
-    shape[axis] = 2 * (n - 1)
-    ext = np.empty(shape)
-    src = np.moveaxis(a, axis, 0)
-    dst = np.moveaxis(ext, axis, 0)
-    dst[:n] = src
-    dst[n:] = src[n - 2 : 0 : -1]
-    return np.fft.rfft(ext, axis=axis).real
+class _AxisEigenpairs(NamedTuple):
+    """Generalized eigenpairs K V = M V diag(mu), V^T M V = I, of one axis."""
+
+    forward: np.ndarray  # V^T M: node values to modal coefficients
+    backward: np.ndarray  # V: modal coefficients to node values
+    mu: np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _neumann_symbol(grid: DomainGrid, lam: float) -> np.ndarray:
+def _axis_eigenpairs(n: int, h: float) -> _AxisEigenpairs:
+    """Eigenpairs of the stiffness K of the edge energy sum (du)**2 / h
+    against the trapezoid mass M, from eigh of M^-1/2 K M^-1/2."""
+    stiff = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h
+    stiff[0, 0] = stiff[-1, -1] = 1.0 / h
+    root = np.sqrt(_axis_weights(n, h))
+    mu, w = np.linalg.eigh(stiff / np.outer(root, root))
+    pairs = _AxisEigenpairs(forward=np.ascontiguousarray(w.T * root),
+                            backward=w / root[:, None], mu=mu)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _grid_eigenpairs(grid: DomainGrid) -> list[_AxisEigenpairs]:
+    return [_axis_eigenpairs(n, h) for n, h in zip(grid.nodes_per_axis, grid.spacing)]
+
+
+@lru_cache(maxsize=64)
+def _riesz_symbol(grid: DomainGrid, lam: float) -> np.ndarray:
+    """lam + sum_k mu_k over the tensor grid of modes."""
     sym = np.full(grid.shape, lam)
-    for k in range(grid.N):
-        n = grid.nodes_per_axis[k]
-        h = grid.spacing[k]
-        eig = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / (n - 1))) / h**2
+    for k, pairs in enumerate(_grid_eigenpairs(grid)):
         shape = [1] * grid.N
-        shape[k] = n
-        sym = sym + eig.reshape(shape)
+        shape[k] = grid.nodes_per_axis[k]
+        sym = sym + pairs.mu.reshape(shape)
     sym.flags.writeable = False
     return sym
 
 
+def _contract_axes(a: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply mats[k] along axis k for every k: one GEMM per axis, each
+    contracting the leading axis and rotating it to the back."""
+    z = a
+    for mat in mats:
+        rest = z.shape[1:]
+        z = (z.reshape(z.shape[0], -1).T @ mat.T).reshape(rest + (mat.shape[0],))
+    return z
+
+
 def _h1_riesz(residual: np.ndarray, grid: DomainGrid, lam: float) -> np.ndarray:
-    """Solve (-Lap + lam) z = residual exactly for the reflected stencil."""
-    z = residual
-    for k in range(grid.N):
-        z = _dct1(z, k)
-    z = z / _neumann_symbol(grid, lam)
-    scale = 1.0
-    for k in range(grid.N):
-        z = _dct1(z, k)
-        scale *= 2.0 * (grid.nodes_per_axis[k] - 1)
-    return z / scale
+    """Solve (-Lap + lam) z = residual exactly for the reflected stencil.
+
+    Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 1964): the
+    reflected stencil is lam + sum_k M_k^-1 K_k, one term per axis, and
+    V_k^T M_k takes axis k's term to diag(mu_k).  So z applies V_k^T M_k
+    along every axis, divides by lam + sum_k mu_k, and applies V_k along
+    every axis.
+    """
+    pairs = _grid_eigenpairs(grid)
+    z = _contract_axes(residual, [p.forward for p in pairs])
+    z /= _riesz_symbol(grid, lam)
+    return _contract_axes(z, [p.backward for p in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +604,8 @@ class SolveOptions:
     step_init: float = 1.0
     step_min: float = 1e-14
     step_max: float = 1e6
-    metric: str = "h1"  # "h1": exact inverse-stencil Riesz map; "l2": raw residual
 
     def __post_init__(self) -> None:
-        if self.metric not in ("h1", "l2"):
-            raise ValueError("metric must be 'h1' or 'l2'")
         if self.max_iters < 1 or self.grad_tol <= 0.0:
             raise ValueError("max_iters must be >= 1 and grad_tol > 0")
 
@@ -716,10 +735,7 @@ def mountain_pass_solve(
         if residual_sup < opts.grad_tol:
             converged = True
             break
-        if opts.metric == "h1":
-            direction = _h1_riesz(residual, grid, cfg.lam)
-        else:
-            direction = residual
+        direction = _h1_riesz(residual, grid, cfg.lam)
         slope = float(np.sum(direction * g))
         if not math.isfinite(slope) or slope <= 0.0:
             break  # gradient representation broke down; report honestly

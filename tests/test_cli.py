@@ -266,6 +266,13 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "unknown key: c_samples" in capsys.readouterr().err
 
+    def test_solver_metric_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWEEP_CFG.replace(
+            "  grad_tol: 1.0e-6\n", "  grad_tol: 1.0e-6\n  metric: h1\n"))
+        assert main(["sweep-lambda", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown key: solver.metric" in capsys.readouterr().err
+
     def test_yaml_parse_error_reports_location(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "params:\n  N: 3\n   s: [unclosed\n")
         assert main(["constants", "--config", cfg,
