@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .extremals import HSParams
-from .identities import Placement, SingularitySite, ps_threshold
+from .identities import Placement, SingularitySite, ps_threshold, ray_peak
 from .quadrature import (
     KRONROD15_NODES,
     KRONROD15_WEIGHTS,
@@ -53,15 +53,16 @@ from .quadrature import (
 __all__ = [
     "BoundaryGeometry",
     "CutoffSpec",
-    "DegenerateDenominator",
     "EnergyBreakdown",
     "EpsTooLarge",
     "MarginReport",
     "MarginRow",
     "RayPeak",
+    "boundary_threshold",
     "bubble_energies",
     "fit_log_slope",
     "fit_power_log_basis",
+    "margin_row",
     "ray_peak_energy",
     "sliver_energy_integral",
     "sliver_energy_leading_coefficient",
@@ -73,10 +74,6 @@ __all__ = [
 
 class EpsTooLarge(ValueError):
     """Concentration scale too coarse for the cutoff patch (tau > delta/10)."""
-
-
-class DegenerateDenominator(ValueError):
-    """The ray energy has no positive mass term to balance the quadratic."""
 
 
 # ---------------------------------------------------------------------------
@@ -637,20 +634,33 @@ def bubble_energies(
 def ray_peak_energy(b: EnergyBreakdown, lam: float, p: HSParams) -> RayPeak:
     """Maximum of the energy along the ray t -> t * (cutoff bubble).
 
-    The ray energy is (1/2) A t**2 - (1/q) B t**q with A = grad_energy +
-    lam * l2_mass, B = near_mass + sum(far_masses) and q the critical
-    exponent 2(N-s)/(N-2); its maximiser is t* = (A/B)**(1/(q-2)) and the
-    peak value is (1/2 - 1/q) * A * t***2.
+    The ray energy is taken as (1/2) A t**2 - (1/q) B t**q with A =
+    grad_energy + lam * l2_mass, B = near_mass + sum(far_masses) and q the
+    critical exponent 2(N-s)/(N-2) of the concentration site, so the peak
+    is ``ray_peak(A, [B], [q])``.  Every far mass is counted under that q,
+    although a far site with exponent s_i enters the ray energy as
+    m_i t**q_i / q_i with q_i = 2(N-s_i)/(N-2).  Where the ray scale
+    exceeds 1 and a far exponent lies below s, this overstates the peak: by
+    0.17-22 % on the boundary-sweep benchmark's inputs (N = 4 and 5, s = 1,
+    far exponents 0.5 and 0.9).  Raises NonpositivePart when B <= 0 and
+    ValueError when A <= 0.
     """
-    q = p.two_star
     a = b.grad_energy + lam * b.l2_mass
-    total_mass = b.near_mass + sum(b.far_masses)
-    if total_mass <= 0.0:
-        raise DegenerateDenominator("the ray energy needs a positive mass term")
-    if a <= 0.0:
-        raise ValueError("nonpositive quadratic coefficient: the ray has no peak")
-    t_star = (a / total_mass) ** (1.0 / (q - 2.0))
-    return RayPeak(scale=t_star, value=(0.5 - 1.0 / q) * a * t_star**2)
+    return RayPeak(*ray_peak(a, [b.near_mass + sum(b.far_masses)], [p.two_star]))
+
+
+def boundary_threshold(p: HSParams, cfg: QuadratureSettings | None = None) -> float:
+    """Compactness level of a boundary site with the concentration exponent."""
+    return ps_threshold(p.N, [SingularitySite(Placement.BOUNDARY, p.s)], cfg).overall
+
+
+def margin_row(b: EnergyBreakdown, lam: float, p: HSParams, threshold: float) -> MarginRow:
+    """Ray peak of one breakdown, its margin threshold - peak, and that
+    margin over the concentration scale eps**(1/(2-s))."""
+    peak = ray_peak_energy(b, lam, p).value
+    margin = threshold - peak
+    return MarginRow(eps=b.eps, peak=peak, margin=margin,
+                     scaled_margin=margin / b.eps ** (1.0 / (2.0 - p.s)))
 
 
 def threshold_inequality_check(
@@ -679,26 +689,16 @@ def threshold_inequality_check(
     eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
     if not eps_sorted:
         raise ValueError("eps_list must be nonempty")
-    threshold = ps_threshold(
-        p.N, [SingularitySite(Placement.BOUNDARY, p.s)], cfg
-    ).overall
-    rows = []
-    for eps in eps_sorted:
-        b = bubble_energies(eps, geom, cut, far_sites, p, cfg, box_nodes=box_nodes)
-        peak = ray_peak_energy(b, lam, p).value
-        margin = threshold - peak
-        rows.append(
-            MarginRow(
-                eps=eps,
-                peak=peak,
-                margin=margin,
-                scaled_margin=margin / eps ** (1.0 / (2.0 - p.s)),
-            )
-        )
+    threshold = boundary_threshold(p, cfg)
+    rows = tuple(
+        margin_row(bubble_energies(eps, geom, cut, far_sites, p, cfg, box_nodes=box_nodes),
+                   lam, p, threshold)
+        for eps in eps_sorted
+    )
     scaled = [r.scaled_margin for r in rows]
     return MarginReport(
         threshold=threshold,
-        rows=tuple(rows),
+        rows=rows,
         strict_margin=all(r.margin > 0.0 for r in rows),
         scaled_margin_increasing=all(b > a for a, b in zip(scaled[:-1], scaled[1:])),
     )

@@ -339,9 +339,7 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int):
     lam = _as_float(cfg.get("lambda", 0.0), "lambda")
     eps_list = _as_float_list(_require(cfg, "eps_list"), "eps_list")
     box_nodes = _as_int(cfg["box_nodes"], "box_nodes") if "box_nodes" in cfg else None
-    threshold = identities.ps_threshold(
-        n, [identities.SingularitySite(identities.Placement.BOUNDARY, s)],
-        settings).overall
+    threshold = boundary_energy.boundary_threshold(p, settings)
 
     def one(eps: float) -> boundary_energy.EnergyBreakdown:
         return boundary_energy.bubble_energies(
@@ -374,12 +372,10 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int):
             failures.append(f"boundary(eps={eps}): {res}")
             continue
         good.append(res)
-        peak = boundary_energy.ray_peak_energy(res, lam, p).value
-        margin = threshold - peak
+        row = boundary_energy.margin_row(res, lam, p, threshold)
         rows.append(["energy", res.eps, res.grad_energy, res.near_mass,
                      res.l2_mass, sum(res.far_masses), res.sliver_energy,
-                     res.sliver_mass, peak, margin,
-                     margin / res.eps ** (1.0 / (2.0 - s))])
+                     res.sliver_mass, row.peak, row.margin, row.scaled_margin])
     if len(good) >= 2:
         eps_ok = [b.eps for b in good]
 
@@ -464,38 +460,6 @@ def _run_solve(cfg: dict, tol: float | None, seed: int, out_path: str):
     return header, rows, failures
 
 
-def _constant_peak(lam: float, volume: float,
-                   masses: list[float], qs: list[float]) -> float:
-    """Max over c > 0 of (1/2) lam V c^2 - sum (M_i/q_i) c^(q_i).
-
-    Stationarity sum M_i c^(q_i - 2) = lam V has a unique positive root
-    (the left side grows monotonically from 0); bisection after bracketing.
-    """
-    target = lam * volume
-
-    def lhs(c: float) -> float:
-        return sum(m * c ** (q - 2.0) for m, q in zip(masses, qs))
-
-    lo, hi = 1.0, 1.0
-    for _ in range(200):
-        if lhs(lo) <= target:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if lhs(hi) >= target:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
-    return 0.5 * lam * volume * c * c - sum(
-        (m / q) * c**q for m, q in zip(masses, qs))
-
-
 def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int):
     settings = _quad_settings(cfg, tol)
     grid = _grid(cfg)
@@ -511,17 +475,7 @@ def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int):
     sites = [identities.SingularitySite(variational.placement_of(grid, s_), s_.s)
              for s_ in sings]
     threshold = identities.ps_threshold(grid.N, sites, settings).overall
-    c1_total = sum(masses)
-    same_s = all(abs(s_.s - sings[0].s) < 1e-12 for s_ in sings)
-    if same_s:
-        p = extremals.HSParams(grid.N, sings[0].s)
-        lam_bound = identities.lambda_existence_bound(
-            volume, c1_total, [identities.SingularitySite(
-                variational.placement_of(grid, s_), s_.s) for s_ in sings],
-            p, settings)
-    else:
-        lam_bound = identities.lambda_existence_bound_numeric(
-            volume, list(zip(masses, qs)), threshold)
+    lam_bound = identities.lambda_existence_bound(volume, masses, qs, threshold)
 
     header = ["lam", "constant_path_max", "threshold", "lambda_bound",
               "solver_energy", "below_threshold", "converged"]
@@ -530,11 +484,7 @@ def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int):
         try:
             if lam <= 0.0:
                 raise ValueError("sweep requires lambda > 0")
-            if same_s:
-                peak = identities.constant_path_max(
-                    lam, volume, c1_total, qs[0])[1]
-            else:
-                peak = _constant_peak(lam, volume, masses, qs)
+            peak = identities.ray_peak(lam * volume, masses, qs)[1]
             problem = variational.ProblemConfig(
                 grid=grid, lam=lam, singularities=sings)
             init = _initial(cfg, problem, seed)

@@ -19,9 +19,14 @@ off against each other:
 * per-site energy levels below which minimising sequences stay compact:
   (2-s)/(2(N-s)) * S^((N-s)/(2-s)) at an interior singularity and half of
   that at a boundary singularity (S the best constant for that site's s),
-  the overall threshold being the minimum over sites; and, from it, the
-  largest coefficient for which the constant test path stays below the
-  threshold.
+  the overall threshold being the minimum over sites.
+
+The ray peak max_t (A t^2/2 - sum_i B_i t^(q_i)/q_i), the number all of
+the above is compared with, has one implementation here, ``ray_peak``: the
+constant test path, the boundary bubble ray and the solver's Nehari
+projection all call it.  From it, ``lambda_existence_bound`` gives the
+largest coefficient for which the constant test path stays below a
+threshold, for any mix of site exponents.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .quadrature import QuadratureSettings, RadialPowerIntegrand, integrate_radi
 
 __all__ = [
     "EmptySiteList",
-    "MixedExponents",
     "MomentRatio",
+    "NonpositivePart",
     "OutOfRangeBeta",
     "Placement",
     "RecurrenceCheck",
@@ -45,10 +50,9 @@ __all__ = [
     "ThresholdReport",
     "beta_recurrence_check",
     "bubble_moment_ratio",
-    "constant_path_max",
     "lambda_existence_bound",
-    "lambda_existence_bound_numeric",
     "ps_threshold",
+    "ray_peak",
     "sliver_ratio_limit",
     "strict_gap",
 ]
@@ -62,8 +66,9 @@ class EmptySiteList(ValueError):
     """Thresholds need at least one singularity site."""
 
 
-class MixedExponents(ValueError):
-    """Closed-form inversion needs every site to share one exponent s."""
+class NonpositivePart(ValueError):
+    """A ray peak needs a positive mass: for a field, a positive part that is
+    not identically zero."""
 
 
 class Placement(enum.Enum):
@@ -181,100 +186,67 @@ def ps_threshold(
     return ThresholdReport(per_site=per, overall=min(level for _, level in per))
 
 
-def constant_path_max(lam: float, volume: float, c1: float, q: float) -> tuple[float, float]:
-    """Maximiser and maximum of c -> lam*volume*c^2/2 - c1*c^q/q over c > 0.
+def ray_peak(a: float, masses: Sequence[float], qs: Sequence[float]) -> tuple[float, float]:
+    """Maximiser t > 0 and maximum of a t**2/2 - sum_i m_i t**q_i / q_i.
 
-    The maximiser is c* = (lam*volume/c1)^(1/(q-2)) and the maximum value
-    is (1/2 - 1/q)*lam*volume*c*^2.  Requires lam, volume, c1 > 0, q > 2.
+    The maximiser solves sum_i m_i t**(q_i - 2) = a over the terms with
+    positive mass, in closed form when they share one exponent.  Raises
+    NonpositivePart when no mass is positive and ValueError when a <= 0
+    (the ray has no positive peak).
     """
-    if min(lam, volume, c1) <= 0.0 or q <= 2.0:
-        raise ValueError("need lam, volume, c1 > 0 and q > 2")
-    c_star = (lam * volume / c1) ** (1.0 / (q - 2.0))
-    value = (0.5 - 1.0 / q) * lam * volume * c_star**2
-    return c_star, value
+    terms = [(m, q) for m, q in zip(masses, qs) if m > 0.0]
+    if not terms:
+        raise NonpositivePart("no positive mass: the ray has no peak")
+    if a <= 0.0:
+        raise ValueError("nonpositive quadratic part: no positive ray peak")
+    t = _power_sum_root([m for m, _ in terms], [q - 2.0 for _, q in terms], a)
+    return t, 0.5 * a * t * t - sum(m * t**q / q for m, q in terms)
+
+
+def _power_sum_root(coeffs: Sequence[float], powers: Sequence[float], target: float) -> float:
+    """The t > 0 with sum_i c_i t**p_i = target, for positive c_i, p_i, target.
+
+    Closed form (target / sum c_i)**(1/p) when every p_i agrees.  Otherwise
+    Newton's method on the logarithm of both sides in x = ln t: the left
+    side is then a log-sum-exp of lines with slopes p_i, increasing and
+    convex, so Newton needs no bracket and decreases monotonically onto the
+    root after its first step.
+    """
+    if all(abs(p - powers[0]) < 1e-12 for p in powers):
+        return (target / sum(coeffs)) ** (1.0 / powers[0])
+    logs = [math.log(c) for c in coeffs]
+    goal = math.log(target)
+    x = (goal - math.log(sum(coeffs))) * len(powers) / sum(powers)
+    for _ in range(100):
+        z = [lc + p * x for lc, p in zip(logs, powers)]
+        top = max(z)
+        e = [math.exp(v - top) for v in z]
+        total = sum(e)
+        step = (top + math.log(total) - goal) * total / sum(p * w for p, w in zip(powers, e))
+        x -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(x)):
+            break
+    return math.exp(x)
 
 
 def lambda_existence_bound(
-    volume: float,
-    c1: float,
-    sites: Sequence[SingularitySite],
-    p: HSParams,
-    cfg: QuadratureSettings | None = None,
+    volume: float, masses: Sequence[float], qs: Sequence[float], threshold: float
 ) -> float:
-    """Largest lam with the constant-path peak below the overall threshold.
+    """Largest lam with the constant-path peak below ``threshold``.
 
-    Solves (1/2 - 1/q)*lam*volume*(lam*volume/c1)^(2/(q-2)) = threshold in
-    closed form (q the shared critical exponent, c1 the total singular
-    weight mass over the domain).  Below the returned value the constant
-    test path peaks strictly under every per-site compactness level; no
-    sharpness is claimed at or above it.  Doubling c1 multiplies the bound
-    by 2^(2/q).
+    The constant path c -> lam*volume*c**2/2 - sum_i m_i c**q_i / q_i (m_i
+    the singular weight mass of site i over the domain, q_i its critical
+    exponent) peaks where lam*volume = sum_i m_i c**(q_i - 2), at the value
+    sum_i (1/2 - 1/q_i) m_i c**q_i.  That value increases with c, so the
+    c whose peak meets ``threshold`` is the root of one monotone equation,
+    and lam is read off the first.  Below the returned value the constant
+    path peaks strictly under the threshold; no sharpness is claimed at or
+    above it.  With one shared exponent q, doubling the total mass
+    multiplies the bound by 2**(2/q).
     """
-    sites = tuple(sites)
-    if not sites:
-        raise EmptySiteList("at least one singularity site is required")
-    if any(abs(site.s - p.s) > 1e-12 for site in sites):
-        raise MixedExponents(
-            "sites disagree on s; use lambda_existence_bound_numeric for mixed exponents"
-        )
-    if volume <= 0.0 or c1 <= 0.0:
-        raise ValueError("volume and c1 must be positive")
-    q = p.two_star
-    theta = ps_threshold(p.N, sites, cfg).overall
-    # peak value = kappa * lam^(q/(q-2)) with kappa as below
-    kappa = (0.5 - 1.0 / q) * volume ** (q / (q - 2.0)) * c1 ** (-2.0 / (q - 2.0))
-    return (theta / kappa) ** ((q - 2.0) / q)
-
-
-def lambda_existence_bound_numeric(
-    volume: float,
-    terms: Sequence[tuple[float, float]],
-    threshold: float,
-    *,
-    lo: float = 1e-8,
-    hi: float = 1e8,
-    rel_tol: float = 1e-10,
-) -> float:
-    """Bisection fallback for mixed exponents.
-
-    ``terms`` lists (c_i, q_i) pairs of the constant-path energy
-    c -> lam*volume*c^2/2 - sum_i c_i*c^(q_i)/q_i.  The peak over c comes
-    from the stationarity equation (whose right side is strictly
-    increasing in c), and lam is bisected geometrically until the peak
-    meets ``threshold``.
-    """
-    terms = [(float(c), float(q)) for c, q in terms]
-    if volume <= 0 or threshold <= 0 or not terms:
-        raise ValueError("need positive volume/threshold and at least one term")
-    if any(c <= 0 or q <= 2 for c, q in terms):
-        raise ValueError("every term needs c_i > 0 and q_i > 2")
-
-    def peak(lam: float) -> float:
-        # solve lam*volume = sum c_i c^(q_i-2) for the unique c > 0
-        target = lam * volume
-        c_hi = 1.0
-        while sum(c * c_hi ** (q - 2.0) for c, q in terms) < target:
-            c_hi *= 2.0
-        c_lo = c_hi / 2.0
-        while sum(c * c_lo ** (q - 2.0) for c, q in terms) > target:
-            c_lo /= 2.0
-        for _ in range(200):
-            mid = 0.5 * (c_lo + c_hi)
-            if sum(c * mid ** (q - 2.0) for c, q in terms) < target:
-                c_lo = mid
-            else:
-                c_hi = mid
-            if c_hi - c_lo <= 1e-14 * c_hi:
-                break
-        c_star = 0.5 * (c_lo + c_hi)
-        return 0.5 * lam * volume * c_star**2 - sum(c * c_star**q / q for c, q in terms)
-
-    if peak(lo) > threshold or peak(hi) < threshold:
-        raise ValueError("threshold not bracketed on [lo, hi]")
-    while hi - lo > rel_tol * hi:
-        mid = math.sqrt(lo * hi)  # geometric bisection across the bracket
-        if peak(mid) < threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if volume <= 0.0 or threshold <= 0.0 or not masses or len(masses) != len(qs):
+        raise ValueError("need positive volume and threshold and one q per mass")
+    if any(m <= 0.0 or q <= 2.0 for m, q in zip(masses, qs)):
+        raise ValueError("every site needs mass m_i > 0 and exponent q_i > 2")
+    c = _power_sum_root([(0.5 - 1.0 / q) * m for m, q in zip(masses, qs)], qs, threshold)
+    return sum(m * c ** (q - 2.0) for m, q in zip(masses, qs)) / volume

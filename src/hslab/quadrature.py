@@ -1,12 +1,11 @@
-"""One-dimensional improper quadrature and brute-force box integration.
+"""One-dimensional improper quadrature.
 
 Every closed-form constant computed elsewhere in this package reduces to
 members of a single family of improper radial integrals,
 
     integral over (0, inf) of   r**a / (1 + r**(2-s))**b   dr,
 
-together with unit-sphere surface areas and, as a cross check, plain
-midpoint-rule integration over axis-aligned boxes.  The improper integrals
+together with unit-sphere surface areas.  The improper integrals
 are evaluated by splitting at a finite radius and mapping the tail back to a
 bounded interval with u = 1/r (which lands in the *same* family with
 a -> (2-s)*b - a - 2), after which both pieces go through one deterministic
@@ -38,7 +37,6 @@ __all__ = [
     "RadialPowerIntegrand",
     "ToleranceNotMet",
     "adaptive_gauss_kronrod",
-    "integrate_box",
     "integrate_improper",
     "integrate_radial_power",
     "sphere_surface_area",
@@ -342,52 +340,3 @@ def sphere_surface_area(n: int) -> float:
     if not isinstance(n, int) or n < 2:
         raise ValueError("dimension must be an integer >= 2")
     return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
-
-
-def integrate_box(
-    f: Callable[[np.ndarray], np.ndarray],
-    box: Sequence[tuple[float, float]],
-    cells_per_axis: int,
-    *,
-    chunk: int = 1 << 18,
-) -> float:
-    """Midpoint-rule integral of a vectorized scalar field over a box.
-
-    Parameters
-    ----------
-    f : callable
-        Receives an (M, N) array of points, returns (M,) values.
-    box : sequence of (lo, hi) pairs
-        Axis-aligned bounds, one pair per dimension.
-    cells_per_axis : int
-        Uniform midpoint cells along every axis.
-
-    Notes
-    -----
-    O(h^2) accurate for twice-differentiable integrands; midpoints never lie
-    on the box boundary, so integrable edge singularities are tolerated.
-    Raises :class:`NonFinite` if the field returns NaN/inf anywhere.
-    """
-    bounds = [(float(lo), float(hi)) for lo, hi in box]
-    if any(hi <= lo for lo, hi in bounds):
-        raise ValueError("each axis needs hi > lo")
-    if cells_per_axis < 1:
-        raise ValueError("cells_per_axis must be >= 1")
-    ndim = len(bounds)
-    axes = [lo + (hi - lo) * (np.arange(cells_per_axis) + 0.5) / cells_per_axis for lo, hi in bounds]
-    cell_vol = math.prod((hi - lo) / cells_per_axis for lo, hi in bounds)
-    total = 0.0
-    n_cells = cells_per_axis**ndim
-    # walk the tensor grid in fixed row-major chunks
-    for start in range(0, n_cells, chunk):
-        idx = np.arange(start, min(start + chunk, n_cells))
-        pts = np.empty((idx.size, ndim))
-        rem = idx
-        for d in range(ndim - 1, -1, -1):
-            rem, k = np.divmod(rem, cells_per_axis)
-            pts[:, d] = axes[d][k]
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != (idx.size,) or not np.all(np.isfinite(vals)):
-            raise NonFinite("field returned non-finite values on the box")
-        total += float(np.sum(vals))
-    return total * cell_vol

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .extremals import HSParams, bubble_radial
-from .identities import Placement, SingularitySite, ps_threshold
+from .identities import NonpositivePart, Placement, SingularitySite, ps_threshold, ray_peak
 
 __all__ = [
     "BubbleAt",
@@ -71,10 +71,6 @@ __all__ = [
 
 class ShapeMismatch(ValueError):
     """Field shape does not match the grid."""
-
-
-class NonpositivePart(ValueError):
-    """Operation needs a field whose positive part is not identically zero."""
 
 
 class NonpositiveLambda(ValueError):
@@ -426,80 +422,14 @@ def gradient(u, cfg: ProblemConfig) -> np.ndarray:
     return g
 
 
-def _ray_peak(a: float, masses: Sequence[float], qs: Sequence[float]) -> tuple[float, float]:
-    """Maximiser t > 0 and maximum of a t**2/2 - sum_i m_i t**q_i / q_i.
-
-    Closed form (a over the masses to the power 1/(q-2)) when all sites with
-    positive mass share one exponent; otherwise a bracketed Newton iteration
-    on the strictly monotone scalar equation sum_i m_i t**(q_i-2) = a.
-    Raises NonpositivePart when no mass is positive and ValueError when
-    a <= 0 (the ray has no positive peak).
-    """
-    terms = [(m, q) for m, q in zip(masses, qs) if m > 0.0]
-    if not terms:
-        raise NonpositivePart("the positive part of the field vanishes")
-    if a <= 0.0:
-        raise ValueError("nonpositive quadratic part: no positive ray peak")
-    if all(abs(q - terms[0][1]) < 1e-12 for _, q in terms):
-        t = (a / sum(m for m, _ in terms)) ** (1.0 / (terms[0][1] - 2.0))
-    else:
-        t = _mixed_ray_scale(a, terms)
-    return t, 0.5 * a * t * t - sum(m * t**q / q for m, q in terms)
-
-
-def _mixed_ray_scale(a: float, terms: list[tuple[float, float]]) -> float:
-    """Root t of sum m_i t**(q_i-2) = a by bracketed Newton in x = ln t,
-    where the left side is strictly increasing and log-convex."""
-    q_mean = sum(q for _, q in terms) / len(terms)
-    x = math.log((a / sum(m for m, _ in terms)) ** (1.0 / (q_mean - 2.0)))
-
-    def f_and_slope(x: float) -> tuple[float, float]:
-        val = sum(m * math.exp((q - 2.0) * x) for m, q in terms)
-        slope = sum(m * (q - 2.0) * math.exp((q - 2.0) * x) for m, q in terms)
-        return val - a, slope
-
-    lo, hi = x, x
-    flo, _ = f_and_slope(lo)
-    fhi = flo
-    for _ in range(200):
-        if flo < 0.0 < fhi:
-            break
-        if flo > 0.0:
-            lo -= 1.0
-            flo, _ = f_and_slope(lo)
-        if fhi < 0.0:
-            hi += 1.0
-            fhi, _ = f_and_slope(hi)
-    else:  # pragma: no cover - the scalar equation always brackets
-        raise RuntimeError("failed to bracket the ray-peak equation")
-    for _ in range(100):
-        fx, slope = f_and_slope(x)
-        if fx > 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
-        step = fx / slope if slope > 0.0 else 0.0
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-15 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return math.exp(x)
-
-
 def nehari_scale(u, cfg: ProblemConfig) -> float:
-    """The t > 0 with d/dt energy(t u) = 0, i.e. the ray's peak scale.
-
-    Closed form (quadratic over masses to the power 1/(q-2)) when all sites
-    share one exponent; otherwise a bracketed Newton iteration on the
-    strictly monotone scalar equation sum_i m_i t**(q_i-2) = quadratic.
+    """The t > 0 with d/dt energy(t u) = 0, i.e. the ray's peak scale
+    (``identities.ray_peak`` of the quadratic part and the masses).
     Raises NonpositivePart when u has no positive part.
     """
     arr = _check_field(cfg.grid, u)
     masses = _positive_masses(arr, cfg)
-    return _ray_peak(_quadratic_part(arr, cfg), masses, cfg.exponents())[0]
+    return ray_peak(_quadratic_part(arr, cfg), masses, cfg.exponents())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +542,7 @@ class SolveOptions:
 
 # Allowance, relative to |energy|, by which a line-search trial may exceed the
 # Armijo bound.  A trial's energy comes in closed form from its quadratic part
-# and masses (``_ray_peak``); over the 1,266 trials of one solve-nonconst
+# and masses (``ray_peak``); over the 1,266 trials of one solve-nonconst
 # benchmark round (seed 7) it differed from the energy re-assembled from the
 # rescaled field by at most 1.5e-15 relative.  Near convergence the Armijo
 # decrease falls below that rounding, no step can pass an exact test, and the
@@ -754,8 +684,8 @@ def mountain_pass_solve(
             np.multiply(direction, t, out=candidate)
             np.subtract(v, candidate, out=candidate)
             try:
-                tau, e_new = _ray_peak(_quadratic_part(candidate, cfg),
-                                       _positive_masses(candidate, cfg), qs)
+                tau, e_new = ray_peak(_quadratic_part(candidate, cfg),
+                                      _positive_masses(candidate, cfg), qs)
             except ValueError:  # no positive part, or no positive ray peak
                 t *= 0.5
                 continue

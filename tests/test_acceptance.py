@@ -24,10 +24,9 @@ from hslab.identities import (
     Placement,
     SingularitySite,
     beta_recurrence_check,
-    constant_path_max,
     lambda_existence_bound,
-    lambda_existence_bound_numeric,
     ps_threshold,
+    ray_peak,
 )
 from hslab.quadrature import QuadratureSettings
 from hslab.variational import (
@@ -214,14 +213,11 @@ def test_criterion_08_ground_state_solve():
 
     # the chosen lambda must sit below the existence bound for this mesh
     vol = node_volumes(grid)
-    terms = [
-        (float(np.sum(singular_weight(grid, s) * vol)), q)
-        for s, q in zip(sites, cfg.exponents())
-    ]
+    masses = [float(np.sum(singular_weight(grid, s) * vol)) for s in sites]
     threshold = ps_threshold(
         3, [SingularitySite(Placement.INTERIOR, 1.0)] * 2
     ).overall
-    lam_bound = lambda_existence_bound_numeric(grid.volume, terms, threshold)
+    lam_bound = lambda_existence_bound(grid.volume, masses, cfg.exponents(), threshold)
     assert lam < lam_bound
 
     report, u = mountain_pass_solve(cfg, None, SolveOptions(grad_tol=1e-6))
@@ -260,7 +256,7 @@ def test_criterion_10_constant_path_and_lambda_bound():
 
     # scanned maximiser of the constant-path energy agrees with the closed form
     for lam in (0.05, 0.2, 1.0, 5.0):
-        c_star, value = constant_path_max(lam, volume, c1, q)
+        c_star, value = ray_peak(lam * volume, [c1], [q])
         step = c_star / 2000.0
         cs = np.arange(step, 4.0 * c_star, step)
         vals = 0.5 * lam * volume * cs**2 - (c1 / q) * cs**q
@@ -268,10 +264,10 @@ def test_criterion_10_constant_path_and_lambda_bound():
         assert abs(cs[k] - c_star) <= 1.5 * step
         assert vals[k] <= value + 1e-15
 
-    # closed-form existence bound vs an independent bisection on lambda
+    # existence bound vs an independent bisection on lambda
     sites = [SingularitySite(Placement.INTERIOR, 1.0)]
     threshold = ps_threshold(3, sites).overall
-    closed = lambda_existence_bound(volume, c1, sites, P31)
+    closed = lambda_existence_bound(volume, [c1], [P31.two_star], threshold)
 
     def peak_of(lam):
         lo, hi = 1e-14, 1e14

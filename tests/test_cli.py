@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from hslab.boundary_energy import BoundaryGeometry, CutoffSpec, threshold_inequality_check
 from hslab.cli import ConfigError, load_config, main
+from hslab.extremals import HSParams
 from hslab.variational import load_field
 
 
@@ -69,6 +71,23 @@ lambda_list: [0.005, 0.02]
 singularities:
   - location: [0.5, 0.5, 0.5]
     s: 1.0
+solver:
+  grad_tol: 1.0e-6
+init:
+  type: constant
+  value: 1.0
+"""
+
+MIXED_SWEEP_CFG = """
+grid:
+  bounds: [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
+  nodes: [12, 12, 12]
+lambda_list: [0.005, 0.02]
+singularities:
+  - location: [0.3, 0.5, 0.5]
+    s: 0.5
+  - location: [0.7, 0.5, 0.5]
+    s: 1.2
 solver:
   grad_tol: 1.0e-6
 init:
@@ -152,6 +171,19 @@ class TestBoundaryCommand:
         assert float(slope[0]["sliver_energy"]) == pytest.approx(1.0, abs=0.1)
         assert float(slope[0]["sliver_mass"]) == pytest.approx(1.0, abs=0.1)
 
+    def test_margins_match_threshold_inequality_check(self, tmp_path):
+        cfg = write_config(tmp_path, BOUNDARY_CFG)
+        out = str(tmp_path / "boundary.csv")
+        assert main(["boundary", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        eps_rows = [dict(zip(rows[0], r)) for r in rows[1:] if r[0] == "energy"]
+        report = threshold_inequality_check(
+            [1e-4, 5e-5], BoundaryGeometry((1.0, 1.0, 1.0), 0.1), CutoffSpec(0.1),
+            [], 1.0, HSParams(4, 1.0))
+        for rec, row in zip(eps_rows, report.rows):
+            for key in ("eps", "peak", "margin", "scaled_margin"):
+                assert float(rec[key]) == getattr(row, key)
+
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BOUNDARY_CFG)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -224,6 +256,19 @@ class TestSweepLambdaCommand:
             assert float(rec["solver_energy"]) <= float(
                 rec["constant_path_max"]
             ) * (1.0 + 1e-9)
+
+    def test_mixed_exponents(self, tmp_path):
+        cfg = write_config(tmp_path, MIXED_SWEEP_CFG)
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep-lambda", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        recs = [dict(zip(rows[0], r)) for r in rows[1:]]
+        assert [float(r["lam"]) for r in recs] == [0.005, 0.02]
+        for rec in recs:
+            # a geometric bisection on lambda to 1e-10 relative gives this value
+            assert float(rec["lambda_bound"]) == pytest.approx(4.9628582886753492, rel=1e-9)
+            assert rec["converged"] == "true"
+            assert float(rec["solver_energy"]) <= float(rec["constant_path_max"])
 
     def test_nonpositive_lambda_is_itemized_failure(self, tmp_path):
         cfg = write_config(

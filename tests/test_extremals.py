@@ -15,7 +15,8 @@ from hslab.extremals import (
     rayleigh_quotient_check,
     whole_space_constants,
 )
-from hslab.quadrature import integrate_box
+
+from box_quadrature import integrate_box
 
 
 P31 = HSParams(N=3, s=1.0)

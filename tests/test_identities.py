@@ -7,16 +7,15 @@ import pytest
 from hslab.extremals import HSParams, whole_space_constants
 from hslab.identities import (
     EmptySiteList,
-    MixedExponents,
+    NonpositivePart,
     OutOfRangeBeta,
     Placement,
     SingularitySite,
     beta_recurrence_check,
     bubble_moment_ratio,
-    constant_path_max,
     lambda_existence_bound,
-    lambda_existence_bound_numeric,
     ps_threshold,
+    ray_peak,
     sliver_ratio_limit,
     strict_gap,
 )
@@ -130,7 +129,7 @@ class TestThresholds:
 class TestConstantPath:
     def test_closed_form(self):
         lam, volume, c1, q = 0.7, 2.0, 1.3, 4.0
-        c_star, value = constant_path_max(lam, volume, c1, q)
+        c_star, value = ray_peak(lam * volume, [c1], [q])
         assert c_star == pytest.approx((lam * volume / c1) ** (1.0 / (q - 2.0)),
                                        rel=1e-14)
         expected = (0.5 - 1.0 / q) * lam * volume * c_star**2
@@ -138,7 +137,7 @@ class TestConstantPath:
 
     def test_matches_dense_scan(self):
         lam, volume, c1, q = 0.25, 1.0, 0.9, 4.0
-        c_star, value = constant_path_max(lam, volume, c1, q)
+        c_star, value = ray_peak(lam * volume, [c1], [q])
         best_c, best_v = 0.0, -math.inf
         step = c_star / 5000.0
         for k in range(1, 20001):
@@ -150,31 +149,68 @@ class TestConstantPath:
         assert value == pytest.approx(best_v, rel=1e-6)
 
 
+class TestRayPeak:
+    def test_mixed_maximiser_is_stationary(self):
+        a, masses, qs = 1.7, [0.8, 0.5, 0.3], [4.0, 3.0, 10.0 / 3.0]
+        t, peak = ray_peak(a, masses, qs)
+        slope = sum(m * t ** (q - 2.0) for m, q in zip(masses, qs))
+        assert slope == pytest.approx(a, rel=1e-14)
+        assert peak == pytest.approx(
+            0.5 * a * t * t - sum(m * t**q / q for m, q in zip(masses, qs)), rel=1e-15)
+
+    def test_splitting_a_mass_changes_nothing(self):
+        q = P31.two_star
+        whole = ray_peak(0.9, [0.8, 0.5], [q, 3.0])
+        split = ray_peak(0.9, [0.3, 0.5, 0.5], [q, 3.0, q])
+        assert split[0] == pytest.approx(whole[0], rel=1e-15)
+        assert split[1] == pytest.approx(whole[1], rel=1e-15)
+        single = ray_peak(0.9, [0.8], [q])
+        assert ray_peak(0.9, [0.3, 0.5], [q, q])[1] == pytest.approx(single[1], rel=1e-15)
+        bound = lambda_existence_bound(1.5, [0.8], [q], 2.0)
+        assert lambda_existence_bound(1.5, [0.3, 0.5], [q, q], 2.0) == pytest.approx(
+            bound, rel=1e-15)
+        mixed = lambda_existence_bound(1.5, [0.8, 0.5], [q, 3.0], 2.0)
+        assert lambda_existence_bound(1.5, [0.3, 0.5, 0.5], [q, 3.0, q], 2.0) == (
+            pytest.approx(mixed, rel=1e-15))
+
+    def test_massless_sites_are_skipped(self):
+        assert ray_peak(0.9, [0.8, 0.0], [4.0, 3.0]) == ray_peak(0.9, [0.8], [4.0])
+        with pytest.raises(NonpositivePart):
+            ray_peak(0.9, [0.0, -1.0], [4.0, 3.0])
+        with pytest.raises(ValueError):
+            ray_peak(0.0, [0.8], [4.0])
+
+
+def closed_form_bound(volume, c1, q, threshold):
+    """Single-exponent bound: the peak (1/2 - 1/q) lam V (lam V / c1)**(2/(q-2))
+    solved for lam."""
+    kappa = (0.5 - 1.0 / q) * volume ** (q / (q - 2.0)) * c1 ** (-2.0 / (q - 2.0))
+    return (threshold / kappa) ** ((q - 2.0) / q)
+
+
 class TestLambdaBound:
     def test_scaling_in_c1(self):
-        sites = [SingularitySite(Placement.INTERIOR, 1.0)]
-        base = lambda_existence_bound(1.0, 1.0, sites, P31)
-        doubled = lambda_existence_bound(1.0, 2.0, sites, P31)
+        threshold = ps_threshold(P31.N, [SingularitySite(Placement.INTERIOR, 1.0)]).overall
         q = P31.two_star
+        base = lambda_existence_bound(1.0, [1.0], [q], threshold)
+        doubled = lambda_existence_bound(1.0, [2.0], [q], threshold)
         assert doubled == pytest.approx(base * 2.0 ** (2.0 / q), rel=1e-12)
 
     def test_bound_saturates_threshold(self):
         sites = [SingularitySite(Placement.INTERIOR, 1.0)]
         volume, c1 = 1.0, 1.0
-        lam = lambda_existence_bound(volume, c1, sites, P31)
         threshold = ps_threshold(P31.N, sites).overall
-        _, peak = constant_path_max(lam, volume, c1, P31.two_star)
+        lam = lambda_existence_bound(volume, [c1], [P31.two_star], threshold)
+        _, peak = ray_peak(lam * volume, [c1], [P31.two_star])
         assert peak == pytest.approx(threshold, rel=1e-12)
 
     def test_numeric_matches_closed_single_term(self):
         sites = [SingularitySite(Placement.INTERIOR, 1.0)]
         volume, c1 = 1.5, 0.8
-        closed = lambda_existence_bound(volume, c1, sites, P31)
         threshold = ps_threshold(P31.N, sites).overall
-        numeric = lambda_existence_bound_numeric(
-            volume, [(c1, P31.two_star)], threshold
-        )
-        assert numeric == pytest.approx(closed, rel=1e-6)
+        closed = closed_form_bound(volume, c1, P31.two_star, threshold)
+        numeric = lambda_existence_bound(volume, [c1], [P31.two_star], threshold)
+        assert numeric == pytest.approx(closed, rel=1e-14)
 
     def test_numeric_handles_mixed_exponents(self):
         # two singular terms with different exponents: below the bound the
@@ -182,7 +218,8 @@ class TestLambdaBound:
         terms = [(0.8, 4.0), (0.5, 3.0)]
         threshold = 1.0
         volume = 1.0
-        lam = lambda_existence_bound_numeric(volume, terms, threshold)
+        lam = lambda_existence_bound(volume, [c for c, _ in terms], [q for _, q in terms],
+                                     threshold)
 
         def peak(lam_val):
             lo, hi = 1e-12, 1e12
@@ -203,10 +240,26 @@ class TestLambdaBound:
         assert peak(lam * 0.999) < threshold
         assert peak(lam * 1.001) > threshold
 
-    def test_mixed_exponent_closed_form_rejected(self):
-        sites = [
-            SingularitySite(Placement.INTERIOR, 0.5),
-            SingularitySite(Placement.INTERIOR, 1.5),
-        ]
-        with pytest.raises(MixedExponents):
-            lambda_existence_bound(1.0, 1.0, sites, P31)
+    @pytest.mark.parametrize("masses, qs, threshold", [
+        ([0.8, 0.5], [4.0, 3.0], 1.0),
+        ([2.0, 0.1, 0.7], [4.0, 2.5, 10.0 / 3.0], 0.03),
+        ([1e-3, 5.0], [6.0, 2.2], 40.0),
+    ])
+    def test_mixed_bound_peak_meets_threshold(self, masses, qs, threshold):
+        lam = lambda_existence_bound(2.0, masses, qs, threshold)
+        assert ray_peak(2.0 * lam, masses, qs)[1] == pytest.approx(threshold, rel=1e-13)
+
+    def test_no_bracket_limits_the_bound(self):
+        # a lambda far above 1e8, where a bracketed bisection on [1e-8, 1e8]
+        # could not reach
+        lam = lambda_existence_bound(1.0, [1.0, 1.0], [4.0, 3.0], 1e20)
+        assert lam > 1e8
+        assert ray_peak(lam, [1.0, 1.0], [4.0, 3.0])[1] == pytest.approx(1e20, rel=1e-12)
+
+    def test_rejects_degenerate_inputs(self):
+        with pytest.raises(ValueError):
+            lambda_existence_bound(1.0, [], [], 1.0)
+        with pytest.raises(ValueError):
+            lambda_existence_bound(1.0, [0.8, 0.0], [4.0, 3.0], 1.0)
+        with pytest.raises(ValueError):
+            lambda_existence_bound(0.0, [0.8], [4.0], 1.0)

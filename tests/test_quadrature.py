@@ -16,11 +16,12 @@ from hslab.quadrature import (
     RadialPowerIntegrand,
     ToleranceNotMet,
     adaptive_gauss_kronrod,
-    integrate_box,
     integrate_improper,
     integrate_radial_power,
     sphere_surface_area,
 )
+
+from box_quadrature import integrate_box
 
 
 def beta_closed_form(a: float, b: float, s: float) -> float:

@@ -8,15 +8,13 @@ import pytest
 
 from hslab.boundary_energy import BoundaryGeometry, CutoffSpec, bubble_energies
 from hslab.extremals import HSParams
-from hslab.identities import Placement, SingularitySite, ps_threshold
-from hslab.quadrature import integrate_box
+from hslab.identities import Placement, SingularitySite, ps_threshold, ray_peak
 from hslab.variational import (
     _edge_volumes,
     _grid_eigenpairs,
     _h1_riesz,
     _positive_masses,
     _quadratic_part,
-    _ray_peak,
     BubbleAt,
     Constant,
     Custom,
@@ -43,6 +41,8 @@ from hslab.variational import (
     save_field,
     singular_weight,
 )
+
+from box_quadrature import integrate_box
 
 UNIT3 = ((0.0, 1.0),) * 3
 CENTER = (0.5, 0.5, 0.5)
@@ -317,8 +317,8 @@ class TestRayPeak:
         sites = tuple(Singularity(loc, s) for loc, s in zip(INTERIOR_PAIR, exponents))
         cfg = unit_config(nodes=16, lam=2.0, sites=sites)
         u = 0.5 + bubble_field(cfg.grid, INTERIOR_PAIR[0], 0.1, exponents[0])
-        t, peak = _ray_peak(_quadratic_part(u, cfg), _positive_masses(u, cfg),
-                            cfg.exponents())
+        t, peak = ray_peak(_quadratic_part(u, cfg), _positive_masses(u, cfg),
+                           cfg.exponents())
         assert t == nehari_scale(u, cfg)
         assert peak == pytest.approx(energy(t * u, cfg), rel=1e-13)
 
