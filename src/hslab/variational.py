@@ -20,11 +20,17 @@ Nehari point, takes a Barzilai-Borwein step along the negative gradient
 lambda (., .) inner product, applied exactly by fast diagonalization with
 the generalized eigenpairs of each axis's 1-D stiffness and trapezoid mass),
 and backtracks until the composed move decreases the Nehari-point energy.
-A trial costs one pass for its quadratic part A and one for its masses B_i;
-its Nehari scale and energy then follow in closed form as the peak of
-A t**2/2 - sum_i B_i t**q_i / q_i, and the decrease test allows for rounding
-at the level of ``ROUNDING * |energy|``.  Fields are plain numpy arrays
-shaped like the grid.
+Along the search ray v - t d the quadratic part is the polynomial
+a0 - 2 t a1 + t**2 a2, whose coefficients come from the stencil L v that
+the gradient kernel forms anyway and from one pass over d per iteration.
+A trial therefore costs one pass for its masses B_q, grouped by distinct
+exponent with one summed weight array W_q per exponent (one power, one
+multiply and one sum each); its Nehari scale and energy then follow in
+closed form as the peak over tau of A tau**2/2 - sum_q B_q tau**q / q, A
+the polynomial's value at the trial's t, and the decrease
+test allows for rounding at the level of ``ROUNDING * |energy|``.  The
+public ``energy`` and ``gradient`` use the same kernels as the solver.
+Fields are plain numpy arrays shaped like the grid.
 """
 
 from __future__ import annotations
@@ -344,16 +350,46 @@ def _difference(u: np.ndarray, k: int, h: float, buf: np.ndarray) -> np.ndarray:
     return d
 
 
-def _site_powers(u: np.ndarray, cfg: ProblemConfig, shift: float):
-    """Yield (w_i, u_+**(q_i - shift)) per site; sites sharing an exponent
-    share one power array."""
-    up = np.maximum(u, 0.0)
-    powers: dict[float, np.ndarray] = {}
+class _ExponentWeights(NamedTuple):
+    """The mass terms grouped by exponent: the distinct q_i in site order and,
+    per q, W_q = node_volumes * sum of the singular weights w_i with q_i = q."""
+
+    qs: tuple[float, ...]
+    arrays: tuple[np.ndarray, ...]
+
+
+def _exponent_weights(cfg: ProblemConfig) -> _ExponentWeights:
+    grouped: dict[float, np.ndarray] = {}
     for sing, q in zip(cfg.singularities, cfg.exponents()):
-        p = q - shift
-        if p not in powers:
-            powers[p] = up**p
-        yield _weights_cached(cfg.grid, sing), powers[p]
+        w = _weights_cached(cfg.grid, sing)
+        if q in grouped:
+            grouped[q] += w
+        else:
+            grouped[q] = w.copy()
+    for w in grouped.values():
+        w *= _node_volumes(cfg.grid)
+    return _ExponentWeights(tuple(grouped), tuple(grouped.values()))
+
+
+def _weighted_power(u: np.ndarray, p: float, w: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """W * u_+**p written into ``term``, a scratch array shaped like u."""
+    np.maximum(u, 0.0, out=term)
+    np.power(term, p, out=term)
+    term *= w
+    return term
+
+
+def _masses(u: np.ndarray, weights: _ExponentWeights, term: np.ndarray) -> list[float]:
+    """Weighted masses sum(W_q * u_+**q), one per exponent of ``weights``:
+    one power, one multiply and one sum each, in the scratch array
+    ``term`` shaped like u."""
+    return [float(np.sum(_weighted_power(u, q, w, term))) for q, w in zip(*weights)]
+
+
+def _field_masses(u: np.ndarray, cfg: ProblemConfig) -> tuple[list[float], tuple[float, ...]]:
+    """The masses of u per distinct exponent, and those exponents."""
+    weights = _exponent_weights(cfg)
+    return _masses(u, weights, np.empty(u.shape)), weights.qs
 
 
 def _quadratic_part(u: np.ndarray, cfg: ProblemConfig) -> float:
@@ -372,24 +408,49 @@ def _quadratic_part(u: np.ndarray, cfg: ProblemConfig) -> float:
     return total
 
 
-def _positive_masses(u: np.ndarray, cfg: ProblemConfig) -> list[float]:
-    """Per-site weighted masses int w_i * u_+**q_i."""
-    vol = _node_volumes(cfg.grid)
-    buf = np.empty(u.shape)
-    out = []
-    for w, power in _site_powers(u, cfg, 0.0):
-        np.multiply(w, power, out=buf)
-        buf *= vol
-        out.append(float(np.sum(buf)))
+def _stencil(u: np.ndarray, cfg: ProblemConfig, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """L u, the reflected Neumann stencil -Lap u + lambda u times the node
+    volumes, written into ``out`` (``buf``: flat scratch of u.size).  L is
+    the matrix of the quadratic part: that part of u is <u, L u>."""
+    grid = cfg.grid
+    np.multiply(u, cfg.lam, out=out)
+    out *= _node_volumes(grid)
+    for k in range(grid.N):
+        h = grid.spacing[k]
+        flux = _difference(u, k, h, buf)
+        flux *= _edge_volumes(grid, k)
+        flux /= h
+        upper, lower = _ends(grid.N, k)
+        out[upper] += flux
+        out[lower] -= flux
     return out
+
+
+def _derivative(u: np.ndarray, cfg: ProblemConfig, weights: _ExponentWeights,
+                lu: np.ndarray, g: np.ndarray, term: np.ndarray) -> None:
+    """Write L u into ``lu`` and the energy's derivative field
+    L u - sum_q W_q u_+**(q - 1) into ``g``; ``term`` is a scratch array
+    shaped like u."""
+    _stencil(u, cfg, lu, term.reshape(-1))
+    np.copyto(g, lu)
+    for q, w in zip(*weights):
+        g -= _weighted_power(u, q - 1.0, w, term)
+
+
+def _dot(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
+    """sum(a * b) with the product in ``buf`` (which may be b): numpy's
+    pairwise sum, which, unlike a BLAS dot, rounds the same for any thread
+    count."""
+    np.multiply(a, b, out=buf)
+    return float(np.sum(buf))
 
 
 def energy(u, cfg: ProblemConfig) -> float:
     """(1/2) quadratic part minus the weighted critical masses of u_+."""
     arr = _check_field(cfg.grid, u)
-    masses = _positive_masses(arr, cfg)
+    masses, qs = _field_masses(arr, cfg)
     value = 0.5 * _quadratic_part(arr, cfg)
-    for m, q in zip(masses, cfg.exponents()):
+    for m, q in zip(masses, qs):
         value -= m / q
     return value
 
@@ -398,27 +459,12 @@ def gradient(u, cfg: ProblemConfig) -> np.ndarray:
     """Exact derivative field G: plain-dot(G, phi) = d/dt energy(u + t phi).
 
     Equivalently the reflected Neumann stencil -Lap u + lambda u minus
-    sum_i w_i u_+**(q_i - 1), multiplied by the node volumes.
+    sum_i w_i u_+**(q_i - 1), multiplied by the node volumes.  The solver
+    evaluates its iterates with this same kernel.
     """
-    grid = cfg.grid
-    arr = _check_field(grid, u)
-    vol = _node_volumes(grid)
-    g = np.multiply(arr, cfg.lam)
-    g *= vol
-    buf = np.empty(arr.size)
-    for k in range(grid.N):
-        h = grid.spacing[k]
-        flux = _difference(arr, k, h, buf)
-        flux *= _edge_volumes(grid, k)
-        flux /= h
-        upper, lower = _ends(grid.N, k)
-        g[upper] += flux
-        g[lower] -= flux
-    term = buf.reshape(arr.shape)
-    for w, power in _site_powers(arr, cfg, 1.0):
-        np.multiply(w, power, out=term)
-        term *= vol
-        g -= term
+    arr = _check_field(cfg.grid, u)
+    lu, g, term = (np.empty(arr.shape) for _ in range(3))
+    _derivative(arr, cfg, _exponent_weights(cfg), lu, g, term)
     return g
 
 
@@ -428,8 +474,8 @@ def nehari_scale(u, cfg: ProblemConfig) -> float:
     Raises NonpositivePart when u has no positive part.
     """
     arr = _check_field(cfg.grid, u)
-    masses = _positive_masses(arr, cfg)
-    return ray_peak(_quadratic_part(arr, cfg), masses, cfg.exponents())[0]
+    masses, qs = _field_masses(arr, cfg)
+    return ray_peak(_quadratic_part(arr, cfg), masses, qs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +587,10 @@ class SolveOptions:
 
 
 # Allowance, relative to |energy|, by which a line-search trial may exceed the
-# Armijo bound.  A trial's energy comes in closed form from its quadratic part
-# and masses (``ray_peak``); over the 1,266 trials of one solve-nonconst
-# benchmark round (seed 7) it differed from the energy re-assembled from the
-# rescaled field by at most 1.5e-15 relative.  Near convergence the Armijo
+# Armijo bound.  A trial's energy comes in closed form from its ray polynomial
+# and masses (``ray_peak``); over the 1,268 trials of one solve-nonconst
+# benchmark round it differed from the energy re-assembled from the rescaled
+# field by at most 1.3e-15 relative.  Near convergence the Armijo
 # decrease falls below that rounding, no step can pass an exact test, and the
 # nonmonotone Barzilai-Borwein descent stalls short of its tolerance.
 # Allowances from 1e-15 to 1e-12 behave alike; compare the approximate Wolfe
@@ -554,6 +600,15 @@ ROUNDING = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of ``mountain_pass_solve``.
+
+    ``residual_sup`` is max |gradient(u) / node_volumes| of the returned
+    field: a sup of pointwise terms that cancel from about 12/h**2 times
+    the field, so rounding-level changes of the solver path move it by
+    absolute amounts of that size times machine epsilon, far above
+    rounding relative to the residual itself.
+    """
+
     energy: float
     residual_sup: float
     min_value: float
@@ -623,19 +678,25 @@ def mountain_pass_solve(
 ) -> tuple[SolveReport, np.ndarray]:
     """Minimise the energy over the Nehari set by projected descent.
 
-    Every iterate is rescaled to its ray peak (Nehari point); a
-    Barzilai-Borwein step along the negative gradient representative is
+    Every iterate v is rescaled to its ray peak (Nehari point); a
+    Barzilai-Borwein step along the negative gradient representative d is
     backtracked until the rescaled energy decreases (Armijo test against
     the directional slope, which on the Nehari set equals the full one).
-    A trial's rescaled energy is the closed-form ray peak of its quadratic
-    part and masses, so only an accepted trial is rescaled as a field; the
-    test accepts an energy up to ``ROUNDING * |energy|`` above the Armijo
-    bound, the rounding of that closed form, since a nonmonotone BB step
-    near convergence asks for decreases below it.  The reported energy is
-    that closed form (or, with no accepted step, the re-assembled energy of
-    the projected start).  Convergence means the sup norm of the pointwise
-    Euler-Lagrange residual -Lap u + lambda u - sum w_i u_+**(q_i-1) drops
-    below ``grad_tol``.
+    Along the search ray the quadratic part is the polynomial
+    Q(v - t d) = a0 - 2 t a1 + t**2 a2, with a0 = <v, L v> and a1 = <d, L v>
+    from the stencil L v that the gradient kernel (shared with ``gradient``)
+    already forms, and a2 = Q(d) from one pass per iteration.  A trial
+    therefore costs one mass pass over its candidate, one power per
+    distinct exponent; its rescaled energy is the closed-form ray peak of
+    that polynomial and the masses, so only an accepted trial is rescaled
+    as a field.  The test accepts an energy up to ``ROUNDING * |energy|``
+    above the Armijo bound, the rounding of that closed form, since a
+    nonmonotone BB step near convergence asks for decreases below it.  The
+    reported energy is that closed form (or, with no accepted step, the
+    re-assembled energy of the projected start).  Convergence means the sup
+    norm of the pointwise Euler-Lagrange residual
+    -Lap u + lambda u - sum w_i u_+**(q_i-1) drops below ``grad_tol``; the
+    report's ``residual_sup`` is that norm at the returned field.
     Failure to converge is reported (``converged=False``), never raised.
     """
     if cfg.lam <= 0.0:
@@ -644,38 +705,40 @@ def mountain_pass_solve(
     grid = cfg.grid
     vol = _node_volumes(grid)
     threshold = _threshold_for(cfg)
-    qs = cfg.exponents()
+    weights = _exponent_weights(cfg)
 
     v = _initial_field(cfg, init)
     v = nehari_scale(v, cfg) * v  # raises NonpositivePart on a hopeless start
     e_v = energy(v, cfg)
-    candidate = np.empty(grid.shape)
+    # candidate and term double as scratch outside the line search
+    lv, g, candidate, term = (np.empty(grid.shape) for _ in range(4))
 
     step = opts.step_init
     prev_v = None
     prev_dir = None
-    residual_sup = math.inf
-    converged = False
     iterations = 0
 
-    for _ in range(opts.max_iters):
-        g = gradient(v, cfg)
-        residual = g / vol
-        residual_sup = float(np.max(np.abs(residual)))
-        if residual_sup < opts.grad_tol:
-            converged = True
+    while True:
+        _derivative(v, cfg, weights, lv, g, term)
+        residual = np.divide(g, vol, out=candidate)
+        residual_sup = float(np.max(np.abs(residual, out=term)))
+        converged = residual_sup < opts.grad_tol
+        if converged or iterations == opts.max_iters:
             break
         direction = _h1_riesz(residual, grid, cfg.lam)
-        slope = float(np.sum(direction * g))
+        slope = _dot(direction, g, term)
         if not math.isfinite(slope) or slope <= 0.0:
             break  # gradient representation broke down; report honestly
         if prev_v is not None:
-            s_vec = v - prev_v
-            y_vec = direction - prev_dir
-            sy = float(np.sum(s_vec * y_vec))
+            s_vec = np.subtract(v, prev_v, out=candidate)
+            y_vec = np.subtract(direction, prev_dir, out=term)
+            sy = _dot(s_vec, y_vec, term)
             if sy > 0.0:
-                step = float(np.sum(s_vec * s_vec)) / sy
+                step = _dot(s_vec, s_vec, term) / sy
         step = min(max(step, opts.step_min), opts.step_max)
+        # the ray polynomial Q(v - t d) = a0 - 2 t a1 + t**2 a2
+        a0, a1 = _dot(v, lv, term), _dot(direction, lv, term)
+        a2 = _quadratic_part(direction, cfg)
 
         accepted = False
         allowance = ROUNDING * abs(e_v)
@@ -684,8 +747,8 @@ def mountain_pass_solve(
             np.multiply(direction, t, out=candidate)
             np.subtract(v, candidate, out=candidate)
             try:
-                tau, e_new = ray_peak(_quadratic_part(candidate, cfg),
-                                      _positive_masses(candidate, cfg), qs)
+                tau, e_new = ray_peak(a0 - 2.0 * t * a1 + t * t * a2,
+                                      _masses(candidate, weights, term), weights.qs)
             except ValueError:  # no positive part, or no positive ray peak
                 t *= 0.5
                 continue
@@ -700,11 +763,10 @@ def mountain_pass_solve(
         step = t
         iterations += 1
 
-    min_value = float(np.min(v))
     report = SolveReport(
         energy=e_v,
         residual_sup=residual_sup,
-        min_value=min_value,
+        min_value=float(np.min(v)),
         iterations=iterations,
         threshold=threshold,
         below_threshold=bool(e_v < threshold),

@@ -10,11 +10,14 @@ from hslab.boundary_energy import BoundaryGeometry, CutoffSpec, bubble_energies
 from hslab.extremals import HSParams
 from hslab.identities import Placement, SingularitySite, ps_threshold, ray_peak
 from hslab.variational import (
+    _dot,
     _edge_volumes,
+    _exponent_weights,
+    _field_masses,
     _grid_eigenpairs,
     _h1_riesz,
-    _positive_masses,
     _quadratic_part,
+    _stencil,
     BubbleAt,
     Constant,
     Custom,
@@ -212,11 +215,18 @@ def _reference_quadratic_part(u, cfg):
     return total
 
 
+def _reference_exponent_weights(cfg):
+    """{q: node volumes * (sum of the w_i with q_i = q)}, in site order."""
+    summed = {}
+    for sing, q in zip(cfg.singularities, cfg.exponents()):
+        w = singular_weight(cfg.grid, sing)
+        summed[q] = summed[q] + w if q in summed else w
+    return {q: w * node_volumes(cfg.grid) for q, w in summed.items()}
+
+
 def _reference_positive_masses(u, cfg):
-    vol = node_volumes(cfg.grid)
     up = np.maximum(u, 0.0)
-    return [float(np.sum(singular_weight(cfg.grid, sing) * up**q * vol))
-            for sing, q in zip(cfg.singularities, cfg.exponents())]
+    return [float(np.sum(up**q * w)) for q, w in _reference_exponent_weights(cfg).items()]
 
 
 def _reference_stencil(u, grid, lam):
@@ -238,13 +248,15 @@ def _reference_gradient(u, cfg):
     grid = cfg.grid
     g = _reference_stencil(u, grid, cfg.lam)
     up = np.maximum(u, 0.0)
-    for sing, q in zip(cfg.singularities, cfg.exponents()):
-        g -= singular_weight(grid, sing) * up ** (q - 1.0) * node_volumes(grid)
+    for q, w in _reference_exponent_weights(cfg).items():
+        g -= up ** (q - 1.0) * w
     return g
 
 
 class TestKernelsMatchPlainForms:
-    """The in-place kernels round exactly like the plain array expressions."""
+    """The in-place kernels round exactly like the plain array expressions,
+    with the mass terms summed per distinct exponent (two of the three sites
+    share s = 0.5)."""
 
     @pytest.mark.parametrize("nodes", [16, 21])
     def test_bit_identical_on_random_fields(self, nodes):
@@ -255,11 +267,14 @@ class TestKernelsMatchPlainForms:
             Singularity((0.7, 1.5, 0.5), 0.5),
         )
         cfg = ProblemConfig(grid, 3.0, sites)
+        weights, reference = _exponent_weights(cfg), _reference_exponent_weights(cfg)
+        assert weights.qs == tuple(reference)
+        assert all(np.array_equal(w, r) for w, r in zip(weights.arrays, reference.values()))
         rng = np.random.default_rng(nodes)
         for _ in range(3):
             u = 0.3 + rng.standard_normal(grid.shape)
             assert _quadratic_part(u, cfg) == _reference_quadratic_part(u, cfg)
-            assert _positive_masses(u, cfg) == _reference_positive_masses(u, cfg)
+            assert _field_masses(u, cfg)[0] == _reference_positive_masses(u, cfg)
             assert np.array_equal(gradient(u, cfg), _reference_gradient(u, cfg))
 
 
@@ -317,10 +332,65 @@ class TestRayPeak:
         sites = tuple(Singularity(loc, s) for loc, s in zip(INTERIOR_PAIR, exponents))
         cfg = unit_config(nodes=16, lam=2.0, sites=sites)
         u = 0.5 + bubble_field(cfg.grid, INTERIOR_PAIR[0], 0.1, exponents[0])
-        t, peak = ray_peak(_quadratic_part(u, cfg), _positive_masses(u, cfg),
-                           cfg.exponents())
+        t, peak = ray_peak(_quadratic_part(u, cfg), *_field_masses(u, cfg))
         assert t == nehari_scale(u, cfg)
         assert peak == pytest.approx(energy(t * u, cfg), rel=1e-13)
+
+
+RAY_GRIDS = {
+    "unit16": DomainGrid(UNIT3, (16,) * 3),
+    "aniso": RIESZ_GRIDS["aniso"],
+}
+
+
+def _ray_coefficients(v, d, cfg):
+    """(a0, a1, a2) as the solver forms them: <v, L v>, <d, L v> and Q(d)."""
+    lv = _stencil(v, cfg, np.empty(v.shape), np.empty(v.size))
+    buf = np.empty(v.shape)
+    return _dot(v, lv, buf), _dot(d, lv, buf), _quadratic_part(d, cfg)
+
+
+class TestRayPolynomial:
+    """The line search's quadratic part a0 - 2 t a1 + t**2 a2 of v - t d,
+    and the closed-form trial energy built from it."""
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 30.0])
+    @pytest.mark.parametrize("name", sorted(RAY_GRIDS))
+    def test_matches_the_field_passes(self, name, t):
+        grid = RAY_GRIDS[name]
+        sites = tuple(
+            Singularity(tuple(lo + f * (hi - lo) for lo, hi in grid.bounds), s)
+            for f, s in ((0.3, 1.0), (0.7, 0.5))
+        )
+        cfg = ProblemConfig(grid, 3.0, sites)
+        rng = np.random.default_rng(sum(grid.shape))
+        for _ in range(3):
+            v = 0.5 + rng.random(grid.shape)
+            d = _h1_riesz(gradient(v, cfg) / node_volumes(grid), grid, cfg.lam)
+            a0, a1, a2 = _ray_coefficients(v, d, cfg)
+            c = v - t * d
+            a = a0 - 2.0 * t * a1 + t * t * a2
+            assert a == pytest.approx(_quadratic_part(c, cfg), rel=1e-13)
+            # the polynomial's rounding is relative to its largest term: at
+            # t = 1 a random v and its descent direction cancel (c is ~60x
+            # smaller in Q than v), and the trial energy inherits that factor
+            cancellation = (a0 + 2.0 * t * abs(a1) + t * t * a2) / a
+            tau, peak = ray_peak(a, *_field_masses(c, cfg))
+            assert peak == pytest.approx(energy(tau * c, cfg), rel=4e-15 * cancellation)
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 30.0])
+    def test_plane_grid(self, t):
+        # N = 2 has no critical exponent, so only the quadratic part is
+        # checked, along the Riesz image of a random residual
+        grid = RIESZ_GRIDS["plane"]
+        cfg = ProblemConfig(grid, 3.0, (Singularity((1.0, 0.0), 1.0),))
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            v = 0.5 + rng.random(grid.shape)
+            d = _h1_riesz(rng.standard_normal(grid.shape), grid, cfg.lam)
+            a0, a1, a2 = _ray_coefficients(v, d, cfg)
+            a = a0 - 2.0 * t * a1 + t * t * a2
+            assert a == pytest.approx(_quadratic_part(v - t * d, cfg), rel=1e-13)
 
 
 class TestNehariScale:
@@ -454,26 +524,91 @@ class TestSolver:
             )
 
 
+def _sup_residual(u, cfg):
+    return float(np.max(np.abs(gradient(u, cfg) / node_volumes(cfg.grid))))
+
+
+class TestStopping:
+    """Each way a small problem makes the solver stop is reported, with the
+    residual of the returned field."""
+
+    def test_converged(self):
+        cfg = unit_config(nodes=16, lam=0.01)
+        report, u = mountain_pass_solve(cfg, Constant(1.0), SolveOptions(grad_tol=1e-7))
+        assert report.converged and report.iterations > 0
+        assert report.residual_sup == _sup_residual(u, cfg) < 1e-7
+
+    def test_max_iters(self):
+        cfg = unit_config(nodes=16, lam=0.01)
+        report, u = mountain_pass_solve(
+            cfg, Constant(1.0), SolveOptions(max_iters=2, grad_tol=1e-14))
+        assert not report.converged and report.iterations == 2
+        assert report.residual_sup == _sup_residual(u, cfg) >= 1e-14
+
+    def test_line_search_exhausted(self):
+        # an Armijo fraction of 1e30 asks every halving for a decrease
+        # 1e30 times the slope's prediction
+        cfg = unit_config(nodes=9, lam=0.01)
+        report, u = mountain_pass_solve(cfg, Constant(1.0), SolveOptions(armijo=1e30))
+        assert not report.converged and report.iterations == 0
+        assert report.residual_sup == _sup_residual(u, cfg)
+        assert report.energy == energy(u, cfg)
+
+    def test_bad_slope(self):
+        # an infinite node value makes the start, its gradient and the
+        # slope NaN
+        cfg = unit_config(nodes=9, lam=0.01)
+        start = np.ones(cfg.grid.shape)
+        start[0, 0, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            report, _ = mountain_pass_solve(cfg, Custom(start))
+        assert not report.converged and report.iterations == 0
+
+
+# (nodes, lambda, sites): the non-constant solves of the solve-nonconst
+# benchmark plus the 32^3 lambda = 20 face pair, and 32^3 at lambda = 50
+SOLVE_MATRIX = [
+    (32, 5.0, INTERIOR_PAIR), (32, 5.0, FACE_PAIR), (36, 5.0, INTERIOR_PAIR),
+    (40, 5.0, INTERIOR_PAIR), (38, 20.0, FACE_PAIR), (40, 20.0, FACE_PAIR),
+    (32, 20.0, FACE_PAIR), (32, 50.0, INTERIOR_PAIR), (32, 50.0, FACE_PAIR),
+]
+
+
+def _cyclic(sites, shift):
+    return tuple(tuple(x[(i + shift) % 3] for i in range(3)) for x in sites)
+
+
+def _solve_case_id(nodes, lam, sites, shift):
+    name = f"{'interior' if sites == INTERIOR_PAIR else 'face'}-{lam}"
+    return name + (f"-n{nodes}" if nodes != 32 else "") + (f"-shift{shift}" if shift else "")
+
+
+SOLVE_CASES = [(n, lam, sites, shift) for n, lam, sites in SOLVE_MATRIX
+               for shift in ((0,) if lam == 50.0 else (0, 1, 2))]
+
+
 class TestSolverReachesTolerance:
-    """32^3 solves reach grad_tol 1e-6 although their last Armijo decreases
-    fall below the rounding of the energy."""
+    """Solves at lambda 5-50 on 32^3-40^3, the lambda 5 and 20 ones in the
+    three cyclic axis orders of their sites, reach grad_tol 1e-6 within 400
+    iterations although their last Armijo decreases fall below the rounding
+    of the energy."""
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def solve(lam, sites):
-        cfg = unit_config(nodes=32, lam=lam, sites=tuple(Singularity(x, 1.0) for x in sites))
+    def solve(nodes, lam, sites):
+        cfg = unit_config(nodes=nodes, lam=lam, sites=tuple(Singularity(x, 1.0) for x in sites))
         return mountain_pass_solve(cfg, opts=SolveOptions(max_iters=400))[0]
 
-    @pytest.mark.parametrize("lam", [5.0, 50.0])
-    @pytest.mark.parametrize("sites", [INTERIOR_PAIR, FACE_PAIR], ids=["interior", "face"])
-    def test_converges(self, lam, sites):
-        report = self.solve(lam, sites)
+    @pytest.mark.parametrize("nodes, lam, sites, shift", SOLVE_CASES,
+                             ids=[_solve_case_id(*case) for case in SOLVE_CASES])
+    def test_converges(self, nodes, lam, sites, shift):
+        report = self.solve(nodes, lam, _cyclic(sites, shift))
         assert report.converged, report
         assert report.residual_sup < 1e-6
 
     def test_axis_order_does_not_change_the_solution(self):
-        permuted = tuple(tuple(x[i] for i in (1, 2, 0)) for x in INTERIOR_PAIR)
-        plain, turned = self.solve(5.0, INTERIOR_PAIR), self.solve(5.0, permuted)
+        plain = self.solve(32, 5.0, INTERIOR_PAIR)
+        turned = self.solve(32, 5.0, _cyclic(INTERIOR_PAIR, 1))
         assert plain.converged and turned.converged
         assert turned.energy == pytest.approx(plain.energy, rel=1e-12)
 
