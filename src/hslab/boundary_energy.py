@@ -13,10 +13,11 @@ becomes y_N = tau * g(y') and each energy piece reduces to
 
 The ledger integrands (gradient, critical mass, plain L2 mass, one mass per
 far site) are rows of one stacked radial density.  Their slivers come from
-one exact tensor Gauss-Legendre walk over the box |y'_i| <= 10 for all rows
-at once, blended smoothly (on 8 <= |y'| <= 10) into a radial tail per row
-that replaces the anisotropic floor by its exact spherical average (g
-averaged over directions is (H / (2(N-1))) * |y'|**2, H the mean
+one walk of a tensor Gauss-Legendre rule over the box |y'_i| <= 10 for all
+rows at once, reduced to one representative per permutation orbit of axes
+with equal curvature, blended smoothly (on 8 <= |y'| <= 10) into a radial
+tail per row that replaces the anisotropic floor by its exact spherical
+average (g averaged over directions is (H / (2(N-1))) * |y'|**2, H the mean
 curvature); the tail's inner integral saturates instead of being
 linearised, which keeps it integrable in every dimension, including the
 logarithmically divergent linearisation in dimension three.
@@ -33,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from itertools import groupby
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,7 +90,8 @@ class BoundaryGeometry:
     ``curvatures`` are the principal curvatures (one per tangential axis,
     so their count must equal N-1 for the dimension in use) and ``delta``
     is the patch radius the cutoff lives on.  The mean curvature is always
-    recomputed as the plain sum of the entries.
+    recomputed as the correctly rounded sum of the entries, which does not
+    depend on their order.
     """
 
     curvatures: tuple[float, ...]
@@ -106,7 +109,7 @@ class BoundaryGeometry:
 
     @property
     def mean_curvature(self) -> float:
-        return float(sum(self.curvatures))
+        return math.fsum(self.curvatures)
 
 
 def _smooth_fall(t: np.ndarray) -> np.ndarray:
@@ -276,8 +279,9 @@ _BOX_HALF_WIDTH = 10.0
 _BLEND_LO = 8.0
 _BLEND_HI = 10.0
 _DEFAULT_BOX_NODES = {2: 96, 3: 56, 4: 28}
-# The box walk sums points in chunks of _BOX_CHUNK (the grouping sets the
-# rounding of the ledger) and evaluates the stacked (rows, points, panels, 15)
+# The box walk generates the orbit representatives in chunks of at most
+# _BOX_CHUNK points and sums each chunk on its own (the chunks set the
+# rounding of the ledger); it evaluates the stacked (rows, points, panels, 15)
 # densities in blocks of _STACK_BLOCK points: with four rows a block holds as
 # many values as one integrand over a chunk.
 _BOX_CHUNK = 1 << 14
@@ -328,34 +332,79 @@ def _inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarr
     return np.einsum("impk,k,mp->im", dens(t), KRONROD15_WEIGHTS, half)
 
 
+def _orbit_chunks(
+    box_nodes: int, alphas: tuple[float, ...]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Orbit representatives of the orthant box rule, chunk by chunk.
+
+    ``alphas`` are sorted curvatures.  Swapping two axes of equal curvature
+    changes neither |y'| nor the floor, so within each run of equal
+    curvatures only nondecreasing node-index tuples are generated, each
+    standing for its g! / prod_v c_v! distinct permutations (g the run
+    length, c_v the multiplicity of index v): the orbit reduction of a
+    symmetric cubature rule (Stroud 1971).  The tuples are grown one axis at
+    a time, depth first in groups, so they come in lexicographic order and
+    no chunk exceeds _BOX_CHUNK points.  Yields (y, weight) per chunk, weight
+    the tensor Gauss-Legendre weight times the orbit size.  With distinct
+    curvatures every orbit is one point and this is the full tensor rule.
+    """
+    d = len(alphas)
+    nodes, weights = _gl_nodes(box_nodes)
+    tied = [False] + [alphas[j] == alphas[j - 1] for j in range(1, d)]
+    perms = math.prod(math.factorial(len(list(run))) for _, run in groupby(alphas))
+    group = max(1, _BOX_CHUNK // box_nodes)  # rows that grow into one chunk
+
+    def grow(cols: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
+        # cols holds one node-index array per axis filled so far; each row
+        # gains the next axis's indices lo .. box_nodes-1, lo its previous
+        # index within a run of equal curvatures and 0 at the start of one
+        ax = len(cols)
+        if ax == d:
+            yield cols
+            return
+        for start in range(0, len(cols[0]), group):
+            rows = [c[start : start + group] for c in cols]
+            lo = rows[-1] if tied[ax] else np.zeros(len(rows[0]), dtype=np.intp)
+            counts = box_nodes - lo
+            parent = np.repeat(np.arange(len(lo)), counts)
+            new = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+            yield from grow([c[parent] for c in rows] + [new])
+
+    for cols in grow([np.arange(box_nodes)]):
+        y = np.empty((len(cols[0]), d))
+        wt = np.ones(len(cols[0]))
+        for ax in range(d - 1, -1, -1):
+            y[:, ax] = nodes[cols[ax]]
+            wt *= weights[cols[ax]]
+        # prod_v c_v! is the product, over the axes, of the length of the
+        # stretch of equal indices within a run that ends at that axis
+        equal_run, repeats = 1, 1
+        for j in range(1, d):
+            equal_run = np.where(cols[j] == cols[j - 1], equal_run + 1, 1) if tied[j] else 1
+            repeats = repeats * equal_run
+        yield y, wt * (perms // repeats)
+
+
 def _box_pass(
     dens: Callable, tau: float, geom: BoundaryGeometry, box_nodes: int
 ) -> np.ndarray | float:
     """Blend-weighted sliver integrals of every row over the box |y'_i| <= 10.
 
-    One exactly tensorised walk serves all rows (0.0 when no box point lies
-    under a nonzero floor).  The integrand is even in every tangential
-    coordinate (the floor height depends on squares only), so one orthant is
-    integrated and scaled by 2**(N-1).  Floor heights keep their sign: where
-    the quadratic floor dips below the flat one the sliver contributes
-    negatively.
+    One walk over the orbit representatives of ``_orbit_chunks`` serves all
+    rows (0.0 when no box point lies under a nonzero floor).  The box is the
+    same along every axis, so sorting the curvatures changes nothing, and
+    axes of equal curvature are permuted freely.  The integrand is even in
+    every tangential coordinate (the floor height depends on squares only),
+    so one orthant is integrated and scaled by 2**(N-1).  Floor heights keep
+    their sign: where the quadratic floor dips below the flat one the sliver
+    contributes negatively.
     """
-    d = len(geom.curvatures)
-    alphas = np.asarray(geom.curvatures, dtype=float)
-    nodes, weights = _gl_nodes(box_nodes)
-    n_pts = box_nodes**d
+    alphas = tuple(sorted(geom.curvatures))
+    alpha_arr = np.asarray(alphas, dtype=float)
     total = 0.0
-    for start in range(0, n_pts, _BOX_CHUNK):
-        idx = np.arange(start, min(start + _BOX_CHUNK, n_pts))
-        y = np.empty((idx.size, d))
-        wt = np.ones(idx.size)
-        rem = idx
-        for ax in range(d - 1, -1, -1):
-            rem, k = np.divmod(rem, box_nodes)
-            y[:, ax] = nodes[k]
-            wt *= weights[k]
+    for y, wt in _orbit_chunks(box_nodes, alphas):
         rho = np.sqrt(np.einsum("md,md->m", y, y))
-        floor = tau * 0.5 * ((y * y) @ alphas)
+        floor = tau * 0.5 * ((y * y) @ alpha_arr)
         psi = _blend(rho)
         keep = (psi > 0.0) & (floor != 0.0)
         if not np.any(keep):
@@ -368,7 +417,7 @@ def _box_pass(
             for j in range(0, rk.size, _STACK_BLOCK)
         ], axis=1) * rk * np.sign(fk)
         total = total + np.sum(wt[keep] * psi[keep] * inner, axis=1)
-    return total * 2.0**d
+    return total * 2.0 ** len(alphas)
 
 
 def _tail_part(

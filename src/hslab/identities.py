@@ -191,9 +191,12 @@ def ray_peak(a: float, masses: Sequence[float], qs: Sequence[float]) -> tuple[fl
 
     The maximiser solves sum_i m_i t**(q_i - 2) = a over the terms with
     positive mass, in closed form when they share one exponent.  Raises
-    NonpositivePart when no mass is positive and ValueError when a <= 0
-    (the ray has no positive peak).
+    ValueError when a or a mass is not finite (an overflowed mass would
+    otherwise give the peak t = 0), NonpositivePart when no mass is positive
+    and ValueError when a <= 0 (the ray has no positive peak).
     """
+    if not (math.isfinite(a) and all(math.isfinite(m) for m in masses)):
+        raise ValueError("ray inputs must be finite")
     terms = [(m, q) for m, q in zip(masses, qs) if m > 0.0]
     if not terms:
         raise NonpositivePart("no positive mass: the ray has no peak")

@@ -471,7 +471,8 @@ def gradient(u, cfg: ProblemConfig) -> np.ndarray:
 def nehari_scale(u, cfg: ProblemConfig) -> float:
     """The t > 0 with d/dt energy(t u) = 0, i.e. the ray's peak scale
     (``identities.ray_peak`` of the quadratic part and the masses).
-    Raises NonpositivePart when u has no positive part.
+    Raises NonpositivePart when u has no positive part and ValueError when
+    a mass or the quadratic part overflows.
     """
     arr = _check_field(cfg.grid, u)
     masses, qs = _field_masses(arr, cfg)
@@ -698,6 +699,9 @@ def mountain_pass_solve(
     -Lap u + lambda u - sum w_i u_+**(q_i-1) drops below ``grad_tol``; the
     report's ``residual_sup`` is that norm at the returned field.
     Failure to converge is reported (``converged=False``), never raised.
+    A finite start with no positive part, or whose masses overflow, has no
+    Nehari point and raises; a start with non-finite values is not
+    projected, and its non-finite slope stops the solver at once.
     """
     if cfg.lam <= 0.0:
         raise NonpositiveLambda("the solver requires lambda > 0")
@@ -708,7 +712,8 @@ def mountain_pass_solve(
     weights = _exponent_weights(cfg)
 
     v = _initial_field(cfg, init)
-    v = nehari_scale(v, cfg) * v  # raises NonpositivePart on a hopeless start
+    if np.isfinite(v).all():  # a non-finite start is reported as a bad slope
+        v = nehari_scale(v, cfg) * v  # raises on a hopeless or overflowing start
     e_v = energy(v, cfg)
     # candidate and term double as scratch outside the line search
     lv, g, candidate, term = (np.empty(grid.shape) for _ in range(4))
@@ -749,7 +754,7 @@ def mountain_pass_solve(
             try:
                 tau, e_new = ray_peak(a0 - 2.0 * t * a1 + t * t * a2,
                                       _masses(candidate, weights, term), weights.qs)
-            except ValueError:  # no positive part, or no positive ray peak
+            except ValueError:  # no positive part, no positive peak, or overflow
                 t *= 0.5
                 continue
             if math.isfinite(e_new) and e_new <= e_v - opts.armijo * t * slope + allowance:

@@ -1,11 +1,19 @@
 """Boundary bubble energies: sliver asymptotics, breakdown, ray peaks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from hslab.boundary_energy import (
+    _BOX_CHUNK,
+    _blend,
+    _box_pass,
+    _gl_nodes,
+    _inner_stack,
+    _orbit_chunks,
+    _profile_pack,
     BoundaryGeometry,
     CutoffSpec,
     EnergyBreakdown,
@@ -330,6 +338,86 @@ class TestFusedLedger:
         assert sliver_mass_integral(1e-3, geom, P41) == pytest.approx(
             0.0002617931365915535, rel=1e-12, abs=0.0
         )
+
+
+# curvature patterns of the orbit walk: all equal, all distinct, equal but
+# not adjacent, and a large curvature whose box nodes cross the cutoff ramp
+ORBIT_PATTERNS = [(1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0),
+                  (1.0, -0.5, 2.0), (1.0, -0.5, 1.0), (50.0, 50.0)]
+# coarser boxes than the defaults keep the full-tensor references cheap
+ORBIT_BOX_NODES = {2: 96, 3: 40, 4: 16}
+
+
+def _orbit_case(curv):
+    p = HSParams(len(curv) + 1, 1.0)
+    eps = 9e-3 if curv[0] == 50.0 else 1e-3
+    tau = eps ** (1.0 / (2.0 - p.s))
+    return p, eps, tau, _profile_pack(p, tau, CutoffSpec(0.1), ("grad", "mass", "l2", 3.5))
+
+
+def tensor_box_pass(dens, tau, curvatures, box_nodes):
+    """The blend-weighted box integrals by a plain walk of every point of the
+    orthant tensor rule, in the given axis order."""
+    d = len(curvatures)
+    nodes, weights = _gl_nodes(box_nodes)
+    y = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    wt = np.prod(np.stack(np.meshgrid(*[weights] * d, indexing="ij"), axis=-1), axis=-1).ravel()
+    rho = np.sqrt(np.sum(y * y, axis=1))
+    floor = tau * 0.5 * ((y * y) @ np.asarray(curvatures))
+    psi = _blend(rho)
+    keep = (psi > 0.0) & (floor != 0.0)
+    rho, floor, wt = rho[keep], floor[keep], (wt * psi)[keep]
+    total = 0.0
+    for j in range(0, rho.size, 4096):
+        r, f = rho[j : j + 4096], floor[j : j + 4096]
+        inner = _inner_stack(dens, r, np.abs(f) / r) * r * np.sign(f)
+        total = total + inner @ wt[j : j + 4096]
+    return total * 2.0**d
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("curv", ORBIT_PATTERNS)
+    def test_representatives_reproduce_the_orthant(self, curv):
+        alphas = tuple(sorted(curv))
+        nodes = ORBIT_BOX_NODES[len(curv)]
+        count, weight = 0, 0.0
+        for y, wt in _orbit_chunks(nodes, alphas):
+            count += len(y)
+            weight += math.fsum(wt)
+        runs = [len(list(run)) for _, run in itertools.groupby(alphas)]
+        assert count == math.prod(math.comb(nodes + g - 1, g) for g in runs)
+        assert weight == pytest.approx(math.fsum(_gl_nodes(nodes)[1]) ** len(curv),
+                                       rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("curv", ORBIT_PATTERNS)
+    def test_box_pass_matches_full_tensor_walk(self, curv):
+        _, _, tau, dens = _orbit_case(curv)
+        nodes = ORBIT_BOX_NODES[len(curv)]
+        got = _box_pass(dens, tau, BoundaryGeometry(curv, 0.1), nodes)
+        want = tensor_box_pass(dens, tau, curv, nodes)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("curv", ORBIT_PATTERNS + [(-0.947, 2.35, 0.037)])
+    def test_curvature_order_leaves_the_ledger_bit_identical(self, curv):
+        # (-0.947, 2.35, 0.037) sums to different doubles in different orders
+        p, eps, _, _ = _orbit_case(curv)
+        runs = [bubble_energies(eps, BoundaryGeometry(order, 0.1), CutoffSpec(0.1),
+                                [(0.5, 0.7)], p)
+                for order in sorted(set(itertools.permutations(curv)))]
+        assert all(b == runs[0] for b in runs[1:])
+
+    @pytest.mark.parametrize("box_nodes", [4, 28, 200])
+    @pytest.mark.parametrize("curv", [(1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_chunks_stay_bounded_and_lexicographic(self, curv, box_nodes):
+        # memory stays fixed by _BOX_CHUNK for any resolution, and the chunks
+        # list the kept index tuples in the order of the full tensor walk
+        nodes = _gl_nodes(box_nodes)[0]
+        last = -1
+        for y, _ in itertools.islice(_orbit_chunks(box_nodes, curv), 48):
+            assert 0 < len(y) <= _BOX_CHUNK
+            flat = np.searchsorted(nodes, y) @ box_nodes ** np.arange(len(curv) - 1, -1, -1)
+            assert last < flat[0] and np.all(np.diff(flat) > 0)
+            last = flat[-1]
 
 
 class TestRayPeak:

@@ -180,6 +180,16 @@ class TestRayPeak:
         with pytest.raises(ValueError):
             ray_peak(0.0, [0.8], [4.0])
 
+    @pytest.mark.parametrize("a, masses", [
+        (0.9, [math.inf]), (0.9, [0.8, math.inf]), (0.9, [math.nan]),
+        (0.9, [0.0, math.inf]), (math.inf, [0.8]), (math.nan, [0.8]),
+    ])
+    def test_non_finite_inputs_raise(self, a, masses):
+        # an overflowed mass would otherwise give the peak scale (a/inf)**(1/2) = 0
+        with pytest.raises(ValueError, match="finite") as info:
+            ray_peak(a, masses, [4.0, 3.0][: len(masses)])
+        assert not isinstance(info.value, NonpositivePart)
+
 
 def closed_form_bound(volume, c1, q, threshold):
     """Single-exponent bound: the peak (1/2 - 1/q) lam V (lam V / c1)**(2/(q-2))

@@ -1,6 +1,7 @@
 """Discrete energy, gradient, Nehari projection, and the ground-state solver."""
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from hslab.boundary_energy import BoundaryGeometry, CutoffSpec, bubble_energies
 from hslab.extremals import HSParams
+from hslab import variational
 from hslab.identities import Placement, SingularitySite, ps_threshold, ray_peak
 from hslab.variational import (
     _dot,
@@ -563,6 +565,46 @@ class TestStopping:
         with np.errstate(invalid="ignore", over="ignore"):
             report, _ = mountain_pass_solve(cfg, Custom(start))
         assert not report.converged and report.iterations == 0
+
+
+class TestOverflowingMasses:
+    """A field whose masses overflow has no ray peak: it raises instead of
+    being projected to the peak scale (finite / inf)**(1/2) = 0."""
+
+    def test_nehari_scale_raises(self):
+        cfg = unit_config(nodes=9, lam=0.01)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            nehari_scale(np.full(cfg.grid.shape, 1e80), cfg)
+
+    def test_solve_from_an_overflowing_start_raises(self):
+        cfg = unit_config(nodes=9, lam=0.01)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            mountain_pass_solve(cfg, Constant(1e100))
+
+    def test_overflowing_trial_is_halved(self, monkeypatch):
+        # the first line-search trial sees overflowed masses; the solver
+        # halves its step and still reaches the ground state
+        cfg = unit_config(nodes=9, lam=0.01)
+        plain, _ = mountain_pass_solve(cfg, Constant(1.0))
+        real, trials = variational._masses, []
+
+        def first_trial_overflows(u, weights, term):
+            masses = real(u, weights, term)
+            if sys._getframe(1).f_code is mountain_pass_solve.__code__:
+                trials.append(u.copy())
+                if len(trials) == 1:
+                    return [math.inf] * len(masses)
+            return masses
+
+        monkeypatch.setattr(variational, "_masses", first_trial_overflows)
+        report, _ = mountain_pass_solve(cfg, Constant(1.0))
+        assert len(trials) > 2 and report.converged and report.iterations > 0
+        # the second trial halves the first one's step from the projected start
+        ones = np.ones(cfg.grid.shape)
+        start = nehari_scale(ones, cfg) * ones
+        np.testing.assert_allclose(trials[1] - start, 0.5 * (trials[0] - start),
+                                   rtol=0.0, atol=1e-14 * float(np.max(start)))
+        assert report.energy == pytest.approx(plain.energy, rel=1e-9)
 
 
 # (nodes, lambda, sites): the non-constant solves of the solve-nonconst
