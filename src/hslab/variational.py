@@ -15,12 +15,13 @@ energy actually evaluated.
 
 The solver minimises the energy over the Nehari set (fields with
 d/dt energy(t u) = 0 at t = 1): each iteration rescales the iterate to its
-Nehari point, takes a Barzilai-Borwein step along the negative gradient
-(the Riesz representative of the derivative in the (grad, grad) +
-lambda (., .) inner product, applied exactly by fast diagonalization with
-the generalized eigenpairs of each axis's 1-D stiffness and trapezoid mass),
-and backtracks until the composed move decreases the Nehari-point energy.
-Along the search ray v - t d the quadratic part is the polynomial
+Nehari point, steps along an L-BFGS direction of the projected functional
+J(x) = energy(t(x) x), and backtracks from a unit step until the composed
+move decreases the Nehari-point energy.  The direction's initial inverse
+Hessian is the Riesz map of the (grad, grad) + lambda (., .) inner product,
+applied exactly by fast diagonalization with the generalized eigenpairs of
+each axis's 1-D stiffness and trapezoid mass; ``MEMORY`` curvature pairs
+correct it.  Along the search ray v - t d the quadratic part is the polynomial
 a0 - 2 t a1 + t**2 a2, whose coefficients come from the stencil L v that
 the gradient kernel forms anyway and from one pass over d per iteration.
 A trial therefore costs one pass for its masses B_q, grouped by distinct
@@ -36,6 +37,7 @@ Fields are plain numpy arrays shaped like the grid.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -164,23 +166,6 @@ def _node_volumes(grid: DomainGrid) -> np.ndarray:
 def node_volumes(grid: DomainGrid) -> np.ndarray:
     """Per-node dual-cell volumes (trapezoid product; sums to the box volume)."""
     return _node_volumes(grid)
-
-
-@lru_cache(maxsize=64)
-def _edge_volumes(grid: DomainGrid, axis: int) -> np.ndarray:
-    """Edge dual volumes for forward differences along ``axis``."""
-    shape = list(grid.shape)
-    shape[axis] -= 1
-    ev = np.ones(shape)
-    for k in range(grid.N):
-        rs = [1] * grid.N
-        rs[k] = shape[k]
-        if k == axis:
-            ev = ev * np.full(shape[k], grid.spacing[axis]).reshape(rs)
-        else:
-            ev = ev * _axis_weights(grid.nodes_per_axis[k], grid.spacing[k]).reshape(rs)
-    ev.flags.writeable = False
-    return ev
 
 
 @dataclass(frozen=True)
@@ -338,6 +323,18 @@ def _ends(ndim: int, k: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
     return tuple(upper), tuple(lower)
 
 
+def _weigh_edges(d: np.ndarray, cell: float, axis: int) -> None:
+    """Multiply the forward differences d along ``axis`` by their edge dual
+    volumes, in place: ``cell``, the product of the spacings accumulated in
+    axis order, halved on the two face layers of every other axis.  Halving
+    is exact, so this rounds like a multiply by the tensor of edge volumes."""
+    d *= cell
+    for k, n in enumerate(d.shape):
+        if k != axis:
+            faces = d[(slice(None),) * k + (slice(None, None, n - 1),)]
+            faces *= 0.5
+
+
 def _difference(u: np.ndarray, k: int, h: float, buf: np.ndarray) -> np.ndarray:
     """Forward differences of u along axis k over h, written into a view of
     the flat buffer ``buf`` (at least u.size long)."""
@@ -396,11 +393,12 @@ def _quadratic_part(u: np.ndarray, cfg: ProblemConfig) -> float:
     """sum(|grad u|**2) + lambda * sum(u**2), both volume-weighted."""
     grid = cfg.grid
     buf = np.empty(u.size)
+    cell = math.prod(grid.spacing)
     total = 0.0
-    for k in range(grid.N):
-        d = _difference(u, k, grid.spacing[k], buf)
+    for k, h in enumerate(grid.spacing):
+        d = _difference(u, k, h, buf)
         d *= d
-        d *= _edge_volumes(grid, k)
+        _weigh_edges(d, cell, k)
         total += float(np.sum(d))
     sq = np.multiply(u, u, out=buf.reshape(u.shape))
     sq *= _node_volumes(grid)
@@ -415,10 +413,10 @@ def _stencil(u: np.ndarray, cfg: ProblemConfig, out: np.ndarray, buf: np.ndarray
     grid = cfg.grid
     np.multiply(u, cfg.lam, out=out)
     out *= _node_volumes(grid)
-    for k in range(grid.N):
-        h = grid.spacing[k]
+    cell = math.prod(grid.spacing)
+    for k, h in enumerate(grid.spacing):
         flux = _difference(u, k, h, buf)
-        flux *= _edge_volumes(grid, k)
+        _weigh_edges(flux, cell, k)
         flux /= h
         upper, lower = _ends(grid.N, k)
         out[upper] += flux
@@ -511,9 +509,10 @@ def _grid_eigenpairs(grid: DomainGrid) -> list[_AxisEigenpairs]:
     return [_axis_eigenpairs(n, h) for n, h in zip(grid.nodes_per_axis, grid.spacing)]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _riesz_symbol(grid: DomainGrid, lam: float) -> np.ndarray:
-    """lam + sum_k mu_k over the tensor grid of modes."""
+    """lam + sum_k mu_k over the tensor grid of modes (one full-grid array,
+    so only the latest (grid, lam) is kept: a solve uses one)."""
     sym = np.full(grid.shape, lam)
     for k, pairs in enumerate(_grid_eigenpairs(grid)):
         shape = [1] * grid.N
@@ -548,6 +547,26 @@ def _h1_riesz(residual: np.ndarray, grid: DomainGrid, lam: float) -> np.ndarray:
     return _contract_axes(z, [p.backward for p in pairs])
 
 
+def _lbfgs_direction(g: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray, float]],
+                     grid: DomainGrid, lam: float, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """H g by the L-BFGS two-loop recursion (Nocedal, Math. Comp. 1980) over
+    the curvature pairs (s, y, 1 / <s, y>), oldest first, from the initial
+    inverse Hessian H0 = _h1_riesz(. / node_volumes).  ``q`` and ``buf`` are
+    scratch arrays shaped like g; with no pairs the result is H0 g."""
+    np.copyto(q, g)
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * _dot(s, q, buf)
+        q -= np.multiply(y, alpha, out=buf)
+        alphas.append(alpha)
+    q /= _node_volumes(grid)
+    r = _h1_riesz(q, grid, lam)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        beta = rho * _dot(y, r, buf)
+        r += np.multiply(s, alpha - beta, out=buf)
+    return r
+
+
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -578,9 +597,6 @@ class SolveOptions:
     max_iters: int = 20000
     grad_tol: float = 1e-6
     armijo: float = 1e-4
-    step_init: float = 1.0
-    step_min: float = 1e-14
-    step_max: float = 1e6
 
     def __post_init__(self) -> None:
         if self.max_iters < 1 or self.grad_tol <= 0.0:
@@ -589,14 +605,20 @@ class SolveOptions:
 
 # Allowance, relative to |energy|, by which a line-search trial may exceed the
 # Armijo bound.  A trial's energy comes in closed form from its ray polynomial
-# and masses (``ray_peak``); over the 1,268 trials of one solve-nonconst
+# and masses (``ray_peak``); over the 203 trials of one solve-nonconst
 # benchmark round it differed from the energy re-assembled from the rescaled
-# field by at most 1.3e-15 relative.  Near convergence the Armijo
-# decrease falls below that rounding, no step can pass an exact test, and the
-# nonmonotone Barzilai-Borwein descent stalls short of its tolerance.
-# Allowances from 1e-15 to 1e-12 behave alike; compare the approximate Wolfe
-# conditions of Hager & Zhang (SIAM J. Optim. 2005).
+# field by at most 1.7e-15 relative.  Near convergence the Armijo decrease
+# falls below that rounding and no step can pass an exact test: without the
+# allowance 12 of the 24 solves of the tests' 32^3-40^3, lambda 5-50 matrix
+# stall short of their tolerance.  Compare the approximate Wolfe conditions
+# of Hager & Zhang (SIAM J. Optim. 2005).
 ROUNDING = 64 * np.finfo(float).eps
+
+# Curvature pairs kept by the L-BFGS direction (Liu & Nocedal, Math. Prog.
+# 1989).  Its initial inverse Hessian is the exact H1 Riesz map, and the
+# projected energy's Hessian is that metric plus a relatively compact
+# singular term, so a few pairs capture most of the difference.
+MEMORY = 3
 
 
 @dataclass(frozen=True)
@@ -679,10 +701,16 @@ def mountain_pass_solve(
 ) -> tuple[SolveReport, np.ndarray]:
     """Minimise the energy over the Nehari set by projected descent.
 
-    Every iterate v is rescaled to its ray peak (Nehari point); a
-    Barzilai-Borwein step along the negative gradient representative d is
-    backtracked until the rescaled energy decreases (Armijo test against
-    the directional slope, which on the Nehari set equals the full one).
+    Every iterate v is rescaled to its ray peak (Nehari point).  The step
+    v - t d starts at t = 1 and is halved until the rescaled energy
+    decreases (Armijo test against the directional slope, which on the
+    Nehari set equals the full one).  d is the L-BFGS direction H g of the
+    projected functional J(x) = E(t(x) x), whose gradient is
+    t(x) E'(t(x) x): H0 is the Riesz map ``_h1_riesz(. / node_volumes)``,
+    and each accepted trial c = v - t d, rescaled by tau, gives the pair
+    s = c - v, y = tau E'(tau c) - E'(v), kept when <s, y> > 0 so that H
+    stays positive definite.
+
     Along the search ray the quadratic part is the polynomial
     Q(v - t d) = a0 - 2 t a1 + t**2 a2, with a0 = <v, L v> and a1 = <d, L v>
     from the stencil L v that the gradient kernel (shared with ``gradient``)
@@ -691,11 +719,12 @@ def mountain_pass_solve(
     distinct exponent; its rescaled energy is the closed-form ray peak of
     that polynomial and the masses, so only an accepted trial is rescaled
     as a field.  The test accepts an energy up to ``ROUNDING * |energy|``
-    above the Armijo bound, the rounding of that closed form, since a
-    nonmonotone BB step near convergence asks for decreases below it.  The
-    reported energy is that closed form (or, with no accepted step, the
-    re-assembled energy of the projected start).  Convergence means the sup
-    norm of the pointwise Euler-Lagrange residual
+    above the Armijo bound, the rounding of that closed form, since steps
+    near convergence ask for decreases below it.  The reported energy is
+    that closed form (or, with no accepted step, the re-assembled energy of
+    the projected start).
+
+    Convergence means the sup norm of the pointwise Euler-Lagrange residual
     -Lap u + lambda u - sum w_i u_+**(q_i-1) drops below ``grad_tol``; the
     report's ``residual_sup`` is that norm at the returned field.
     Failure to converge is reported (``converged=False``), never raised.
@@ -718,9 +747,8 @@ def mountain_pass_solve(
     # candidate and term double as scratch outside the line search
     lv, g, candidate, term = (np.empty(grid.shape) for _ in range(4))
 
-    step = opts.step_init
-    prev_v = None
-    prev_dir = None
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
+    pending = None  # (s, g(v), tau) of the accepted step, awaiting g(tau c)
     iterations = 0
 
     while True:
@@ -730,24 +758,25 @@ def mountain_pass_solve(
         converged = residual_sup < opts.grad_tol
         if converged or iterations == opts.max_iters:
             break
-        direction = _h1_riesz(residual, grid, cfg.lam)
+        if pending is not None:
+            # y = grad J(c) - grad J(v) for J(x) = E(t(x) x), where
+            # grad J(x) = t(x) E'(t(x) x) and t(c) = tau, t(v) = 1
+            s_vec, y_vec, tau = pending
+            np.subtract(np.multiply(g, tau, out=term), y_vec, out=y_vec)
+            sy = _dot(s_vec, y_vec, term)
+            if sy > 0.0:  # keeps H positive definite
+                pairs.append((s_vec, y_vec, 1.0 / sy))
+        direction = _lbfgs_direction(g, pairs, grid, cfg.lam, candidate, term)
         slope = _dot(direction, g, term)
         if not math.isfinite(slope) or slope <= 0.0:
             break  # gradient representation broke down; report honestly
-        if prev_v is not None:
-            s_vec = np.subtract(v, prev_v, out=candidate)
-            y_vec = np.subtract(direction, prev_dir, out=term)
-            sy = _dot(s_vec, y_vec, term)
-            if sy > 0.0:
-                step = _dot(s_vec, s_vec, term) / sy
-        step = min(max(step, opts.step_min), opts.step_max)
         # the ray polynomial Q(v - t d) = a0 - 2 t a1 + t**2 a2
         a0, a1 = _dot(v, lv, term), _dot(direction, lv, term)
         a2 = _quadratic_part(direction, cfg)
 
         accepted = False
         allowance = ROUNDING * abs(e_v)
-        t = step
+        t = 1.0
         for _ in range(80):
             np.multiply(direction, t, out=candidate)
             np.subtract(v, candidate, out=candidate)
@@ -763,9 +792,9 @@ def mountain_pass_solve(
             t *= 0.5
         if not accepted:
             break
-        prev_v, prev_dir = v, direction
+        direction *= -t  # s = c - v, taken before the Nehari rescale
+        pending = (direction, g.copy(), tau)
         v, e_v = tau * candidate, e_new
-        step = t
         iterations += 1
 
     report = SolveReport(
