@@ -5,18 +5,19 @@ members of a single family of improper radial integrals,
 
     integral over (0, inf) of   r**a / (1 + r**(2-s))**b   dr,
 
-together with unit-sphere surface areas.  The improper integrals
-are evaluated by splitting at a finite radius and mapping the tail back to a
-bounded interval with u = 1/r (which lands in the *same* family with
-a -> (2-s)*b - a - 2), after which both pieces go through one deterministic
-adaptive Gauss-Kronrod panel scheme.
+together with unit-sphere surface areas.  The substitution
+u = r**(2-s) / (1 + r**(2-s)) turns each member into a Beta integral
+(DLMF 5.12.3), which :func:`integrate_radial_power` evaluates by one
+deterministic adaptive Gauss-Kronrod panel scheme.  The Beta function itself
+is never evaluated in closed form: the quadrature is what the package's
+identity checks test.
 
-The panel rule is open (no endpoint is ever sampled), so integrable endpoint
-singularities are admissible; on top of that, heads with a in (-1, 0) are
-regularised analytically by the substitution r = t**m before any panel is
-laid down.  Subdivision always bisects the panel with the largest error
-estimate (ties broken by the left endpoint) and the final reduction sums
-panels left to right, so results are bit-stable across runs.
+Integrands outside the power family go through :func:`integrate_improper`,
+which splits at a finite radius and maps the tail with u = 1/r.  The panel
+rule is open (no endpoint is ever sampled), so integrable endpoint
+singularities are admissible.  Subdivision always bisects the panel with the
+largest error estimate (ties broken by the left endpoint) and the final
+reduction sums panels left to right, so results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -134,25 +135,22 @@ class QuadratureSettings:
     ----------
     rel_tol, abs_tol : float
         Convergence targets; a run stops once the summed panel error drops
-        below ``max(abs_tol, rel_tol * |integral|)``.
+        below ``max(abs_tol, rel_tol * |integral|)``.  Radial moments
+        (:func:`integrate_radial_power`) stop on ``rel_tol`` alone, so
+        ``abs_tol`` does not apply to them.
     max_subdivisions : int
         Hard cap on panel bisections before :class:`ToleranceNotMet`.
-    split_radius : float
-        Where improper integrals are cut before the 1/r tail map.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 4000
-    split_radius: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0 and self.abs_tol >= 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be a positive integer")
-        if not (self.split_radius > 0 and math.isfinite(self.split_radius)):
-            raise ValueError("split_radius must be a positive real")
 
 
 @dataclass(frozen=True)
@@ -176,10 +174,6 @@ class RadialPowerIntegrand:
     @property
     def is_convergent(self) -> bool:
         return self.s < 2.0 and self.a > -1.0 and (2.0 - self.s) * self.b - self.a > 1.0
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return r**self.a * (1.0 + r ** (2.0 - self.s)) ** (-self.b)
 
 
 def adaptive_gauss_kronrod(
@@ -235,29 +229,22 @@ def adaptive_gauss_kronrod(
     return math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
 
 
-def _finite_power_piece(a: float, b: float, s: float, upper: float, cfg: QuadratureSettings) -> float:
-    """integral over (0, upper] of r**a / (1+r**(2-s))**b, with a > -1.
+def _beta_half(x: float, y: float, cfg: QuadratureSettings) -> float:
+    """integral over (0, 1/2] of u**(x-1) * (1-u)**(y-1), with x, y > 0.
 
-    Heads with a < 0 are regularised by r = t**m (m chosen so the new
-    exponent is at least 1) before panels are laid down.
+    The head is regularised by u = t**m, m = max(1, ceil(2/x)), so the mapped
+    integrand m * t**(m*x-1) * (1-t**m)**(y-1) vanishes at least linearly at
+    t = 0 and is smooth on the whole panel range.
     """
-    if a < 0.0:
-        m = math.ceil(2.0 / (a + 1.0))
-        expo = m * (a + 1.0) - 1.0
-        p = m * (2.0 - s)
-        top = upper ** (1.0 / m)
+    m = max(1, math.ceil(2.0 / x))
+    expo = m * x - 1.0
 
-        def g(t: np.ndarray) -> np.ndarray:
-            return m * t**expo * (1.0 + t**p) ** (-b)
+    def g(t: np.ndarray) -> np.ndarray:
+        return m * t**expo * (1.0 - t**m) ** (y - 1.0)
 
-        return adaptive_gauss_kronrod(
-            g, 0.0, top,
-            rel_tol=cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol,
-            max_subdivisions=cfg.max_subdivisions,
-        )
     return adaptive_gauss_kronrod(
-        RadialPowerIntegrand(a, b, s), 0.0, upper,
-        rel_tol=cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol,
+        g, 0.0, 0.5 ** (1.0 / m),
+        rel_tol=cfg.rel_tol, abs_tol=0.0,
         max_subdivisions=cfg.max_subdivisions,
     )
 
@@ -265,24 +252,21 @@ def _finite_power_piece(a: float, b: float, s: float, upper: float, cfg: Quadrat
 def integrate_radial_power(f: RadialPowerIntegrand, cfg: QuadratureSettings | None = None) -> float:
     """Evaluate the improper integral of a :class:`RadialPowerIntegrand`.
 
-    Splits at ``cfg.split_radius`` and maps the tail with u = 1/r, which
-    stays inside the same integrand family with a' = (2-s)*b - a - 2; both
-    finite pieces share one adaptive panel scheme.  Each piece stops once its
-    error estimate drops below ``max(cfg.abs_tol, cfg.rel_tol * |piece|)``,
-    so the returned value is accurate to roughly ``2 * cfg.rel_tol`` in
-    relative terms (and independent of the split radius to that accuracy)
-    only while the moment is above about ``cfg.abs_tol / cfg.rel_tol``
-    (1e-4 with the defaults).  Below that only the absolute target holds:
-    at N = 5, s = 1.7984414117183 the gradient moment
-    ``RadialPowerIntegrand(N + 1 - 2s, 2(N - s)/(2 - s), s)`` is 1.3e-9 and
-    comes out 1.0e-7 relative from its Beta-function closed form.
+    With p = 2 - s, the substitution u = r**p / (1 + r**p) maps the integral
+    onto the Beta integral (1/p) * integral over (0, 1) of
+    u**(x-1) * (1-u)**(y-1), where x = (a+1)/p and y = b - x.  That is
+    split at u = 1/2 into two halves of the same shape (the upper one with x
+    and y swapped), each integrated by :func:`_beta_half`.  Each half stops
+    on ``cfg.rel_tol`` alone, so the moment is accurate to about
+    ``cfg.rel_tol`` relative however small it is; ``cfg.abs_tol`` does not
+    apply here.
 
     Raises
     ------
     Divergent
         If the convergence test a > -1 and (2-s)*b - a > 1 fails.
     ToleranceNotMet
-        If ``cfg.max_subdivisions`` is exhausted on either piece.
+        If ``cfg.max_subdivisions`` is exhausted on either half.
     """
     cfg = cfg or QuadratureSettings()
     if not f.is_convergent:
@@ -290,11 +274,10 @@ def integrate_radial_power(f: RadialPowerIntegrand, cfg: QuadratureSettings | No
             f"integral of r**{f.a}/(1+r**(2-{f.s}))**{f.b} diverges "
             "(need a > -1 and (2-s)*b - a > 1)"
         )
-    r0 = cfg.split_radius
-    head = _finite_power_piece(f.a, f.b, f.s, r0, cfg)
-    a_tail = (2.0 - f.s) * f.b - f.a - 2.0
-    tail = _finite_power_piece(a_tail, f.b, f.s, 1.0 / r0, cfg)
-    return head + tail
+    p = 2.0 - f.s
+    x = (f.a + 1.0) / p
+    y = f.b - x
+    return (_beta_half(x, y, cfg) + _beta_half(y, x, cfg)) / p
 
 
 def integrate_improper(

@@ -15,6 +15,7 @@ from hslab.extremals import (
     rayleigh_quotient_check,
     whole_space_constants,
 )
+from hslab.quadrature import sphere_surface_area
 
 from box_quadrature import integrate_box
 
@@ -108,6 +109,26 @@ class TestWholeSpaceConstants:
             assert c.best_constant == pytest.approx(
                 c.grad_energy / c.weighted_mass ** (2.0 / q), rel=1e-10
             )
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("s", [1.8, 1.9, 1.95, 1.99])
+    def test_beta_closed_forms_near_s_two(self, n, s):
+        # each radial moment is (1/p) B(x, b - x), p = 2 - s, x = (a+1)/p
+        b = 2.0 * (n - s) / (2.0 - s)
+
+        def moment(a):
+            x = (a + 1.0) / (2.0 - s)
+            return math.exp(math.lgamma(x) + math.lgamma(b - x) - math.lgamma(b)) / (2.0 - s)
+
+        omega = sphere_surface_area(n)
+        grad = (n - 2.0) ** 2 * omega * moment(n + 1.0 - 2.0 * s)
+        mass = omega * moment(n - 1.0 - s)
+        c = whole_space_constants(HSParams(N=n, s=s))
+        assert c.grad_energy == pytest.approx(grad, rel=1e-12, abs=0.0)
+        assert c.weighted_mass == pytest.approx(mass, rel=1e-12, abs=0.0)
+        assert c.best_constant == pytest.approx(
+            grad / mass ** ((n - 2.0) / (n - s)), rel=1e-12, abs=0.0
+        )
 
 
 class TestRayleighQuotient:
