@@ -40,7 +40,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .extremals import HSParams
-from .identities import Placement, SingularitySite, ps_threshold, ray_peak
+from .identities import SingularitySite, ps_threshold, ray_peak
 from .quadrature import (
     KRONROD15_NODES,
     KRONROD15_WEIGHTS,
@@ -127,13 +127,10 @@ class CutoffSpec:
     """Radial C^2 cutoff: 1 on [0, delta], polynomial descent, 0 beyond 2*delta."""
 
     delta: float
-    profile: str = "smoothstep3"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError("delta must be a positive real")
-        if self.profile != "smoothstep3":
-            raise ValueError(f"unknown cutoff profile {self.profile!r}")
 
     def value(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -699,8 +696,8 @@ def ray_peak_energy(b: EnergyBreakdown, lam: float, p: HSParams) -> RayPeak:
 
 
 def boundary_threshold(p: HSParams, cfg: QuadratureSettings | None = None) -> float:
-    """Compactness level of a boundary site with the concentration exponent."""
-    return ps_threshold(p.N, [SingularitySite(Placement.BOUNDARY, p.s)], cfg).overall
+    """Level of a boundary site (theta = 1/2) with the concentration exponent."""
+    return ps_threshold(p.N, [SingularitySite(0.5, p.s)], cfg).overall
 
 
 def margin_row(b: EnergyBreakdown, lam: float, p: HSParams, threshold: float) -> MarginRow:
@@ -727,7 +724,7 @@ def threshold_inequality_check(
 
     For each eps the full energy breakdown is computed, the ray maximum is
     taken, and the margin threshold - peak is reported (threshold = the
-    boundary-placement compactness level for the concentration exponent).
+    level of a boundary site, theta = 1/2, for the concentration exponent).
     With positive mean curvature the margin is positive for small eps but
     decays like eps**(1/(2-s)); the scaled margin margin/eps**(1/(2-s))
     increases toward a positive limit as eps decreases, and that

@@ -288,12 +288,10 @@ def _run_constants(cfg: dict, tol: float | None, seed: int):
         try:
             p = extremals.HSParams(n, s)
             consts = extremals.whole_space_constants(p, settings)
-            interior = identities.ps_threshold(
-                n, [identities.SingularitySite(identities.Placement.INTERIOR, s)],
-                settings).overall
-            boundary = identities.ps_threshold(
-                n, [identities.SingularitySite(identities.Placement.BOUNDARY, s)],
-                settings).overall
+            interior, boundary = (
+                identities.ps_threshold(n, [identities.SingularitySite(theta, s)],
+                                        settings).overall
+                for theta in (1.0, 0.5))
             rows.append([n, s, consts.grad_energy, consts.weighted_mass,
                          consts.best_constant, interior, boundary])
         except Exception as exc:

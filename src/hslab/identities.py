@@ -17,9 +17,11 @@ off against each other:
   strictly positive gap between the two;
 
 * per-site energy levels below which minimising sequences stay compact:
-  (2-s)/(2(N-s)) * S^((N-s)/(2-s)) at an interior singularity and half of
-  that at a boundary singularity (S the best constant for that site's s),
-  the overall threshold being the minimum over sites.
+  theta * (2-s)/(2(N-s)) * S^((N-s)/(2-s)), with S the best constant for
+  the site's s and theta the share of a small ball around the site that
+  lies in the domain (1 inside, 1/2 at a smooth boundary point, 1/4 and
+  1/8 at an edge and a corner of a box), the overall threshold being the
+  minimum over sites.
 
 The ray peak max_t (A t^2/2 - sum_i B_i t^(q_i)/q_i), the number all of
 the above is compared with, has one implementation here, ``ray_peak``: the
@@ -31,7 +33,6 @@ threshold, for any mix of site exponents.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -44,7 +45,6 @@ __all__ = [
     "MomentRatio",
     "NonpositivePart",
     "OutOfRangeBeta",
-    "Placement",
     "RecurrenceCheck",
     "SingularitySite",
     "ThresholdReport",
@@ -71,21 +71,19 @@ class NonpositivePart(ValueError):
     not identically zero."""
 
 
-class Placement(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-
-
 @dataclass(frozen=True)
 class SingularitySite:
-    """A singularity's placement (interior/boundary) and its exponent s."""
+    """A singularity's exponent s and share theta in (0, 1]: the fraction of
+    a small ball around it inside the domain (1 inside, 1/2 on a smooth
+    boundary, 2**-k where k faces of a box meet).  Its level is theta times
+    the interior level."""
 
-    placement: Placement
+    theta: float
     s: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.placement, Placement):
-            raise ValueError("placement must be a Placement member")
+        if not (0.0 < self.theta <= 1.0):
+            raise ValueError("theta must lie in (0, 1]")
         if not (0.0 < self.s < 2.0):
             raise ValueError("s must lie in (0, 2)")
 
@@ -161,10 +159,7 @@ def _threshold_level(n: int, site: SingularitySite, cfg: QuadratureSettings | No
     p = HSParams(n, site.s)
     best = whole_space_constants(p, cfg).best_constant
     power = (n - site.s) / (2.0 - site.s)  # = q/(q-2) for the critical q
-    level = (2.0 - site.s) / (2.0 * (n - site.s)) * best**power
-    if site.placement is Placement.BOUNDARY:
-        level *= 0.5
-    return level
+    return site.theta * (2.0 - site.s) / (2.0 * (n - site.s)) * best**power
 
 
 def ps_threshold(
@@ -172,10 +167,10 @@ def ps_threshold(
 ) -> ThresholdReport:
     """Palais-Smale compactness threshold for a configuration of sites.
 
-    Interior level (2-s)/(2(N-s)) * S^((N-s)/(2-s)); boundary level half of
-    that (concentration can only use half a neighbourhood there).  The
-    overall threshold is the minimum over sites, hence non-increasing as
-    sites are appended.
+    A site's level is theta * (2-s)/(2(N-s)) * S^((N-s)/(2-s)): the interior
+    level scaled by the share theta of a neighbourhood that concentration
+    can use there.  The overall threshold is the minimum over sites, hence
+    non-increasing as sites are appended.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError("dimension must be an integer >= 3")

@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .extremals import HSParams, bubble_radial
-from .identities import NonpositivePart, Placement, SingularitySite, ps_threshold, ray_peak
+from .identities import NonpositivePart, SingularitySite, ThresholdReport, ps_threshold, ray_peak
 
 __all__ = [
     "BubbleAt",
@@ -190,14 +190,14 @@ def critical_exponent(n: int, s: float) -> float:
     return 2.0 * (n - s) / (n - 2.0)
 
 
-def placement_of(grid: DomainGrid, sing: Singularity) -> Placement:
-    """Boundary placement iff the site sits within half a cell of some face."""
+def placement_of(grid: DomainGrid, sing: Singularity) -> float:
+    """The site's share theta of the box: 2**-k, k the faces within half a
+    cell of it (1 inside, 1/2 on a face, 1/4 on an edge, 1/8 at a corner)."""
     if len(sing.location) != grid.N:
         raise ValueError("singularity dimension does not match the grid")
-    for (lo, hi), h, x in zip(grid.bounds, grid.spacing, sing.location):
-        if x <= lo + 0.5 * h or x >= hi - 0.5 * h:
-            return Placement.BOUNDARY
-    return Placement.INTERIOR
+    k = sum((x <= lo + 0.5 * h) + (x >= hi - 0.5 * h)
+            for (lo, hi), h, x in zip(grid.bounds, grid.spacing, sing.location))
+    return 0.5**k
 
 
 @dataclass(frozen=True)
@@ -645,12 +645,12 @@ class SolveReport:
             raise ValueError("below_threshold must equal energy < threshold")
 
 
-def _threshold_for(cfg: ProblemConfig) -> float:
+def _threshold_for(cfg: ProblemConfig) -> ThresholdReport:
     sites = [
         SingularitySite(placement_of(cfg.grid, sing), sing.s)
         for sing in cfg.singularities
     ]
-    return ps_threshold(cfg.grid.N, sites).overall
+    return ps_threshold(cfg.grid.N, sites)
 
 
 def bubble_field(grid: DomainGrid, location: Sequence[float], eps: float,
@@ -661,7 +661,9 @@ def bubble_field(grid: DomainGrid, location: Sequence[float], eps: float,
     return bubble_radial(r, eps, p)
 
 
-def _initial_field(cfg: ProblemConfig, init) -> np.ndarray:
+def _initial_field(
+    cfg: ProblemConfig, init, per_site: Sequence[tuple[SingularitySite, float]]
+) -> np.ndarray:
     grid = cfg.grid
     if init is None:
         init = BubbleAt()
@@ -673,12 +675,7 @@ def _initial_field(cfg: ProblemConfig, init) -> np.ndarray:
         return np.full(grid.shape, float(init.value))
     if isinstance(init, BubbleAt):
         if init.site is None:
-            levels = ps_threshold(
-                grid.N,
-                [SingularitySite(placement_of(grid, s_), s_.s)
-                 for s_ in cfg.singularities],
-            ).per_site
-            site = min(range(len(levels)), key=lambda i: levels[i][1])
+            site = min(range(len(per_site)), key=lambda i: per_site[i][1])
         else:
             site = int(init.site)
             if not 0 <= site < len(cfg.singularities):
@@ -737,10 +734,10 @@ def mountain_pass_solve(
     opts = opts or SolveOptions()
     grid = cfg.grid
     vol = _node_volumes(grid)
-    threshold = _threshold_for(cfg)
+    thresholds = _threshold_for(cfg)
     weights = _exponent_weights(cfg)
 
-    v = _initial_field(cfg, init)
+    v = _initial_field(cfg, init, thresholds.per_site)
     if np.isfinite(v).all():  # a non-finite start is reported as a bad slope
         v = nehari_scale(v, cfg) * v  # raises on a hopeless or overflowing start
     e_v = energy(v, cfg)
@@ -802,8 +799,8 @@ def mountain_pass_solve(
         residual_sup=residual_sup,
         min_value=float(np.min(v)),
         iterations=iterations,
-        threshold=threshold,
-        below_threshold=bool(e_v < threshold),
+        threshold=thresholds.overall,
+        below_threshold=bool(e_v < thresholds.overall),
         converged=converged,
     )
     return report, v

@@ -21,7 +21,6 @@ from hslab.boundary_energy import (
 )
 from hslab.extremals import HSParams, whole_space_constants
 from hslab.identities import (
-    Placement,
     SingularitySite,
     beta_recurrence_check,
     lambda_existence_bound,
@@ -215,7 +214,7 @@ def test_criterion_08_ground_state_solve():
     vol = node_volumes(grid)
     masses = [float(np.sum(singular_weight(grid, s) * vol)) for s in sites]
     threshold = ps_threshold(
-        3, [SingularitySite(Placement.INTERIOR, 1.0)] * 2
+        3, [SingularitySite(1.0, 1.0)] * 2
     ).overall
     lam_bound = lambda_existence_bound(grid.volume, masses, cfg.exponents(), threshold)
     assert lam < lam_bound
@@ -265,7 +264,7 @@ def test_criterion_10_constant_path_and_lambda_bound():
         assert vals[k] <= value + 1e-15
 
     # existence bound vs an independent bisection on lambda
-    sites = [SingularitySite(Placement.INTERIOR, 1.0)]
+    sites = [SingularitySite(1.0, 1.0)]
     threshold = ps_threshold(3, sites).overall
     closed = lambda_existence_bound(volume, [c1], [P31.two_star], threshold)
 

@@ -10,7 +10,10 @@ import pytest
 from hslab.boundary_energy import BoundaryGeometry, CutoffSpec, threshold_inequality_check
 from hslab.cli import ConfigError, load_config, main
 from hslab.extremals import HSParams
-from hslab.variational import load_field
+from hslab.identities import lambda_existence_bound
+from hslab.variational import (
+    DomainGrid, Singularity, load_field, node_volumes, singular_weight,
+)
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -93,6 +96,18 @@ solver:
 init:
   type: constant
   value: 1.0
+"""
+
+CORNER_SWEEP_CFG = """
+grid:
+  bounds: [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
+  nodes: [16, 16, 16]
+lambda_list: [0.01]
+singularities:
+  - location: [0.0, 0.0, 0.0]
+    s: 1.0
+  - location: [0.7, 0.5, 0.5]
+    s: 1.0
 """
 
 
@@ -269,6 +284,24 @@ class TestSweepLambdaCommand:
             assert float(rec["lambda_bound"]) == pytest.approx(4.9628582886753492, rel=1e-9)
             assert rec["converged"] == "true"
             assert float(rec["solver_energy"]) <= float(rec["constant_path_max"])
+
+    def test_corner_site_level(self, tmp_path):
+        cfg = write_config(tmp_path, CORNER_SWEEP_CFG)
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep-lambda", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        (rec,) = [dict(zip(rows[0], r)) for r in rows[1:]]
+        # a corner keeps 1/8 of a ball: 1/8 of the interior level 2 pi/3
+        assert float(rec["threshold"]) == pytest.approx(2.0 * math.pi / 3.0 / 8.0, rel=1e-12)
+        # with the one exponent q = 4 the bound goes as threshold**(1/2), so
+        # it is half the bound at the face level, 4 times the corner's
+        grid = DomainGrid(((0.0, 1.0),) * 3, (16,) * 3)
+        masses = [float((singular_weight(grid, Singularity(x, 1.0)) * node_volumes(grid)).sum())
+                  for x in ((0.0, 0.0, 0.0), (0.7, 0.5, 0.5))]
+        face_bound = lambda_existence_bound(grid.volume, masses, [4.0, 4.0], math.pi / 3.0)
+        assert float(rec["lambda_bound"]) == pytest.approx(0.5 * face_bound, rel=1e-12)
+        assert float(rec["lambda_bound"]) == pytest.approx(1.9081211875356696, rel=1e-9)
+        assert rec["below_threshold"] == "true"
 
     def test_nonpositive_lambda_is_itemized_failure(self, tmp_path):
         cfg = write_config(

@@ -9,7 +9,6 @@ from hslab.identities import (
     EmptySiteList,
     NonpositivePart,
     OutOfRangeBeta,
-    Placement,
     SingularitySite,
     beta_recurrence_check,
     bubble_moment_ratio,
@@ -80,36 +79,47 @@ class TestRatioLimits:
 
 class TestThresholds:
     def test_interior_value_three_dim(self):
-        sites = [SingularitySite(Placement.INTERIOR, 1.0)]
+        sites = [SingularitySite(1.0, 1.0)]
         rep = ps_threshold(3, sites)
         assert rep.overall == pytest.approx(2.0 * math.pi / 3.0, rel=1e-10)
 
     def test_boundary_is_half_of_interior(self):
         for p in (P31, P41, P55):
             inner = ps_threshold(
-                p.N, [SingularitySite(Placement.INTERIOR, p.s)]
+                p.N, [SingularitySite(1.0, p.s)]
             ).overall
-            edge = ps_threshold(
-                p.N, [SingularitySite(Placement.BOUNDARY, p.s)]
+            face = ps_threshold(
+                p.N, [SingularitySite(0.5, p.s)]
             ).overall
-            assert edge == pytest.approx(inner / 2.0, rel=1e-12)
-            assert edge < inner
+            assert face == pytest.approx(inner / 2.0, rel=1e-12)
+            assert face < inner
 
     def test_boundary_value_three_dim(self):
-        sites = [SingularitySite(Placement.BOUNDARY, 1.0)]
+        sites = [SingularitySite(0.5, 1.0)]
         rep = ps_threshold(3, sites)
         assert rep.overall == pytest.approx(math.pi / 3.0, rel=1e-10)
 
     def test_overall_is_minimum_across_sites(self):
         sites = [
-            SingularitySite(Placement.INTERIOR, 1.0),
-            SingularitySite(Placement.BOUNDARY, 1.0),
-            SingularitySite(Placement.INTERIOR, 0.5),
+            SingularitySite(1.0, 1.0),
+            SingularitySite(0.5, 1.0),
+            SingularitySite(1.0, 0.5),
         ]
         rep = ps_threshold(3, sites)
         levels = [level for _, level in rep.per_site]
         assert rep.overall == min(levels)
         assert len(rep.per_site) == 3
+
+    def test_level_scales_with_share(self):
+        inner = ps_threshold(3, [SingularitySite(1.0, 1.0)]).overall
+        for theta in (0.5, 0.25, 0.125):
+            level = ps_threshold(3, [SingularitySite(theta, 1.0)]).overall
+            assert level == theta * inner
+
+    @pytest.mark.parametrize("theta", [0.0, 1.5, math.nan])
+    def test_share_outside_unit_interval_rejected(self, theta):
+        with pytest.raises(ValueError):
+            SingularitySite(theta, 1.0)
 
     def test_threshold_formula(self):
         # interior level is (2-s)/(2(N-s)) * S^((N-s)/(2-s))
@@ -118,7 +128,7 @@ class TestThresholds:
             expected = (2.0 - p.s) / (2.0 * (p.N - p.s)) * S ** (
                 (p.N - p.s) / (2.0 - p.s)
             )
-            rep = ps_threshold(p.N, [SingularitySite(Placement.INTERIOR, p.s)])
+            rep = ps_threshold(p.N, [SingularitySite(1.0, p.s)])
             assert rep.overall == pytest.approx(expected, rel=1e-9)
 
     def test_empty_site_list(self):
@@ -200,14 +210,14 @@ def closed_form_bound(volume, c1, q, threshold):
 
 class TestLambdaBound:
     def test_scaling_in_c1(self):
-        threshold = ps_threshold(P31.N, [SingularitySite(Placement.INTERIOR, 1.0)]).overall
+        threshold = ps_threshold(P31.N, [SingularitySite(1.0, 1.0)]).overall
         q = P31.two_star
         base = lambda_existence_bound(1.0, [1.0], [q], threshold)
         doubled = lambda_existence_bound(1.0, [2.0], [q], threshold)
         assert doubled == pytest.approx(base * 2.0 ** (2.0 / q), rel=1e-12)
 
     def test_bound_saturates_threshold(self):
-        sites = [SingularitySite(Placement.INTERIOR, 1.0)]
+        sites = [SingularitySite(1.0, 1.0)]
         volume, c1 = 1.0, 1.0
         threshold = ps_threshold(P31.N, sites).overall
         lam = lambda_existence_bound(volume, [c1], [P31.two_star], threshold)
@@ -215,7 +225,7 @@ class TestLambdaBound:
         assert peak == pytest.approx(threshold, rel=1e-12)
 
     def test_numeric_matches_closed_single_term(self):
-        sites = [SingularitySite(Placement.INTERIOR, 1.0)]
+        sites = [SingularitySite(1.0, 1.0)]
         volume, c1 = 1.5, 0.8
         threshold = ps_threshold(P31.N, sites).overall
         closed = closed_form_bound(volume, c1, P31.two_star, threshold)

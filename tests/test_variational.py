@@ -10,7 +10,7 @@ import pytest
 from hslab.boundary_energy import BoundaryGeometry, CutoffSpec, bubble_energies
 from hslab.extremals import HSParams
 from hslab import variational
-from hslab.identities import Placement, SingularitySite, ps_threshold, ray_peak
+from hslab.identities import ray_peak
 from hslab.variational import (
     MEMORY,
     _axis_weights,
@@ -118,14 +118,35 @@ class TestProblemConfig:
     def test_placement_dispatch(self):
         grid = DomainGrid(UNIT3, (9,) * 3)
         h = grid.spacing[0]
-        assert placement_of(grid, Singularity(CENTER, 1.0)) is Placement.INTERIOR
-        assert placement_of(
-            grid, Singularity((0.0, 0.5, 0.5), 1.0)
-        ) is Placement.BOUNDARY
-        near_face = (1.0 - 0.4 * h, 0.5, 0.5)  # within half a cell of a face
-        assert placement_of(
-            grid, Singularity(near_face, 1.0)
-        ) is Placement.BOUNDARY
+        for location, theta in (
+            (CENTER, 1.0),
+            ((0.0, 0.5, 0.5), 0.5),
+            ((0.0, 1.0, 0.5), 0.25),
+            ((1.0, 0.0, 0.0), 0.125),
+            ((1.0 - 0.4 * h, 0.5, 0.5), 0.5),  # within half a cell of a face
+        ):
+            assert placement_of(grid, Singularity(location, 1.0)) == theta
+
+    def test_share_matches_ray_peak_ratio(self):
+        """theta is the limit, as the bubble concentrates, of the ray peak of
+        a bubble at a face, edge or corner site over that of the same bubble
+        at the centre; the gap to theta shrinks about like eps."""
+        grid = DomainGrid(UNIT3, (65,) * 3)
+        eps_list = (0.1, 0.05, 0.03)
+
+        def peak(location, eps):
+            cfg = ProblemConfig(grid, 1e-6, (Singularity(location, 1.0),))
+            u = bubble_field(grid, location, eps, 1.0)
+            return energy(nehari_scale(u, cfg) * u, cfg)
+
+        centre = [peak(CENTER, eps) for eps in eps_list]
+        for location in ((0.0, 0.5, 0.5), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)):
+            theta = placement_of(grid, Singularity(location, 1.0))
+            gaps = [abs(peak(location, eps) / c / theta - 1.0)
+                    for eps, c in zip(eps_list, centre)]
+            assert gaps[1] <= 0.6 * gaps[0]
+            assert gaps[2] <= 0.65 * gaps[1]
+            assert gaps[2] <= 0.15
 
 
 class TestSingularWeight:
@@ -539,15 +560,16 @@ class TestSolver:
             assert b <= a + 1e-12
 
     def test_threshold_uses_site_placement(self):
-        boundary_cfg = unit_config(
-            nodes=9, lam=0.01, sites=(Singularity((0.0, 0.5, 0.5), 1.0),)
-        )
-        interior_cfg = unit_config(nodes=9, lam=0.01)
         opts = SolveOptions(max_iters=1, grad_tol=1e-14)
-        rb, _ = mountain_pass_solve(boundary_cfg, Constant(1.0), opts)
-        ri, _ = mountain_pass_solve(interior_cfg, Constant(1.0), opts)
-        assert ri.threshold == pytest.approx(2.0 * math.pi / 3.0, rel=1e-9)
-        assert rb.threshold == pytest.approx(math.pi / 3.0, rel=1e-9)
+        for location, threshold in (
+            (CENTER, 2.0 * math.pi / 3.0),
+            ((0.0, 0.5, 0.5), math.pi / 3.0),
+            ((0.0, 0.5, 1.0), math.pi / 6.0),
+            ((0.0, 1.0, 0.0), math.pi / 12.0),
+        ):
+            cfg = unit_config(nodes=9, lam=0.01, sites=(Singularity(location, 1.0),))
+            report, _ = mountain_pass_solve(cfg, Constant(1.0), opts)
+            assert report.threshold == pytest.approx(threshold, rel=1e-9)
 
     def test_resolution_refinement_is_contracting(self):
         vals = []
@@ -570,6 +592,18 @@ class TestSolver:
         )
         assert np.array_equal(u_default, u_explicit)
         assert r_default.energy == r_explicit.energy
+
+    def test_default_init_starts_at_lowest_level_site(self):
+        # levels 1, 1/2 and 1/8 of the interior one: the bubble starts at the corner
+        sites = (Singularity(CENTER, 1.0), Singularity((0.0, 0.5, 0.5), 1.0),
+                 Singularity((0.0, 0.0, 0.0), 1.0))
+        cfg = unit_config(nodes=12, lam=0.01, sites=sites)
+        opts = SolveOptions(max_iters=1, grad_tol=1e-14)
+        _, u_default = mountain_pass_solve(cfg, BubbleAt(), opts)
+        _, u_corner = mountain_pass_solve(cfg, BubbleAt(site=2), opts)
+        _, u_face = mountain_pass_solve(cfg, BubbleAt(site=1), opts)
+        assert np.array_equal(u_default, u_corner)
+        assert not np.array_equal(u_default, u_face)
 
     def test_custom_init_roundtrip(self):
         cfg = unit_config(nodes=9, lam=0.01)
