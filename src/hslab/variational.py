@@ -13,6 +13,15 @@ stencil: its Euler derivative at a face node is the reflected second-order
 formula, so the gradient returned here is the exact derivative of the
 energy actually evaluated.
 
+Every full-grid pass of these kernels is contiguous.  Differences along
+axis k are taken on the flat row-major layout, d[j] = u[j + step] - u[j]
+with ``step`` the stride of axis k, and the entries on the axis's last
+layer, which wrap into the next row, are zeroed through one strided view;
+the stencil then updates its flat output at offsets +step and 0.  One
+coefficient c_k = cell / h_k**2 per axis weighs the edges, with the
+transverse faces halved, and the small integer powers of the mass terms
+(4 and 3 for s = 1 in three dimensions) go by multiplication.
+
 The solver minimises the energy over the Nehari set (fields with
 d/dt energy(t u) = 0 at t = 1): each iteration rescales the iterate to its
 Nehari point, steps along an L-BFGS direction of the projected functional
@@ -254,27 +263,45 @@ def _distance_sq(grid: DomainGrid, location: Sequence[float]) -> np.ndarray:
     return r2
 
 
-def _cell_average(grid: DomainGrid, index: tuple[int, ...], location, s: float) -> float:
-    """Average of |x - location|**(-s) over the node's clipped dual cell.
+# Midpoints of the near-node cell averages evaluated in one array.  All 5**N
+# near nodes at once would take 5**N * 8**N points (about 0.8 GB at N = 5);
+# chunks of this many points (512 KB) stay in cache, and at N = 3 the 125
+# near nodes fit in one.
+_AVERAGE_CHUNK = 2**16
+
+
+def _cell_averages(grid: DomainGrid, ranges: Sequence[range], location, s: float) -> np.ndarray:
+    """Averages of |x - location|**(-s) over the clipped dual cells of the
+    nodes in the product of the index ``ranges``, shaped like that block.
 
     Uses an 8x-per-axis midpoint refinement; midpoints never coincide with
-    ``location`` even when it is exactly the node, and the kernel is locally
-    integrable for s < 2 <= N, so the average is finite.
+    ``location`` even when it is exactly a node, and the kernel is locally
+    integrable for s < 2 <= N, so the averages are finite.  The squared
+    offsets of the midpoints are formed per axis and broadcast over the
+    nodes, chunk by chunk, each node's 8**N samples averaged over the
+    trailing axes.
     """
     refine = 8
-    axes_pts = []
-    for k, j in enumerate(index):
+    sq = []  # per axis, (nodes, refine): squared offsets of the midpoints
+    for k, r in enumerate(ranges):
         lo, hi = grid.bounds[k]
         h = grid.spacing[k]
-        x = grid.axis_nodes(k)[j]
-        a, b = max(lo, x - 0.5 * h), min(hi, x + 0.5 * h)
-        axes_pts.append(a + (np.arange(refine) + 0.5) * (b - a) / refine)
-    r2 = np.zeros((refine,) * grid.N)
-    for k, pts in enumerate(axes_pts):
-        shape = [1] * grid.N
-        shape[k] = refine
-        r2 = r2 + ((pts - location[k]) ** 2).reshape(shape)
-    return float(np.mean(r2 ** (-0.5 * s)))
+        x = grid.axis_nodes(k)[r.start:r.stop, None]
+        a, b = np.maximum(lo, x - 0.5 * h), np.minimum(hi, x + 0.5 * h)
+        sq.append((a + (np.arange(refine) + 0.5) * (b - a) / refine - location[k]) ** 2)
+    block = tuple(len(r) for r in ranges)
+    nodes = np.indices(block).reshape(grid.N, -1)
+    out = np.empty(nodes.shape[1])
+    chunk = max(1, _AVERAGE_CHUNK // refine**grid.N)
+    for start in range(0, out.size, chunk):
+        sel = nodes[:, start:start + chunk]
+        r2 = 0.0
+        for k, offsets in enumerate(sq):
+            shape = [sel.shape[1]] + [1] * grid.N
+            shape[k + 1] = refine
+            r2 = r2 + offsets[sel[k]].reshape(shape)
+        out[start:start + chunk] = np.mean((r2 ** (-0.5 * s)).reshape(sel.shape[1], -1), axis=1)
+    return out.reshape(block)
 
 
 @lru_cache(maxsize=64)
@@ -291,9 +318,7 @@ def _weights_cached(grid: DomainGrid, sing: Singularity) -> np.ndarray:
         range(max(0, c - 2), min(n, c + 3))
         for c, n in zip(center, grid.nodes_per_axis)
     ]
-    idx = np.meshgrid(*[np.asarray(list(r)) for r in ranges], indexing="ij")
-    for flat in zip(*(a.ravel() for a in idx)):
-        w[tuple(int(i) for i in flat)] = _cell_average(grid, flat, loc, sing.s)
+    w[tuple(slice(r.start, r.stop) for r in ranges)] = _cell_averages(grid, ranges, loc, sing.s)
     w.flags.writeable = False
     return w
 
@@ -314,37 +339,36 @@ def singular_weight(grid: DomainGrid, sing: Singularity) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ends(ndim: int, k: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Index tuples dropping the first and the last node along axis k."""
-    upper = [slice(None)] * ndim
-    lower = [slice(None)] * ndim
-    upper[k] = slice(1, None)
-    lower[k] = slice(0, -1)
-    return tuple(upper), tuple(lower)
-
-
-def _weigh_edges(d: np.ndarray, cell: float, axis: int) -> None:
-    """Multiply the forward differences d along ``axis`` by their edge dual
-    volumes, in place: ``cell``, the product of the spacings accumulated in
-    axis order, halved on the two face layers of every other axis.  Halving
-    is exact, so this rounds like a multiply by the tensor of edge volumes."""
-    d *= cell
-    for k, n in enumerate(d.shape):
+def _weigh_edges(d: np.ndarray, axis: int) -> None:
+    """Halve, in place, the entries of d on the two face layers of every axis
+    but ``axis``: the transverse trapezoid weights of the edges along
+    ``axis``.  Halving is exact, so this rounds like a multiply by the
+    tensor of those weights."""
+    for k in range(d.ndim):
         if k != axis:
-            faces = d[(slice(None),) * k + (slice(None, None, n - 1),)]
-            faces *= 0.5
+            # one face at a time: a view of both would run in rows of two
+            # along the last axis
+            for end in (0, -1):
+                face = d[(slice(None),) * k + (end,)]
+                face *= 0.5
 
 
-def _difference(u: np.ndarray, k: int, h: float, buf: np.ndarray) -> np.ndarray:
-    """Forward differences of u along axis k over h, written into a view of
-    the flat buffer ``buf`` (at least u.size long)."""
-    upper, lower = _ends(u.ndim, k)
-    shape = list(u.shape)
-    shape[k] -= 1
-    d = buf[: math.prod(shape)].reshape(shape)
-    np.subtract(u[upper], u[lower], out=d)
-    d /= h
-    return d
+def _difference(u: np.ndarray, k: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
+    """Forward differences of u along axis k on the flat row-major layout,
+    written into the flat buffer ``buf`` (at least u.size long).
+
+    With ``step`` the stride of axis k in elements, d[j] = u[j + step] - u[j]
+    is one contiguous subtract.  The entries on axis k's last layer wrap
+    into the next row; they are zeroed through one strided view, so the
+    returned d (shaped like u, a view of ``buf``) is the difference padded
+    with a zero layer, and ``step`` is returned with it."""
+    flat = u.reshape(-1)
+    step = math.prod(u.shape[k + 1:])
+    d = buf[: u.size]
+    np.subtract(flat[step:], flat[:-step], out=d[:-step])
+    d = d.reshape(u.shape)
+    d[(slice(None),) * k + (-1,)] = 0.0
+    return d, step
 
 
 class _ExponentWeights(NamedTuple):
@@ -369,9 +393,24 @@ def _exponent_weights(cfg: ProblemConfig) -> _ExponentWeights:
 
 
 def _weighted_power(u: np.ndarray, p: float, w: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """W * u_+**p written into ``term``, a scratch array shaped like u."""
-    np.maximum(u, 0.0, out=term)
-    np.power(term, p, out=term)
+    """W * u_+**p written into ``term``, a scratch array shaped like u.
+
+    The small integer exponents go by multiplication, which costs a few
+    passes where numpy's generic float pow costs several times more (the
+    s = 1 sites of a 3-D box need q = 4 and q - 1 = 3): p = 2 and 4 are one
+    and two squarings of u_+, and p = 3 is (u * u) * u clamped at 0, an odd
+    power keeping the sign of u.  Every other p takes ``np.power``."""
+    if p == 3.0:
+        np.multiply(u, u, out=term)
+        term *= u
+        np.maximum(term, 0.0, out=term)
+    else:
+        np.maximum(u, 0.0, out=term)
+        if p in (2.0, 4.0):
+            for _ in range(int(p) // 2):
+                term *= term
+        else:
+            np.power(term, p, out=term)
     term *= w
     return term
 
@@ -389,17 +428,24 @@ def _field_masses(u: np.ndarray, cfg: ProblemConfig) -> tuple[list[float], tuple
     return _masses(u, weights, np.empty(u.shape)), weights.qs
 
 
+def _edge_coefficients(grid: DomainGrid) -> list[float]:
+    """c_k = cell / h_k**2 per axis, cell the product of the spacings in axis
+    order: the edge volume over h_k**2 of an edge along axis k away from the
+    faces, so that one multiply replaces the divisions by h_k."""
+    cell = math.prod(grid.spacing)
+    return [cell / h**2 for h in grid.spacing]
+
+
 def _quadratic_part(u: np.ndarray, cfg: ProblemConfig) -> float:
     """sum(|grad u|**2) + lambda * sum(u**2), both volume-weighted."""
     grid = cfg.grid
     buf = np.empty(u.size)
-    cell = math.prod(grid.spacing)
     total = 0.0
-    for k, h in enumerate(grid.spacing):
-        d = _difference(u, k, h, buf)
+    for k, c in enumerate(_edge_coefficients(grid)):
+        d, _ = _difference(u, k, buf)
         d *= d
-        _weigh_edges(d, cell, k)
-        total += float(np.sum(d))
+        _weigh_edges(d, k)
+        total += c * float(np.sum(d))
     sq = np.multiply(u, u, out=buf.reshape(u.shape))
     sq *= _node_volumes(grid)
     total += cfg.lam * float(np.sum(sq))
@@ -408,19 +454,24 @@ def _quadratic_part(u: np.ndarray, cfg: ProblemConfig) -> float:
 
 def _stencil(u: np.ndarray, cfg: ProblemConfig, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """L u, the reflected Neumann stencil -Lap u + lambda u times the node
-    volumes, written into ``out`` (``buf``: flat scratch of u.size).  L is
-    the matrix of the quadratic part: that part of u is <u, L u>."""
+    volumes, written into ``out`` (C-contiguous; ``buf``: flat scratch of
+    u.size).  L is the matrix of the quadratic part: that part of u is
+    <u, L u>.
+
+    Per axis the flux is the flat-offset difference times c_k = cell / h_k**2
+    with the transverse faces halved; its wrapped entries are zero, so it
+    enters ``out`` through two contiguous updates at offsets +step and 0."""
     grid = cfg.grid
     np.multiply(u, cfg.lam, out=out)
     out *= _node_volumes(grid)
-    cell = math.prod(grid.spacing)
-    for k, h in enumerate(grid.spacing):
-        flux = _difference(u, k, h, buf)
-        _weigh_edges(flux, cell, k)
-        flux /= h
-        upper, lower = _ends(grid.N, k)
-        out[upper] += flux
-        out[lower] -= flux
+    flat = out.reshape(-1)
+    for k, c in enumerate(_edge_coefficients(grid)):
+        flux, step = _difference(u, k, buf)
+        flux *= c
+        _weigh_edges(flux, k)
+        flux = flux.reshape(-1)[:-step]
+        flat[step:] += flux
+        flat[:-step] -= flux
     return out
 
 
@@ -430,8 +481,9 @@ def _derivative(u: np.ndarray, cfg: ProblemConfig, weights: _ExponentWeights,
     L u - sum_q W_q u_+**(q - 1) into ``g``; ``term`` is a scratch array
     shaped like u."""
     _stencil(u, cfg, lu, term.reshape(-1))
-    np.copyto(g, lu)
-    for q, w in zip(*weights):
+    qs, arrays = weights
+    np.subtract(lu, _weighted_power(u, qs[0] - 1.0, arrays[0], term), out=g)
+    for q, w in zip(qs[1:], arrays[1:]):
         g -= _weighted_power(u, q - 1.0, w, term)
 
 

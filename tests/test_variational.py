@@ -1,5 +1,6 @@
 """Discrete energy, gradient, Nehari projection, and the ground-state solver."""
 
+import itertools
 import math
 import sys
 from functools import lru_cache
@@ -22,6 +23,7 @@ from hslab.variational import (
     _lbfgs_direction,
     _quadratic_part,
     _stencil,
+    _weighted_power,
     BubbleAt,
     Constant,
     Custom,
@@ -179,6 +181,63 @@ class TestSingularWeight:
         )
         assert total == pytest.approx(cont, rel=0.01)
 
+    @pytest.mark.parametrize("bounds,nodes,location,s", [
+        (((0.0, 2.0), (-1.0, 1.0)), (24, 13), (0.7, 0.1), 1.0),  # off-node
+        (((0.0, 2.0), (-1.0, 1.0)), (24, 13), (0.0, 0.3), 0.7),  # face
+        (((0.0, 2.0), (-1.0, 1.0)), (24, 13), (2.0, -1.0), 1.5),  # corner
+        (UNIT3, (16, 16, 16), CENTER, 1.0),
+        (UNIT3, (16, 17, 18), (0.0, 0.5, 0.5), 1.0),  # face
+        (UNIT3, (16, 17, 18), (0.0, 1.0, 0.37), 1.2),  # edge
+        (UNIT3, (16, 17, 18), (1.0, 0.0, 0.0), 0.5),  # corner
+        (((0.0, 1.0),) * 4, (9, 10, 11, 12), (0.3, 0.5, 0.5, 0.5), 1.0),
+        (((0.0, 1.0),) * 4, (9, 10, 11, 12), (0.0, 1.0, 0.5, 0.21), 1.3),  # edge
+        (((0.0, 1.0),) * 4, (9, 10, 11, 12), (0.0, 0.0, 1.0, 1.0), 1.0),  # corner
+    ], ids=["2d-off-node", "2d-face", "2d-corner", "3d-centre", "3d-face", "3d-edge",
+            "3d-corner", "4d-interior", "4d-edge", "4d-corner"])
+    def test_near_nodes_match_per_node_loop(self, bounds, nodes, location, s):
+        """The broadcast cell averages equal, bit for bit, the midpoint rule
+        evaluated node by node."""
+        grid = DomainGrid(bounds, nodes)
+        sing = Singularity(location, s)
+        assert np.array_equal(singular_weight(grid, sing), _loop_singular_weight(grid, sing))
+
+
+def _loop_cell_average(grid, index, location, s):
+    """The 8x-per-axis midpoint average of |x - location|**(-s) over one
+    node's clipped dual cell."""
+    refine = 8
+    axes_pts = []
+    for k, j in enumerate(index):
+        lo, hi = grid.bounds[k]
+        h = grid.spacing[k]
+        x = grid.axis_nodes(k)[j]
+        a, b = max(lo, x - 0.5 * h), min(hi, x + 0.5 * h)
+        axes_pts.append(a + (np.arange(refine) + 0.5) * (b - a) / refine)
+    r2 = np.zeros((refine,) * grid.N)
+    for k, pts in enumerate(axes_pts):
+        shape = [1] * grid.N
+        shape[k] = refine
+        r2 = r2 + ((pts - location[k]) ** 2).reshape(shape)
+    return float(np.mean(r2 ** (-0.5 * s)))
+
+
+def _loop_singular_weight(grid, sing):
+    """Point values, with the cell average on the nodes within two cells of
+    the nearest node to the site, one node at a time."""
+    loc = sing.location
+    r2 = sum(
+        ((grid.axis_nodes(k) - loc[k]) ** 2).reshape([-1 if j == k else 1 for j in range(grid.N)])
+        for k in range(grid.N)
+    )
+    with np.errstate(divide="ignore"):
+        w = r2 ** (-0.5 * sing.s)
+    center = [min(max(round((loc[k] - grid.bounds[k][0]) / grid.spacing[k]), 0), n - 1)
+              for k, n in enumerate(grid.nodes_per_axis)]
+    ranges = [range(max(0, c - 2), min(n, c + 3)) for c, n in zip(center, grid.nodes_per_axis)]
+    for index in itertools.product(*ranges):
+        w[index] = _loop_cell_average(grid, index, loc, sing.s)
+    return w
+
 
 class TestEnergyAndGradient:
     def test_zero_field_has_zero_energy(self):
@@ -247,6 +306,7 @@ def _edge_volumes(grid, axis):
 
 
 def _reference_quadratic_part(u, cfg):
+    """The quadratic part from the difference quotients along each axis."""
     grid = cfg.grid
     total = 0.0
     for k in range(grid.N):
@@ -265,17 +325,33 @@ def _reference_exponent_weights(cfg):
     return {q: w * node_volumes(cfg.grid) for q, w in summed.items()}
 
 
-def _reference_positive_masses(u, cfg):
+def _chain_power(up, p):
+    """up**p for up >= 0, with p = 2, 3 and 4 by multiplication."""
+    if p == 2.0:
+        return up * up
+    if p == 3.0:
+        return up * up * up
+    if p == 4.0:
+        sq = up * up
+        return sq * sq
+    return up**p
+
+
+def _reference_positive_masses(u, cfg, power=_chain_power):
     up = np.maximum(u, 0.0)
-    return [float(np.sum(up**q * w)) for q, w in _reference_exponent_weights(cfg).items()]
+    return [float(np.sum(power(up, q) * w)) for q, w in _reference_exponent_weights(cfg).items()]
 
 
-def _reference_stencil(u, grid, lam):
-    """The reflected Neumann stencil -Lap u + lam u times the node volumes."""
+def _reference_stencil(u, grid, lam, divided=False):
+    """The reflected Neumann stencil -Lap u + lam u times the node volumes:
+    each flux is the difference times its edge volume over h**2, or, with
+    ``divided``, the difference quotient times the edge volume over h."""
     g = lam * u * node_volumes(grid)
-    for k in range(grid.N):
-        d = np.diff(u, axis=k) / grid.spacing[k]
-        flux = d * _edge_volumes(grid, k) / grid.spacing[k]
+    for k, h in enumerate(grid.spacing):
+        if divided:
+            flux = np.diff(u, axis=k) / h * _edge_volumes(grid, k) / h
+        else:
+            flux = np.diff(u, axis=k) * (_edge_volumes(grid, k) / h**2)
         left = [slice(None)] * grid.N
         right = [slice(None)] * grid.N
         left[k] = slice(0, -1)
@@ -285,38 +361,104 @@ def _reference_stencil(u, grid, lam):
     return g
 
 
-def _reference_gradient(u, cfg):
+def _reference_gradient(u, cfg, divided=False, power=_chain_power):
     grid = cfg.grid
-    g = _reference_stencil(u, grid, cfg.lam)
+    g = _reference_stencil(u, grid, cfg.lam, divided)
     up = np.maximum(u, 0.0)
     for q, w in _reference_exponent_weights(cfg).items():
-        g -= up ** (q - 1.0) * w
+        g -= power(up, q - 1.0) * w
     return g
 
 
-class TestKernelsMatchPlainForms:
-    """The in-place kernels round exactly like the plain array expressions,
-    with the mass terms summed per distinct exponent (two of the three sites
-    share s = 0.5)."""
+KERNEL_CASES = {
+    # two of the three sites share s = 0.5: q = 5, 3.6 and q - 1 = 4, 2.6
+    "aniso16": (DomainGrid(((0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)), (16, 17, 18)),
+                (((0.3, 0.5, 0.0), 0.5), ((0.0, 1.0, -0.2), 1.2), ((0.7, 1.5, 0.5), 0.5))),
+    "aniso21": (DomainGrid(((0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)), (21, 22, 23)),
+                (((0.3, 0.5, 0.0), 0.5), ((0.0, 1.0, -0.2), 1.2), ((0.7, 1.5, 0.5), 0.5))),
+    # the shipped s = 1 pair: q = 4, q - 1 = 3
+    "unit16": (DomainGrid(UNIT3, (16,) * 3), ((INTERIOR_PAIR[0], 1.0), (INTERIOR_PAIR[1], 1.0))),
+    # N = 4: q = 3, 3.5 and q - 1 = 2, 2.5
+    "four": (DomainGrid(((0.0, 1.0), (0.0, 1.5), (0.0, 1.0), (-0.5, 0.5)), (9, 10, 11, 12)),
+             (((0.3, 0.5, 0.5, 0.0), 1.0), ((1.0, 1.5, 0.2, 0.1), 0.5))),
+}
 
-    @pytest.mark.parametrize("nodes", [16, 21])
-    def test_bit_identical_on_random_fields(self, nodes):
-        grid = DomainGrid(((0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)), (nodes, nodes + 1, nodes + 2))
-        sites = (
-            Singularity((0.3, 0.5, 0.0), 0.5),
-            Singularity((0.0, 1.0, -0.2), 1.2),
-            Singularity((0.7, 1.5, 0.5), 0.5),
-        )
-        cfg = ProblemConfig(grid, 3.0, sites)
+
+class TestKernelsMatchPlainForms:
+    """The flat-offset kernels against plain array expressions, with the
+    mass terms summed per distinct exponent.  The stencil, the gradient and
+    the masses round exactly like their plain forms in the same arithmetic
+    (flux = difference * (edge volume / h**2), p = 2, 3, 4 by
+    multiplication); the quadratic part sums in another order, and the
+    difference-quotient, ``np.power`` forms round differently, so those
+    agree to 1e-15 relative (measured: at most 2.2e-16 and 3.3e-16)."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_on_random_fields(self, case):
+        grid, sites = KERNEL_CASES[case]
+        cfg = ProblemConfig(grid, 3.0, tuple(Singularity(x, s) for x, s in sites))
         weights, reference = _exponent_weights(cfg), _reference_exponent_weights(cfg)
         assert weights.qs == tuple(reference)
         assert all(np.array_equal(w, r) for w, r in zip(weights.arrays, reference.values()))
-        rng = np.random.default_rng(nodes)
+        rng = np.random.default_rng(grid.shape[0])
         for _ in range(3):
             u = 0.3 + rng.standard_normal(grid.shape)
-            assert _quadratic_part(u, cfg) == _reference_quadratic_part(u, cfg)
+            assert _quadratic_part(u, cfg) == pytest.approx(_reference_quadratic_part(u, cfg), rel=1e-15)
             assert _field_masses(u, cfg)[0] == _reference_positive_masses(u, cfg)
-            assert np.array_equal(gradient(u, cfg), _reference_gradient(u, cfg))
+            assert _field_masses(u, cfg)[0] == pytest.approx(
+                _reference_positive_masses(u, cfg, power=np.power), rel=1e-15)
+            g = gradient(u, cfg)
+            assert np.array_equal(g, _reference_gradient(u, cfg))
+            old = _reference_gradient(u, cfg, divided=True, power=np.power)
+            assert np.max(np.abs(g - old)) <= 1e-15 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("grid", [
+        DomainGrid(((0.0, 2.0), (-1.0, 1.0)), (24, 13)),
+        DomainGrid(((0.0, 0.5), (0.0, 3.0)), (9, 31)),
+    ])
+    def test_plane_stencil_and_quadratic_part(self, grid):
+        """Anisotropic 2-D grids: the flat offsets differ per axis."""
+        cfg = ProblemConfig(grid, 0.7, (Singularity((0.1, 0.2), 1.0),))
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            u = rng.standard_normal(grid.shape)
+            out = _stencil(u, cfg, np.empty(grid.shape), np.empty(u.size))
+            assert np.array_equal(out, _reference_stencil(u, grid, cfg.lam))
+            assert _quadratic_part(u, cfg) == pytest.approx(_reference_quadratic_part(u, cfg), rel=1e-15)
+
+    def test_stencil_of_a_strided_field(self):
+        """A non-contiguous field gives the stencil of its values."""
+        grid = KERNEL_CASES["aniso16"][0]
+        cfg = ProblemConfig(grid, 3.0, (Singularity((0.3, 0.5, 0.0), 1.0),))
+        u = np.random.default_rng(5).standard_normal(grid.shape[::-1]).T
+        out = _stencil(u, cfg, np.empty(grid.shape), np.empty(u.size))
+        assert np.array_equal(out, _reference_stencil(u, grid, cfg.lam))
+
+
+class TestWeightedPower:
+    """The small integer powers go by multiplication; the others by np.power."""
+
+    def field(self):
+        rng = np.random.default_rng(11)
+        return rng.uniform(1e-3, 10.0, 4000), rng.uniform(0.5, 2.0, 4000)
+
+    @pytest.mark.parametrize("p", [4.0, 3.0])
+    def test_chain_within_four_ulp(self, p):
+        u, w = self.field()
+        got = _weighted_power(u, p, w, np.empty_like(u))
+        ref = np.power(u, p) * w
+        assert np.max(np.abs(got - ref) / np.spacing(ref)) <= 4.0
+
+    @pytest.mark.parametrize("p", [5.0, 3.6])
+    def test_other_exponents_are_np_power(self, p):
+        u, w = self.field()
+        assert np.array_equal(_weighted_power(u, p, w, np.empty_like(u)), np.power(u, p) * w)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 3.6])
+    def test_negative_part_gives_zero(self, p):
+        u = np.array([-3.0, -1e-300, -0.0, 0.0, 2.0, -np.inf])
+        got = _weighted_power(u, p, np.ones(6), np.empty(6))
+        assert np.array_equal(got, [0.0, 0.0, 0.0, 0.0, 2.0**p, 0.0])
 
 
 RIESZ_GRIDS = {
