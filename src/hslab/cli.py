@@ -18,6 +18,7 @@ every computation succeeded; partial failures are itemised on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -499,7 +500,9 @@ def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hslab",
         description="Hardy-Sobolev variational toolkit experiment runner",

@@ -105,6 +105,10 @@ def _build_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # shared by every fixed-panel integral in the package.
 KRONROD15_NODES, KRONROD15_WEIGHTS, _WG = _build_rule()
 
+# Floor of a panel's error estimate relative to its value (QUADPACK's
+# 50 * epmach).
+_ERROR_FLOOR = 50.0 * np.finfo(float).eps
+
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: returns (value, error estimate)."""
@@ -124,7 +128,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
     else:
         err = diff
-    return ik, max(err, 50.0 * np.finfo(float).eps * abs(ik))
+    return ik, max(err, _ERROR_FLOOR * abs(ik))
 
 
 @dataclass(frozen=True)

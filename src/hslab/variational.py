@@ -27,13 +27,22 @@ d/dt energy(t u) = 0 at t = 1): each iteration rescales the iterate to its
 Nehari point, steps along an L-BFGS direction of the projected functional
 J(x) = energy(t(x) x), and backtracks from a unit step until the composed
 move decreases the Nehari-point energy.  The direction's initial inverse
-Hessian is the Riesz map of the (grad, grad) + lambda (., .) inner product,
-applied exactly by fast diagonalization with the generalized eigenpairs of
-each axis's 1-D stiffness and trapezoid mass; ``MEMORY`` curvature pairs
-correct it.  Along the search ray v - t d the quadratic part is the polynomial
-a0 - 2 t a1 + t**2 a2, whose coefficients come from the stencil L v that
-the gradient kernel forms anyway and from one pass over d per iteration.
-A trial therefore costs one pass for its masses B_q, grouped by distinct
+Hessian is the Riesz map L^-1 of the (grad, grad) + lambda (., .) inner
+product, and ``MEMORY`` curvature pairs correct it.  The generalized
+eigenpairs of each axis's 1-D stiffness and trapezoid mass diagonalize L
+(fast diagonalization): V^T L V = diag(lambda + sum_k mu_k), V the tensor of
+the per-axis eigenvectors.  So the quasi-Newton algebra runs in these modal
+coordinates, where L^-1 divides by that symbol: each iteration maps the
+derivative field g to modes once (g^ = V^T g, one GEMM per axis), runs the
+two-loop recursion on modal arrays, and maps the direction back once
+(d = V d^).  Every L-BFGS quantity pairs a node field x (modes
+x^ = V^-1 x) with a derivative field g, and <x, g> = x^ . g^, so the
+iterates are those of the recursion on node fields in exact arithmetic.
+Along the search ray v - t d the quadratic part is the polynomial
+a0 - 2 t a1 + t**2 a2: a0 = <v, L v> and a1 = <d, L v> come from the
+stencil L v that the gradient kernel forms anyway, and
+a2 = sum((lambda + sum_k mu_k) * d^**2) from the modal direction.  A trial
+therefore costs one pass for its masses B_q, grouped by distinct
 exponent with one summed weight array W_q per exponent (one power, one
 multiply and one sum each); its Nehari scale and energy then follow in
 closed form as the peak over tau of A tau**2/2 - sum_q B_q tau**q / q, A
@@ -490,7 +499,10 @@ def _derivative(u: np.ndarray, cfg: ProblemConfig, weights: _ExponentWeights,
 def _dot(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
     """sum(a * b) with the product in ``buf`` (which may be b): numpy's
     pairwise sum, which, unlike a BLAS dot, rounds the same for any thread
-    count."""
+    count.  The ray coefficients a0 = <v, L v> and a1 = <d, L v> stay on it:
+    the trial energies built from them are tested against the allowance
+    ``ROUNDING``, calibrated on pairwise sums.  The dots of the modal
+    direction take ``_modal_dot``."""
     np.multiply(a, b, out=buf)
     return float(np.sum(buf))
 
@@ -530,15 +542,14 @@ def nehari_scale(u, cfg: ProblemConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast diagonalization Riesz map (descent metric)
+# modal coordinates of the Riesz map (descent metric)
 # ---------------------------------------------------------------------------
 
 
 class _AxisEigenpairs(NamedTuple):
     """Generalized eigenpairs K V = M V diag(mu), V^T M V = I, of one axis."""
 
-    forward: np.ndarray  # V^T M: node values to modal coefficients
-    backward: np.ndarray  # V: modal coefficients to node values
+    vectors: np.ndarray  # V: modal coefficients to node values
     mu: np.ndarray
 
 
@@ -550,8 +561,7 @@ def _axis_eigenpairs(n: int, h: float) -> _AxisEigenpairs:
     stiff[0, 0] = stiff[-1, -1] = 1.0 / h
     root = np.sqrt(_axis_weights(n, h))
     mu, w = np.linalg.eigh(stiff / np.outer(root, root))
-    pairs = _AxisEigenpairs(forward=np.ascontiguousarray(w.T * root),
-                            backward=w / root[:, None], mu=mu)
+    pairs = _AxisEigenpairs(vectors=w / root[:, None], mu=mu)
     for a in pairs:
         a.flags.writeable = False
     return pairs
@@ -564,7 +574,9 @@ def _grid_eigenpairs(grid: DomainGrid) -> list[_AxisEigenpairs]:
 @lru_cache(maxsize=1)
 def _riesz_symbol(grid: DomainGrid, lam: float) -> np.ndarray:
     """lam + sum_k mu_k over the tensor grid of modes (one full-grid array,
-    so only the latest (grid, lam) is kept: a solve uses one)."""
+    so only the latest (grid, lam) is kept: a solve uses one).  The Riesz
+    map divides modal coefficients by it, a pass as fast as a multiply by
+    a reciprocal, and the modal quadratic part weighs by it."""
     sym = np.full(grid.shape, lam)
     for k, pairs in enumerate(_grid_eigenpairs(grid)):
         shape = [1] * grid.N
@@ -574,47 +586,72 @@ def _riesz_symbol(grid: DomainGrid, lam: float) -> np.ndarray:
     return sym
 
 
-def _contract_axes(a: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply mats[k] along axis k for every k: one GEMM per axis, each
-    contracting the leading axis and rotating it to the back."""
+def _contract_axes(a: np.ndarray, mats: Sequence[np.ndarray], out: np.ndarray,
+                   scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Apply the square mats[k] along axis k for every k, into ``out``
+    (C-contiguous, shaped like a): one GEMM per axis, each contracting the
+    leading axis and rotating it to the back, so the axes end in their
+    order.  The products before the last alternate between the two
+    C-contiguous ``scratch`` arrays of a.size, so no GEMM allocates."""
     z = a
-    for mat in mats:
-        rest = z.shape[1:]
-        z = (z.reshape(z.shape[0], -1).T @ mat.T).reshape(rest + (mat.shape[0],))
-    return z
+    for k, mat in enumerate(mats):
+        dest = out if k == len(mats) - 1 else scratch[k % 2]
+        prod = dest.reshape(-1, mat.shape[0])
+        np.matmul(z.reshape(z.shape[0], -1).T, mat.T, out=prod)
+        z = prod.reshape(z.shape[1:] + mat.shape[:1])
+    return out
 
 
-def _h1_riesz(residual: np.ndarray, grid: DomainGrid, lam: float) -> np.ndarray:
-    """Solve (-Lap + lam) z = residual exactly for the reflected stencil.
+def _to_modes(g: np.ndarray, grid: DomainGrid, out: np.ndarray,
+              scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """V^T g along every axis: the modal coefficients of a derivative field
+    g, paired with those of a node field x = V x^ by <x, g> = x^ . g^."""
+    return _contract_axes(g, [p.vectors.T for p in _grid_eigenpairs(grid)], out, scratch)
 
-    Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 1964): the
-    reflected stencil is lam + sum_k M_k^-1 K_k, one term per axis, and
-    V_k^T M_k takes axis k's term to diag(mu_k).  So z applies V_k^T M_k
-    along every axis, divides by lam + sum_k mu_k, and applies V_k along
-    every axis.
-    """
-    pairs = _grid_eigenpairs(grid)
-    z = _contract_axes(residual, [p.forward for p in pairs])
-    z /= _riesz_symbol(grid, lam)
-    return _contract_axes(z, [p.backward for p in pairs])
+
+def _from_modes(x: np.ndarray, grid: DomainGrid, out: np.ndarray,
+                scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """V x along every axis: the node field of the modal coefficients x."""
+    return _contract_axes(x, [p.vectors for p in _grid_eigenpairs(grid)], out, scratch)
+
+
+def _modal_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) of two C-contiguous arrays in one einsum pass: no product
+    array and no BLAS, so it rounds the same for any thread count."""
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
+
+
+def _modal_quadratic_part(x: np.ndarray, sym: np.ndarray) -> float:
+    """Q(V x) = sum(sym * x**2), the quadratic part of the node field whose
+    modal coefficients are x (C-contiguous).
+
+    One einsum pass sums each row along the leading axis, and numpy's
+    pairwise sum adds the row sums, in the time of one einsum over the
+    whole grid.  That single running sum of these positive terms rounds up
+    to 2e-15 relative at 16**3, as much as Q(V x) and Q of the rounded node
+    field V x differ by."""
+    rows = (x.shape[0], -1)
+    x = x.reshape(rows)
+    return float(np.einsum("ij,ij,ij->i", x, x, sym.reshape(rows)).sum())
 
 
 def _lbfgs_direction(g: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray, float]],
-                     grid: DomainGrid, lam: float, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
+                     sym: np.ndarray, q: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """H g by the L-BFGS two-loop recursion (Nocedal, Math. Comp. 1980) over
-    the curvature pairs (s, y, 1 / <s, y>), oldest first, from the initial
-    inverse Hessian H0 = _h1_riesz(. / node_volumes).  ``q`` and ``buf`` are
-    scratch arrays shaped like g; with no pairs the result is H0 g."""
+    the curvature pairs (s, y, 1 / <s, y>), oldest first, in modal
+    coordinates: g, every s and y and the result are modal arrays, and the
+    initial inverse Hessian H0, the Riesz map L^-1, divides by the symbol
+    ``sym``.  ``q`` and ``buf`` are scratch arrays shaped like g; with no
+    pairs the result is g / sym."""
     np.copyto(q, g)
     alphas = []
     for s, y, rho in reversed(pairs):
-        alpha = rho * _dot(s, q, buf)
+        alpha = rho * _modal_dot(s, q)
         q -= np.multiply(y, alpha, out=buf)
         alphas.append(alpha)
-    q /= _node_volumes(grid)
-    r = _h1_riesz(q, grid, lam)
+    r = np.divide(q, sym)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        beta = rho * _dot(y, r, buf)
+        beta = rho * _modal_dot(y, r)
         r += np.multiply(s, alpha - beta, out=buf)
     return r
 
@@ -755,19 +792,22 @@ def mountain_pass_solve(
     decreases (Armijo test against the directional slope, which on the
     Nehari set equals the full one).  d is the L-BFGS direction H g of the
     projected functional J(x) = E(t(x) x), whose gradient is
-    t(x) E'(t(x) x): H0 is the Riesz map ``_h1_riesz(. / node_volumes)``,
-    and each accepted trial c = v - t d, rescaled by tau, gives the pair
-    s = c - v, y = tau E'(tau c) - E'(v), kept when <s, y> > 0 so that H
-    stays positive definite.
+    t(x) E'(t(x) x): H0 is the Riesz map L^-1, and each accepted trial
+    c = v - t d, rescaled by tau, gives the pair s = c - v,
+    y = tau E'(tau c) - E'(v), kept when <s, y> > 0 so that H stays
+    positive definite.  The recursion runs on the modal coefficients of g,
+    s and y (fast diagonalization, Lynch, Rice & Thomas, Numer. Math.
+    1964), where H0 divides by the symbol lambda + sum_k mu_k; g goes to
+    modes and d back to node values once per iteration.
 
     Along the search ray the quadratic part is the polynomial
     Q(v - t d) = a0 - 2 t a1 + t**2 a2, with a0 = <v, L v> and a1 = <d, L v>
     from the stencil L v that the gradient kernel (shared with ``gradient``)
-    already forms, and a2 = Q(d) from one pass per iteration.  A trial
-    therefore costs one mass pass over its candidate, one power per
-    distinct exponent; its rescaled energy is the closed-form ray peak of
-    that polynomial and the masses, so only an accepted trial is rescaled
-    as a field.  The test accepts an energy up to ``ROUNDING * |energy|``
+    already forms, and a2 = Q(d) = sum(sym * d^**2) from the modal
+    direction, sym = lambda + sum_k mu_k.  A trial therefore costs one mass
+    pass over its candidate, one power per distinct exponent; its rescaled
+    energy is the closed-form ray peak of that polynomial and the masses,
+    so only an accepted trial is rescaled as a field.  The test accepts an energy up to ``ROUNDING * |energy|``
     above the Armijo bound, the rounding of that closed form, since steps
     near convergence ask for decreases below it.  The reported energy is
     that closed form (or, with no accepted step, the re-assembled energy of
@@ -793,11 +833,15 @@ def mountain_pass_solve(
     if np.isfinite(v).all():  # a non-finite start is reported as a bad slope
         v = nehari_scale(v, cfg) * v  # raises on a hopeless or overflowing start
     e_v = energy(v, cfg)
-    # candidate and term double as scratch outside the line search
+    # candidate and term double as scratch outside the line search, and g,
+    # once in modes, leaves its buffer to the direction
     lv, g, candidate, term = (np.empty(grid.shape) for _ in range(4))
+    scratch = (candidate, term)
+    sym = _riesz_symbol(grid, cfg.lam)
 
+    # the curvature pairs in modal coordinates: (s^, y^, 1 / <s, y>)
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
-    pending = None  # (s, g(v), tau) of the accepted step, awaiting g(tau c)
+    pending = None  # (s^, g^(v), tau) of the accepted step, awaiting g^(tau c)
     iterations = 0
 
     while True:
@@ -807,21 +851,23 @@ def mountain_pass_solve(
         converged = residual_sup < opts.grad_tol
         if converged or iterations == opts.max_iters:
             break
+        g_hat = _to_modes(g, grid, np.empty(grid.shape), scratch)
         if pending is not None:
             # y = grad J(c) - grad J(v) for J(x) = E(t(x) x), where
             # grad J(x) = t(x) E'(t(x) x) and t(c) = tau, t(v) = 1
-            s_vec, y_vec, tau = pending
-            np.subtract(np.multiply(g, tau, out=term), y_vec, out=y_vec)
-            sy = _dot(s_vec, y_vec, term)
+            s_hat, y_hat, tau = pending
+            np.subtract(np.multiply(g_hat, tau, out=term), y_hat, out=y_hat)
+            sy = _modal_dot(s_hat, y_hat)
             if sy > 0.0:  # keeps H positive definite
-                pairs.append((s_vec, y_vec, 1.0 / sy))
-        direction = _lbfgs_direction(g, pairs, grid, cfg.lam, candidate, term)
-        slope = _dot(direction, g, term)
+                pairs.append((s_hat, y_hat, 1.0 / sy))
+        d_hat = _lbfgs_direction(g_hat, pairs, sym, candidate, term)
+        slope = _modal_dot(d_hat, g_hat)
         if not math.isfinite(slope) or slope <= 0.0:
             break  # gradient representation broke down; report honestly
+        direction = _from_modes(d_hat, grid, g, scratch)
         # the ray polynomial Q(v - t d) = a0 - 2 t a1 + t**2 a2
         a0, a1 = _dot(v, lv, term), _dot(direction, lv, term)
-        a2 = _quadratic_part(direction, cfg)
+        a2 = _modal_quadratic_part(d_hat, sym)
 
         accepted = False
         allowance = ROUNDING * abs(e_v)
@@ -841,9 +887,10 @@ def mountain_pass_solve(
             t *= 0.5
         if not accepted:
             break
-        direction *= -t  # s = c - v, taken before the Nehari rescale
-        pending = (direction, g.copy(), tau)
-        v, e_v = tau * candidate, e_new
+        d_hat *= -t  # s = c - v, taken before the Nehari rescale
+        pending = (d_hat, g_hat, tau)
+        np.multiply(candidate, tau, out=v)
+        e_v = e_new
         iterations += 1
 
     report = SolveReport(

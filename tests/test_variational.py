@@ -18,11 +18,14 @@ from hslab.variational import (
     _dot,
     _exponent_weights,
     _field_masses,
+    _from_modes,
     _grid_eigenpairs,
-    _h1_riesz,
     _lbfgs_direction,
+    _modal_quadratic_part,
     _quadratic_part,
+    _riesz_symbol,
     _stencil,
+    _to_modes,
     _weighted_power,
     BubbleAt,
     Constant,
@@ -470,8 +473,28 @@ RIESZ_GRIDS = {
 }
 
 
+def _scratch(grid):
+    return np.empty(grid.shape), np.empty(grid.shape)
+
+
+def _modes(g, grid):
+    """The modal coefficients V^T g of a derivative field g."""
+    return _to_modes(g, grid, np.empty(grid.shape), _scratch(grid))
+
+
+def _nodes(x, grid):
+    """The node field V x of the modal coefficients x."""
+    return _from_modes(x, grid, np.empty(grid.shape), _scratch(grid))
+
+
+def _riesz(g, grid, lam):
+    """L^-1 g by the modal kernels: V (V^T g / (lam + sum_k mu_k))."""
+    return _nodes(_modes(g, grid) / _riesz_symbol(grid, lam), grid)
+
+
 class TestRieszMap:
-    """The fast-diagonalization map inverts the reflected Neumann stencil."""
+    """The modal Riesz map V (V^T . / sym) inverts the reflected Neumann
+    stencil."""
 
     # the check's own rounding grows like the condition number ~ 1/lam: at
     # lam = 0.005 it passes 1e-12 even for the cosine-transform inverse
@@ -479,18 +502,20 @@ class TestRieszMap:
     @pytest.mark.parametrize("name", sorted(RIESZ_GRIDS))
     def test_solves_the_reflected_stencil_system(self, name, lam):
         grid = RIESZ_GRIDS[name]
+        vol = node_volumes(grid)
         rng = np.random.default_rng(sum(grid.shape))
         for _ in range(3):
             r = rng.standard_normal(grid.shape)
-            z = _h1_riesz(r, grid, lam)
-            applied = _reference_stencil(z, grid, lam) / node_volumes(grid)
+            z = _riesz(r * vol, grid, lam)
+            applied = _reference_stencil(z, grid, lam) / vol
             assert np.linalg.norm(applied - r) <= 1e-12 * np.linalg.norm(r)
 
     def test_leaves_the_residual_untouched(self):
         grid = RIESZ_GRIDS["aniso"]
         r = np.random.default_rng(3).standard_normal(grid.shape)
         kept = r.copy()
-        _h1_riesz(r, grid, 3.0)
+        _modes(r, grid)
+        _nodes(r, grid)
         assert np.array_equal(r, kept)
 
     @pytest.mark.parametrize("name", sorted(RIESZ_GRIDS))
@@ -502,59 +527,71 @@ class TestRieszMap:
             eye = np.eye(axis.nodes_per_axis[0])
             stiff = np.stack([_reference_stencil(e, axis, 0.0) for e in eye], axis=1)
             mass = np.diag(node_volumes(axis))
-            v = pairs.backward
-            assert np.allclose(pairs.forward, v.T @ mass, rtol=0.0, atol=1e-12)
+            v = pairs.vectors
+            # V^T M is the inverse of V: the pairing <x, g> is x^ . g^
+            assert np.abs(v @ (v.T @ mass) - eye).max() <= 1e-12
             assert np.abs(v.T @ mass @ v - eye).max() <= 1e-12
             scale = float(np.max(pairs.mu))
             assert np.abs(v.T @ stiff @ v - np.diag(pairs.mu)).max() <= 1e-12 * scale
 
 
 def _curvature_pairs(grid, count, rng):
-    """``count`` pairs (s, y, 1 / <s, y>) with y = A s for one symmetric
-    positive definite A: the reflected stencil at lambda = 2 plus a random
-    positive diagonal times the node volumes."""
+    """``count`` modal pairs (s^, y^, 1 / <s, y>) with y = A s for one
+    symmetric positive definite A: the reflected stencil at lambda = 2 plus
+    a random positive diagonal times the node volumes.  The node fields s
+    go with the pairs, since s^ = V^T M s rounds."""
     vol = node_volumes(grid)
     diagonal = (0.5 + rng.random(grid.shape)) * vol
-    pairs = []
+    pairs, fields = [], []
     for _ in range(count):
         s = rng.standard_normal(grid.shape)
         y = _reference_stencil(s, grid, 2.0) + diagonal * s
-        pairs.append((s, y, 1.0 / float(np.sum(s * y))))
-    return pairs
+        pairs.append((_modes(vol * s, grid), _modes(y, grid), 1.0 / float(np.sum(s * y))))
+        fields.append(s)
+    return pairs, fields
 
 
-def _direction(g, pairs, grid, lam):
-    return _lbfgs_direction(g, pairs, grid, lam, np.empty(grid.shape), np.empty(grid.shape))
+def _direction(g_hat, pairs, grid, lam):
+    return _lbfgs_direction(g_hat, pairs, _riesz_symbol(grid, lam),
+                            np.empty(grid.shape), np.empty(grid.shape))
 
 
 class TestLbfgsDirection:
-    """The two-loop recursion behind the solver's quasi-Newton direction."""
+    """The two-loop recursion behind the solver's quasi-Newton direction,
+    run on modal arrays."""
 
     @pytest.mark.parametrize("name", sorted(RIESZ_GRIDS))
     def test_without_pairs_it_is_the_riesz_map(self, name):
         grid = RIESZ_GRIDS[name]
         g = np.random.default_rng(sum(grid.shape)).standard_normal(grid.shape)
-        kept = g.copy()
-        d = _direction(g, [], grid, 3.0)
-        assert np.array_equal(d, _h1_riesz(g / node_volumes(grid), grid, 3.0))
-        assert np.array_equal(g, kept)
+        g_hat = _modes(g, grid)
+        kept = g_hat.copy()
+        d_hat = _direction(g_hat, [], grid, 3.0)
+        assert np.array_equal(d_hat, g_hat / _riesz_symbol(grid, 3.0))
+        assert np.array_equal(g_hat, kept)
+        # d = V d^ solves L d = g
+        applied = _reference_stencil(_nodes(d_hat, grid), grid, 3.0)
+        assert np.linalg.norm(applied - g) <= 1e-12 * np.linalg.norm(g)
 
     @pytest.mark.parametrize("count", range(1, MEMORY + 1))
     @pytest.mark.parametrize("name", sorted(RIESZ_GRIDS))
     def test_newest_pair_satisfies_the_secant_equation(self, name, count):
         grid = RIESZ_GRIDS[name]
-        pairs = _curvature_pairs(grid, count, np.random.default_rng(count))
-        s, y, _ = pairs[-1]
-        assert np.linalg.norm(_direction(y, pairs, grid, 3.0) - s) <= 1e-12 * np.linalg.norm(s)
+        pairs, fields = _curvature_pairs(grid, count, np.random.default_rng(count))
+        _, y_hat, _ = pairs[-1]
+        s = fields[-1]
+        d = _nodes(_direction(y_hat, pairs, grid, 3.0), grid)
+        assert np.linalg.norm(d - s) <= 1e-12 * np.linalg.norm(s)
 
     @pytest.mark.parametrize("name", sorted(RIESZ_GRIDS))
     def test_slope_is_positive_on_random_fields(self, name):
         grid = RIESZ_GRIDS[name]
         rng = np.random.default_rng(11)
-        pairs = _curvature_pairs(grid, MEMORY, rng)
+        pairs, _ = _curvature_pairs(grid, MEMORY, rng)
         for _ in range(5):
             g = rng.standard_normal(grid.shape)
-            assert float(np.sum(_direction(g, pairs, grid, 3.0) * g)) > 0.0
+            d_hat = _direction(_modes(g, grid), pairs, grid, 3.0)
+            assert float(np.sum(_nodes(d_hat, grid) * g)) > 0.0
 
 
 class TestRayPeak:
@@ -574,11 +611,15 @@ RAY_GRIDS = {
 }
 
 
-def _ray_coefficients(v, d, cfg):
-    """(a0, a1, a2) as the solver forms them: <v, L v>, <d, L v> and Q(d)."""
+def _ray_coefficients(v, d_hat, cfg):
+    """(a0, a1, a2) as the solver forms them: <v, L v>, <d, L v> and
+    sum(sym * d^**2), for d = V d^; and d."""
+    grid = cfg.grid
+    d = _nodes(d_hat, grid)
     lv = _stencil(v, cfg, np.empty(v.shape), np.empty(v.size))
     buf = np.empty(v.shape)
-    return _dot(v, lv, buf), _dot(d, lv, buf), _quadratic_part(d, cfg)
+    a2 = _modal_quadratic_part(d_hat, _riesz_symbol(grid, cfg.lam))
+    return (_dot(v, lv, buf), _dot(d, lv, buf), a2), d
 
 
 class TestRayPolynomial:
@@ -597,8 +638,8 @@ class TestRayPolynomial:
         rng = np.random.default_rng(sum(grid.shape))
         for _ in range(3):
             v = 0.5 + rng.random(grid.shape)
-            d = _h1_riesz(gradient(v, cfg) / node_volumes(grid), grid, cfg.lam)
-            a0, a1, a2 = _ray_coefficients(v, d, cfg)
+            d_hat = _modes(gradient(v, cfg), grid) / _riesz_symbol(grid, cfg.lam)
+            (a0, a1, a2), d = _ray_coefficients(v, d_hat, cfg)
             c = v - t * d
             a = a0 - 2.0 * t * a1 + t * t * a2
             assert a == pytest.approx(_quadratic_part(c, cfg), rel=1e-13)
@@ -618,10 +659,24 @@ class TestRayPolynomial:
         rng = np.random.default_rng(7)
         for _ in range(3):
             v = 0.5 + rng.random(grid.shape)
-            d = _h1_riesz(rng.standard_normal(grid.shape), grid, cfg.lam)
-            a0, a1, a2 = _ray_coefficients(v, d, cfg)
+            d_hat = _modes(rng.standard_normal(grid.shape), grid) / _riesz_symbol(grid, cfg.lam)
+            (a0, a1, a2), d = _ray_coefficients(v, d_hat, cfg)
             a = a0 - 2.0 * t * a1 + t * t * a2
             assert a == pytest.approx(_quadratic_part(v - t * d, cfg), rel=1e-13)
+
+    @pytest.mark.parametrize("name", ["aniso", "plane"])
+    def test_modal_quadratic_part_is_the_field_pass(self, name):
+        """a2 = sum(sym * d^**2) equals Q(V d^), for the Riesz image of a
+        random residual and for random modal coefficients."""
+        grid = RIESZ_GRIDS[name]
+        cfg = ProblemConfig(grid, 3.0, (Singularity(tuple(lo for lo, _ in grid.bounds), 1.0),))
+        sym = _riesz_symbol(grid, cfg.lam)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            for d_hat in (_modes(rng.standard_normal(grid.shape), grid) / sym,
+                          rng.standard_normal(grid.shape)):
+                assert _modal_quadratic_part(d_hat, sym) == pytest.approx(
+                    _quadratic_part(_nodes(d_hat, grid), cfg), rel=1e-13)
 
 
 class TestNehariScale:
@@ -899,6 +954,17 @@ class TestSolverReachesTolerance:
         report = self.solve(64, lam, INTERIOR_PAIR)
         assert report.converged, report
         assert report.residual_sup < 1e-6
+
+    @pytest.mark.parametrize("lam, budget, expected", [
+        (5.0, 33, 1.28863676836546), (50.0, 15, 1.72671165347998)])
+    def test_unit_cube_65_interior_pair(self, lam, budget, expected):
+        """The nested 2n - 1 grid of the refinement ladders: iteration
+        counts and energies of the interior pair at lambda 5 and 50."""
+        report = self.solve(65, lam, INTERIOR_PAIR)
+        assert report.converged, report
+        assert report.residual_sup < 1e-6
+        assert report.iterations <= budget, report
+        assert report.energy == pytest.approx(expected, rel=1e-10)
 
     def test_axis_order_does_not_change_the_solution(self):
         plain = self.solve(32, 5.0, INTERIOR_PAIR)
