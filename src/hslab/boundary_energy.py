@@ -63,7 +63,6 @@ __all__ = [
     "boundary_threshold",
     "bubble_energies",
     "fit_log_slope",
-    "fit_power_log_basis",
     "margin_row",
     "ray_peak_energy",
     "sliver_energy_integral",
@@ -235,7 +234,7 @@ def _profile_pack(
     """
     n, s = p.N, p.s
     kappa = (2.0 - n) / (2.0 - s)
-    b = 2.0 * (n - s) / (2.0 - s)
+    b = p.profile_decay
     q = p.two_star
 
     def stack(t, x, u, du, eta, deta) -> np.ndarray:
@@ -506,6 +505,18 @@ def _slivers(
     return (box + np.array(tails)).tolist()
 
 
+def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
+                 cfg: QuadratureSettings | None, box_nodes: int | None) -> float:
+    """Sliver integral of one row of the uncut bubble at scale eps."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    _check_dimension(geom, p)
+    cfg = cfg or QuadratureSettings()
+    tau = eps ** (1.0 / (2.0 - p.s))
+    nodes = _resolve_box_nodes(p, box_nodes)
+    return _slivers(p, tau, None, (row,), geom, cfg, None, nodes)[0]
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -528,13 +539,7 @@ def sliver_energy_integral(
     and like eps**(1/(2-s)) * |ln eps| in dimension three, and vanishes
     identically for a flat patch.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    _check_dimension(geom, p)
-    cfg = cfg or QuadratureSettings()
-    tau = eps ** (1.0 / (2.0 - p.s))
-    nodes = _resolve_box_nodes(p, box_nodes)
-    return _slivers(p, tau, None, ("grad",), geom, cfg, None, nodes)[0]
+    return _pure_sliver("grad", eps, geom, p, cfg, box_nodes)
 
 
 def sliver_mass_integral(
@@ -550,13 +555,7 @@ def sliver_mass_integral(
     Integrand |y|**(-s) (1+|y|**(2-s))**(-2(N-s)/(2-s)); scales like
     eps**(1/(2-s)) in every dimension N >= 3.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    _check_dimension(geom, p)
-    cfg = cfg or QuadratureSettings()
-    tau = eps ** (1.0 / (2.0 - p.s))
-    nodes = _resolve_box_nodes(p, box_nodes)
-    return _slivers(p, tau, None, ("mass",), geom, cfg, None, nodes)[0]
+    return _pure_sliver("mass", eps, geom, p, cfg, box_nodes)
 
 
 def sliver_energy_leading_coefficient(
@@ -571,7 +570,7 @@ def sliver_energy_leading_coefficient(
     """
     _check_dimension(geom, p)
     n, s = p.N, p.s
-    b = 2.0 * (n - s) / (2.0 - s)
+    b = p.profile_decay
     moment = integrate_radial_power(RadialPowerIntegrand(n + 2.0 - 2.0 * s, b, s), cfg)
     return (
         geom.mean_curvature * (n - 2.0) ** 2 / (2.0 * (n - 1.0))
@@ -585,7 +584,7 @@ def sliver_mass_leading_coefficient(
     """Limit of sliver_mass_integral / eps**(1/(2-s)) as eps -> 0 (all N >= 3)."""
     _check_dimension(geom, p)
     n, s = p.N, p.s
-    b = 2.0 * (n - s) / (2.0 - s)
+    b = p.profile_decay
     moment = integrate_radial_power(RadialPowerIntegrand(n - s, b, s), cfg)
     return geom.mean_curvature / (2.0 * (n - 1.0)) * sphere_surface_area(n - 1) * moment
 
@@ -657,7 +656,7 @@ def bubble_energies(
     cap = 2.0 * delta / tau
     kink = delta / tau
     # rows: grad, near mass, L2, then (eta~ * U1)**q_i for each far site's mass
-    rows = ("grad", "mass", "l2", *(2.0 * (p.N - si) / (p.N - 2.0) for _, si in sites))
+    rows = ("grad", "mass", "l2", *(HSParams(p.N, si).two_star for _, si in sites))
     slivers = _slivers(p, tau, cut, rows, geom, cfg, cap, nodes)
     whole = [
         _half_space_radial(_profile_pack(p, tau, cut, (row,)), p.N, cap, cfg, (kink,))
@@ -774,19 +773,3 @@ def fit_log_slope(eps_values: Sequence[float], values: Sequence[float]) -> float
     design = np.stack([x, np.ones_like(x)], axis=1)
     coef, *_ = np.linalg.lstsq(design, np.log(v), rcond=None)
     return float(coef[0])
-
-
-def fit_power_log_basis(
-    eps_values: Sequence[float], values: Sequence[float], power: float
-) -> tuple[float, float]:
-    """Least-squares fit  value = c1 * eps**power * ln(1/eps) + c2 * eps**power.
-
-    Returns (c1, c2).  This is the two-basis form of the dimension-three
-    gradient-energy deficit, where the leading coefficient of the plain
-    power law is replaced by a logarithmically growing factor.
-    """
-    e, v = _as_positive_arrays(eps_values, values)
-    base = e**power
-    design = np.stack([base * np.log(1.0 / e), base], axis=1)
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    return float(coef[0]), float(coef[1])

@@ -9,19 +9,15 @@ tolerance for solve/sweep-lambda).
 
 CSV output is deterministic: header row, comma separators, '.' decimals,
 floats at 17 significant digits, rows in config order — identical configs
-produce byte-identical files.  The env var HSLAB_THREADS caps the worker
-count of the per-eps boundary sweep (results are reduced in list order, so
-the output does not depend on the worker count).  Exit status is 0 iff
-every computation succeeded; partial failures are itemised on stderr.
+produce byte-identical files.  Exit status is 0 iff every computation
+succeeded; partial failures are itemised on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 import numpy as np
@@ -237,20 +233,6 @@ def _quad_settings(cfg: dict, tol_flag: float | None) -> QuadratureSettings | No
     return QuadratureSettings(rel_tol=tol, abs_tol=min(1e-14, tol))
 
 
-def _thread_count(n_items: int) -> int:
-    raw = os.environ.get("HSLAB_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"HSLAB_THREADS must be a positive integer, got {raw!r}")
-        if cap < 1:
-            raise ConfigError(f"HSLAB_THREADS must be a positive integer, got {raw!r}")
-    return max(1, min(cap, n_items))
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -340,35 +322,17 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int):
     box_nodes = _as_int(cfg["box_nodes"], "box_nodes") if "box_nodes" in cfg else None
     threshold = boundary_energy.boundary_threshold(p, settings)
 
-    def one(eps: float) -> boundary_energy.EnergyBreakdown:
-        return boundary_energy.bubble_energies(
-            eps, geom, cut, far, p, settings, box_nodes=box_nodes)
-
-    workers = _thread_count(len(eps_list))
-    results: list[Any] = [None] * len(eps_list)
-    if workers == 1:
-        for i, eps in enumerate(eps_list):
-            try:
-                results[i] = one(eps)
-            except Exception as exc:
-                results[i] = exc
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one, eps) for eps in eps_list]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:
-                    results[i] = exc
-
     header = ["kind", "eps", "grad_energy", "near_mass", "l2_mass",
               "far_mass_total", "sliver_energy", "sliver_mass",
               "peak", "margin", "scaled_margin"]
     rows, failures = [], []
     good: list[boundary_energy.EnergyBreakdown] = []
-    for eps, res in zip(eps_list, results):
-        if isinstance(res, Exception):
-            failures.append(f"boundary(eps={eps}): {res}")
+    for eps in eps_list:
+        try:
+            res = boundary_energy.bubble_energies(
+                eps, geom, cut, far, p, settings, box_nodes=box_nodes)
+        except Exception as exc:
+            failures.append(f"boundary(eps={eps}): {exc}")
             continue
         good.append(res)
         row = boundary_energy.margin_row(res, lam, p, threshold)

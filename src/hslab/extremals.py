@@ -14,14 +14,6 @@ whose Dirichlet energy and weighted critical mass are eps-independent and
 give the best constant
 
     S = grad_energy / weighted_mass^((N-2)/(N-s)).
-
-A second normalised family of extremal candidates is kept in two variants
-selected by ``base``: the "linear" radial base (scale + |x|), and the
-"power" base (scale + |x|^(2-s)).  The two coincide for s = 1, and the
-power base is the one proportional to the bubble (hence attaining S for
-every s).  Both families are closed under dilation, so the quotient of
-either is independent of the scale parameter; that is what
-:func:`rayleigh_quotient_check` measures.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ import numpy as np
 from .quadrature import (
     QuadratureSettings,
     RadialPowerIntegrand,
-    integrate_improper,
     integrate_radial_power,
     sphere_surface_area,
 )
@@ -43,18 +34,11 @@ from .quadrature import (
 __all__ = [
     "HSParams",
     "NonPositiveEps",
-    "NonPositiveScale",
     "WholeSpaceConstants",
     "bubble_radial",
     "bubble_value",
-    "extremal_value",
-    "rayleigh_quotient_check",
     "whole_space_constants",
 ]
-
-
-class NonPositiveScale(ValueError):
-    """The extremal family needs a strictly positive scale parameter."""
 
 
 class NonPositiveEps(ValueError):
@@ -79,6 +63,11 @@ class HSParams:
         """Critical exponent 2(N-s)/(N-2); always in (2, 2N/(N-2))."""
         return 2.0 * (self.N - self.s) / (self.N - 2.0)
 
+    @property
+    def profile_decay(self) -> float:
+        """b = 2(N-s)/(2-s): the bubble's critical density is (1 + r^(2-s))^(-b)."""
+        return 2.0 * (self.N - self.s) / (2.0 - self.s)
+
 
 @dataclass(frozen=True)
 class WholeSpaceConstants:
@@ -95,31 +84,6 @@ def _radius(x) -> np.ndarray:
     if arr.ndim == 0:
         return np.abs(arr)
     return np.sqrt(np.sum(arr * arr, axis=-1))
-
-
-def extremal_value(x, scale: float, p: HSParams, base: str = "linear"):
-    """Normalised extremal candidate at the point(s) x.
-
-    ``base`` selects the radial base: "linear" gives (scale + |x|), "power"
-    gives (scale + |x|**(2-s)); both carry the prefactor
-    (scale * (N-s) * (N-2))**((N-2)/(2(N-s))).
-    """
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise NonPositiveScale("scale parameter must be a positive real")
-    return _extremal_profile(_radius(x), scale, p, base)
-
-
-def _extremal_profile(r: np.ndarray, scale: float, p: HSParams, base: str) -> np.ndarray:
-    n, s = p.N, p.s
-    pref = (scale * (n - s) * (n - 2.0)) ** ((n - 2.0) / (2.0 * (n - s)))
-    expo = (2.0 - n) / (2.0 - s)
-    if base == "linear":
-        radial = scale + r
-    elif base == "power":
-        radial = scale + r ** (2.0 - s)
-    else:
-        raise ValueError(f"unknown base {base!r} (expected 'linear' or 'power')")
-    return pref * radial**expo
 
 
 def bubble_value(x, eps: float, p: HSParams):
@@ -145,7 +109,7 @@ def bubble_radial(r, eps: float, p: HSParams):
 @lru_cache(maxsize=None)
 def _constants_cached(p: HSParams, cfg: QuadratureSettings) -> WholeSpaceConstants:
     n, s = p.N, p.s
-    b = 2.0 * (n - s) / (2.0 - s)
+    b = p.profile_decay
     omega = sphere_surface_area(n)
     grad = (n - 2.0) ** 2 * omega * integrate_radial_power(
         RadialPowerIntegrand(n + 1.0 - 2.0 * s, b, s), cfg
@@ -168,47 +132,3 @@ def whole_space_constants(p: HSParams, cfg: QuadratureSettings | None = None) ->
     4 pi/3, 2 pi/3 and best constant sqrt(8 pi / 3).
     """
     return _constants_cached(p, cfg or QuadratureSettings())
-
-
-def rayleigh_quotient_check(
-    scale: float,
-    p: HSParams,
-    cfg: QuadratureSettings | None = None,
-    base: str = "linear",
-) -> float:
-    """Hardy-Sobolev quotient of the extremal candidate, by quadrature.
-
-    Uses the analytic radial derivative of the profile (no finite
-    differences).  Dilation invariance of the quotient makes the result
-    independent of ``scale`` for either base; the power base reproduces the
-    best constant itself (so does the linear base at s = 1, where the two
-    families coincide).
-    """
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise NonPositiveScale("scale parameter must be a positive real")
-    if base not in ("linear", "power"):
-        raise ValueError(f"unknown base {base!r} (expected 'linear' or 'power')")
-    cfg = cfg or QuadratureSettings()
-    n, s = p.N, p.s
-    q = p.two_star
-    kappa = 1.0 if base == "linear" else (2.0 - s)
-    k = (2.0 - n) / (2.0 - s)
-    omega = sphere_surface_area(n)
-
-    def grad_sq(r: np.ndarray) -> np.ndarray:
-        # |d/dr profile|^2 r^(N-1), with the r-powers combined first so the
-        # kappa < 1 case never multiplies inf by zero near the origin
-        prof = _extremal_profile(r, scale, p, base)
-        amp = k * kappa * prof / (scale + r**kappa)
-        return amp * amp * r ** (n - 3.0 + 2.0 * kappa)
-
-    def weighted_mass(r: np.ndarray) -> np.ndarray:
-        prof = _extremal_profile(r, scale, p, base)
-        return prof**q * r ** (n - 1.0 - s)
-
-    # profile features live at radius ~ scale**(1/kappa); seed panels there
-    width = scale ** (1.0 / kappa)
-    seeds = (0.25 * width, width, 4.0 * width)
-    num = omega * integrate_improper(grad_sq, split=max(1.0, 8.0 * width), cfg=cfg, breakpoints=seeds)
-    den = omega * integrate_improper(weighted_mass, split=max(1.0, 8.0 * width), cfg=cfg, breakpoints=seeds)
-    return num / den ** (2.0 / q)

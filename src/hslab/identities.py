@@ -120,7 +120,7 @@ def beta_recurrence_check(
     if not (2.0 <= beta <= hi + 1e-12):
         raise OutOfRangeBeta(f"beta={beta} outside [2, {hi}]")
     cfg = cfg or QuadratureSettings()
-    b = 2.0 * (n - s) / (2.0 - s)
+    b = p.profile_decay
     lhs = integrate_radial_power(RadialPowerIntegrand(beta - s, b, s), cfg)
     base = integrate_radial_power(RadialPowerIntegrand(beta - 2.0, b, s), cfg)
     rhs = (beta - 1.0) / (2.0 * n - beta - 1.0 - s) * base

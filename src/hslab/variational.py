@@ -73,7 +73,6 @@ __all__ = [
     "NonpositiveLambda",
     "NonpositivePart",
     "PositiveLambda",
-    "PositivityReport",
     "ProblemConfig",
     "ShapeMismatch",
     "Singularity",
@@ -89,7 +88,6 @@ __all__ = [
     "nehari_scale",
     "node_volumes",
     "placement_of",
-    "positivity_check",
     "save_field",
     "singular_weight",
 ]
@@ -903,18 +901,6 @@ def mountain_pass_solve(
         converged=converged,
     )
     return report, v
-
-
-class PositivityReport(NamedTuple):
-    min_value: float
-    positive: bool
-
-
-def positivity_check(u) -> PositivityReport:
-    """Minimum node value and whether it is strictly positive."""
-    arr = np.asarray(u, dtype=float)
-    m = float(np.min(arr))
-    return PositivityReport(min_value=m, positive=bool(m > 0.0))
 
 
 def negative_lambda_sanity(cfg: ProblemConfig, c_samples: Sequence[float]) -> bool:

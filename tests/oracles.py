@@ -1,0 +1,119 @@
+"""Test oracles: an extremal family, its Rayleigh quotient, a two-basis fit.
+
+None of these is used by the library.  They cross-check it from outside:
+
+* :func:`extremal_value` is a normalised extremal candidate in two variants
+  selected by ``base``: the "linear" radial base (scale + |x|) and the
+  "power" base (scale + |x|^(2-s)).  The two coincide for s = 1, and the
+  power base is proportional to the bubble, hence attains the best
+  constant S for every s.  Both families are closed under dilation, so the
+  quotient of either does not depend on the scale parameter.
+* :func:`rayleigh_quotient_check` measures that quotient by quadrature.  It
+  is right where the tests use it: N = 3, 4, 5 with s <= 1.5 and scales
+  0.5-2.  Near s -> 2 it is wrong, because ``integrate_improper`` misses the
+  mass its integrands spread over many decades of r: with ``base="power"``
+  and scale 1e-3 it returns 0.8796 against the best constant 0.6384 at
+  N = 3, s = 1.8, and at N = 5, s = 1.95 it raises ``NonFinite``.
+* :func:`fit_power_log_basis` fits c1 * eps^p * ln(1/eps) + c2 * eps^p, the
+  shape of the dimension-three sliver energy.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from hslab.boundary_energy import _as_positive_arrays
+from hslab.extremals import HSParams, _radius
+from hslab.quadrature import QuadratureSettings, integrate_improper, sphere_surface_area
+
+
+class NonPositiveScale(ValueError):
+    """The extremal family needs a strictly positive scale parameter."""
+
+
+def extremal_value(x, scale: float, p: HSParams, base: str = "linear"):
+    """Normalised extremal candidate at the point(s) x.
+
+    ``base`` selects the radial base: "linear" gives (scale + |x|), "power"
+    gives (scale + |x|**(2-s)); both carry the prefactor
+    (scale * (N-s) * (N-2))**((N-2)/(2(N-s))).
+    """
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise NonPositiveScale("scale parameter must be a positive real")
+    return _extremal_profile(_radius(x), scale, p, base)
+
+
+def _extremal_profile(r: np.ndarray, scale: float, p: HSParams, base: str) -> np.ndarray:
+    n, s = p.N, p.s
+    pref = (scale * (n - s) * (n - 2.0)) ** ((n - 2.0) / (2.0 * (n - s)))
+    expo = (2.0 - n) / (2.0 - s)
+    if base == "linear":
+        radial = scale + r
+    elif base == "power":
+        radial = scale + r ** (2.0 - s)
+    else:
+        raise ValueError(f"unknown base {base!r} (expected 'linear' or 'power')")
+    return pref * radial**expo
+
+
+def rayleigh_quotient_check(
+    scale: float,
+    p: HSParams,
+    cfg: QuadratureSettings | None = None,
+    base: str = "linear",
+) -> float:
+    """Hardy-Sobolev quotient of the extremal candidate, by quadrature.
+
+    Uses the analytic radial derivative of the profile (no finite
+    differences).  Dilation invariance of the quotient makes the result
+    independent of ``scale`` for either base; the power base reproduces the
+    best constant itself (so does the linear base at s = 1, where the two
+    families coincide).
+    """
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise NonPositiveScale("scale parameter must be a positive real")
+    if base not in ("linear", "power"):
+        raise ValueError(f"unknown base {base!r} (expected 'linear' or 'power')")
+    cfg = cfg or QuadratureSettings()
+    n, s = p.N, p.s
+    q = p.two_star
+    kappa = 1.0 if base == "linear" else (2.0 - s)
+    k = (2.0 - n) / (2.0 - s)
+    omega = sphere_surface_area(n)
+
+    def grad_sq(r: np.ndarray) -> np.ndarray:
+        # |d/dr profile|^2 r^(N-1), with the r-powers combined first so the
+        # kappa < 1 case never multiplies inf by zero near the origin
+        prof = _extremal_profile(r, scale, p, base)
+        amp = k * kappa * prof / (scale + r**kappa)
+        return amp * amp * r ** (n - 3.0 + 2.0 * kappa)
+
+    def weighted_mass(r: np.ndarray) -> np.ndarray:
+        prof = _extremal_profile(r, scale, p, base)
+        return prof**q * r ** (n - 1.0 - s)
+
+    # profile features live at radius ~ scale**(1/kappa); seed panels there
+    width = scale ** (1.0 / kappa)
+    seeds = (0.25 * width, width, 4.0 * width)
+    num = omega * integrate_improper(grad_sq, split=max(1.0, 8.0 * width), cfg=cfg, breakpoints=seeds)
+    den = omega * integrate_improper(weighted_mass, split=max(1.0, 8.0 * width), cfg=cfg, breakpoints=seeds)
+    return num / den ** (2.0 / q)
+
+
+def fit_power_log_basis(
+    eps_values: Sequence[float], values: Sequence[float], power: float
+) -> tuple[float, float]:
+    """Least-squares fit  value = c1 * eps**power * ln(1/eps) + c2 * eps**power.
+
+    Returns (c1, c2).  This is the two-basis form of the dimension-three
+    gradient-energy deficit, where the leading coefficient of the plain
+    power law is replaced by a logarithmically growing factor.
+    """
+    e, v = _as_positive_arrays(eps_values, values)
+    base = e**power
+    design = np.stack([base * np.log(1.0 / e), base], axis=1)
+    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    return float(coef[0]), float(coef[1])

@@ -20,7 +20,6 @@ from hslab.boundary_energy import (
     EpsTooLarge,
     bubble_energies,
     fit_log_slope,
-    fit_power_log_basis,
     ray_peak_energy,
     sliver_energy_integral,
     sliver_energy_leading_coefficient,
@@ -33,6 +32,7 @@ from hslab.identities import NonpositivePart, sliver_ratio_limit
 from hslab.quadrature import Divergent
 
 from box_quadrature import integrate_box
+from oracles import fit_power_log_basis
 
 P31 = HSParams(N=3, s=1.0)
 P41 = HSParams(N=4, s=1.0)

@@ -199,20 +199,20 @@ class TestBoundaryCommand:
             for key in ("eps", "peak", "margin", "scaled_margin"):
                 assert float(rec[key]) == getattr(row, key)
 
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, BOUNDARY_CFG)
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        monkeypatch.setenv("HSLAB_THREADS", "1")
-        assert main(["boundary", "--config", cfg, "--out", a]) == 0
-        monkeypatch.setenv("HSLAB_THREADS", "2")
-        assert main(["boundary", "--config", cfg, "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
-
-    def test_invalid_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, BOUNDARY_CFG)
-        monkeypatch.setenv("HSLAB_THREADS", "zero")
-        assert main(["boundary", "--config", cfg,
-                     "--out", str(tmp_path / "x.csv")]) == 2
+    def test_failed_eps_is_itemized_and_skipped(self, tmp_path, capsys):
+        # eps = 0.5 gives eps**(1/(2-s)) = 0.5 > delta/10: EpsTooLarge
+        cfg = write_config(tmp_path, BOUNDARY_CFG.replace(
+            "[1.0e-4, 5.0e-5]", "[1.0e-4, 0.5, 5.0e-5]"))
+        out = str(tmp_path / "boundary.csv")
+        assert main(["boundary", "--config", cfg, "--out", out]) == 1
+        rows = read_csv(out)
+        assert [r[0] for r in rows[1:]] == ["energy", "energy", "slope"]
+        assert [float(r[1]) for r in rows[1:3]] == [1e-4, 5e-5]
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("failed: ")]
+        assert len(failed) == 1
+        assert failed[0].startswith("failed: boundary(eps=0.5): ")
+        assert "exceeds delta/10" in failed[0]
 
 
 class TestSolveCommand:

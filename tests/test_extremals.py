@@ -8,16 +8,14 @@ import pytest
 from hslab.extremals import (
     HSParams,
     NonPositiveEps,
-    NonPositiveScale,
     bubble_radial,
     bubble_value,
-    extremal_value,
-    rayleigh_quotient_check,
     whole_space_constants,
 )
 from hslab.quadrature import sphere_surface_area
 
 from box_quadrature import integrate_box
+from oracles import NonPositiveScale, extremal_value, rayleigh_quotient_check
 
 
 P31 = HSParams(N=3, s=1.0)
