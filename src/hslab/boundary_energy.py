@@ -12,15 +12,16 @@ becomes y_N = tau * g(y') and each energy piece reduces to
   - (sliver integral between y_N = 0 and y_N = tau * g(y')).
 
 The ledger integrands (gradient, critical mass, plain L2 mass, one mass per
-far site) are rows of one stacked radial density.  Their slivers come from
-one walk of a tensor Gauss-Legendre rule over the box |y'_i| <= 10 for all
-rows at once, reduced to one representative per permutation orbit of axes
-with equal curvature, blended smoothly (on 8 <= |y'| <= 10) into a radial
-tail per row that replaces the anisotropic floor by its exact spherical
-average (g averaged over directions is (H / (2(N-1))) * |y'|**2, H the mean
-curvature); the tail's inner integral saturates instead of being
-linearised, which keeps it integrable in every dimension, including the
-logarithmically divergent linearisation in dimension three.
+far site) are rows of one stacked radial density, and each piece handles
+all rows in one pass.  Their slivers come from one walk of a tensor
+Gauss-Legendre rule over the box |y'_i| <= 10, reduced to one
+representative per permutation orbit of axes with equal curvature, blended
+smoothly (on 8 <= |y'| <= 10) into a stacked adaptive radial tail that
+replaces the anisotropic floor by its exact spherical average (g averaged
+over directions is (H / (2(N-1))) * |y'|**2, H the mean curvature); the
+tail's inner integral saturates instead of being linearised, which keeps it
+integrable in every dimension, including the logarithmically divergent
+linearisation in dimension three.
 
 Scaling prefactors: the gradient energy and the critical mass at the
 concentration site are scale-free, the plain L2 mass carries tau**2, and
@@ -282,18 +283,9 @@ _DEFAULT_BOX_NODES = {2: 96, 3: 56, 4: 28}
 # many values as one integrand over a chunk.
 _BOX_CHUNK = 1 << 14
 _STACK_BLOCK = 1 << 12
-
-
-def _geometric_seeds(lo: float, hi: float) -> list[float]:
-    """Powers of two strictly inside (lo, hi), as initial panel edges."""
-    out = []
-    k = -6
-    while 2.0**k <= lo:
-        k += 1
-    while 2.0**k < hi and k <= 64:
-        out.append(2.0**k)
-        k += 1
-    return out
+# Initial panel edges of the radial GK integrals: the powers of two 1/64 ..
+# 2**64, of which each integral keeps those strictly inside its range.
+_POWER_SEEDS = [2.0**k for k in range(-6, 65)]
 
 
 @lru_cache(maxsize=8)
@@ -423,8 +415,8 @@ def _tail_part(
     p: HSParams,
     cap: float | None,
     cfg: QuadratureSettings,
-) -> float:
-    """Radial tail of a one-row sliver beyond the blend window.
+) -> np.ndarray | float:
+    """Radial tail of every row's sliver beyond the blend window, one stacked GK.
 
     Outside |y'| = 8 the anisotropic floor is replaced by its spherical
     average tau * gamma * |y'|**2 with gamma = H / (2(N-1)) -- exact when all
@@ -441,24 +433,19 @@ def _tail_part(
     omega = sphere_surface_area(n - 1)
 
     def integrand(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        inner = _inner_stack(dens, rho, tau * g * rho)[0] * rho
+        inner = _inner_stack(dens, rho, tau * g * rho) * rho
         return sgn * omega * (1.0 - _blend(rho)) * rho ** (n - 2.0) * inner
 
     knee = 1.0 / (tau * g)  # where the inner integral saturates
     if cap is None:
         split = _BLEND_HI * 2.0 if knee <= _BLEND_HI else min(8.0 * knee, 1e12)
-        seeds = _geometric_seeds(_BLEND_LO, split)
         return integrate_improper(
-            integrand, lo=_BLEND_LO, split=split, cfg=cfg, breakpoints=seeds
+            integrand, lo=_BLEND_LO, split=split, cfg=cfg, breakpoints=_POWER_SEEDS
         )
-    seeds = _geometric_seeds(_BLEND_LO, cap)
-    if _BLEND_LO < knee < cap:
-        seeds.append(knee)
     return adaptive_gauss_kronrod(
         integrand, _BLEND_LO, cap,
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        max_subdivisions=cfg.max_subdivisions, breakpoints=seeds,
+        max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, knee],
     )
 
 
@@ -494,15 +481,12 @@ def _slivers(
     cap: float | None,
     box_nodes: int,
 ) -> list[float]:
-    """Sliver integral of every row: one fused box walk plus one tail per row."""
+    """Sliver integral of every row: one fused box walk plus one stacked tail."""
     if all(a == 0.0 for a in geom.curvatures):
         return [0.0] * len(rows)
-    box = _box_pass(_profile_pack(p, tau, cut, rows), tau, geom, box_nodes)
-    tails = [
-        _tail_part(_profile_pack(p, tau, cut, (row,)), tau, geom, p, cap, cfg)
-        for row in rows
-    ]
-    return (box + np.array(tails)).tolist()
+    dens = _profile_pack(p, tau, cut, rows)
+    sliver = _box_pass(dens, tau, geom, box_nodes) + _tail_part(dens, tau, geom, p, cap, cfg)
+    return np.broadcast_to(sliver, len(rows)).tolist()
 
 
 def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
@@ -594,19 +578,13 @@ def _half_space_radial(
     n: int,
     cap: float,
     cfg: QuadratureSettings,
-    extra_breaks: Sequence[float] = (),
-) -> float:
-    """(1/2) * omega_{N-1} * integral over (0, cap) of dens(rho) * rho**(N-1), one row."""
-
-    def integrand(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        return dens(rho)[0] * rho ** (n - 1.0)
-
-    seeds = _geometric_seeds(0.0, cap) + [b for b in extra_breaks if 0.0 < b < cap]
+    kink: float,
+) -> np.ndarray:
+    """(1/2) * omega_{N-1} * integral over (0, cap) of dens(rho) * rho**(N-1), every row."""
     value = adaptive_gauss_kronrod(
-        integrand, 0.0, cap,
+        lambda rho: dens(rho) * rho ** (n - 1.0), 0.0, cap,
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        max_subdivisions=cfg.max_subdivisions, breakpoints=seeds,
+        max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, kink],
     )
     return 0.5 * sphere_surface_area(n) * value
 
@@ -658,11 +636,8 @@ def bubble_energies(
     # rows: grad, near mass, L2, then (eta~ * U1)**q_i for each far site's mass
     rows = ("grad", "mass", "l2", *(HSParams(p.N, si).two_star for _, si in sites))
     slivers = _slivers(p, tau, cut, rows, geom, cfg, cap, nodes)
-    whole = [
-        _half_space_radial(_profile_pack(p, tau, cut, (row,)), p.N, cap, cfg, (kink,))
-        - sliver
-        for row, sliver in zip(rows, slivers)
-    ]
+    half_space = _half_space_radial(_profile_pack(p, tau, cut, rows), p.N, cap, cfg, kink)
+    whole = (half_space - slivers).tolist()
     return EnergyBreakdown(
         eps=eps,
         grad_energy=whole[0],

@@ -15,9 +15,10 @@ identity checks test.
 Integrands outside the power family go through :func:`integrate_improper`,
 which splits at a finite radius and maps the tail with u = 1/r.  The panel
 rule is open (no endpoint is ever sampled), so integrable endpoint
-singularities are admissible.  Subdivision always bisects the panel with the
-largest error estimate (ties broken by the left endpoint) and the final
-reduction sums panels left to right, so results are bit-stable across runs.
+singularities are admissible.  Each integrand, or each row of a stacked one,
+bisects its panel of largest error estimate (ties by left endpoint) and sums
+its panels left to right, so results are bit-stable across runs and a row's
+value does not depend on the rows stacked with it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -110,27 +111,6 @@ KRONROD15_NODES, KRONROD15_WEIGHTS, _WG = _build_rule()
 _ERROR_FLOOR = 50.0 * np.finfo(float).eps
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (value, error estimate)."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid + half * KRONROD15_NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape or not np.all(np.isfinite(y)):
-        raise NonFinite(f"integrand not finite on panel [{lo!r}, {hi!r}]")
-    ik = half * float(KRONROD15_WEIGHTS @ y)
-    ig = half * float(_WG @ y)
-    # QUADPACK-style scale-aware error estimate
-    mean = ik / (hi - lo) if hi != lo else 0.0
-    resasc = half * float(KRONROD15_WEIGHTS @ np.abs(y - mean))
-    diff = abs(ik - ig)
-    if resasc > 0.0 and diff > 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    return ik, max(err, _ERROR_FLOOR * abs(ik))
-
-
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Tolerances and panel budget for the adaptive scheme.
@@ -189,48 +169,99 @@ def adaptive_gauss_kronrod(
     abs_tol: float = 1e-14,
     max_subdivisions: int = 4000,
     breakpoints: Sequence[float] = (),
-) -> float:
-    """Adaptive G7/K15 integration of a vectorized integrand on [lo, hi].
+) -> float | np.ndarray:
+    """Adaptive G7/K15 integration on [lo, hi] of one integrand or a stack of them.
 
-    ``breakpoints`` seeds extra initial panel edges (useful when the
-    integrand has features the first panel would otherwise step over).
-    The worst panel (largest error estimate, ties by left endpoint) is
-    bisected until the summed error meets the tolerance; the final value is
-    the left-to-right compensated sum of panel integrals, so the reduction
-    order is fixed no matter how subdivision proceeded.
+    ``f`` maps a 1-D array of nodes to one value per node (giving a float) or
+    to shape (rows, nodes) (giving one integral per row).  ``breakpoints``
+    seeds extra initial panel edges.  Each row bisects its own worst panel
+    (largest error estimate, ties by left endpoint) until its summed error
+    meets the tolerance, within its own ``max_subdivisions``, then fsums its
+    panels left to right.  Rows share only the evaluation: each step calls
+    ``f`` once, on the children of the panels unfinished rows bisect, and a
+    panel evaluated once serves every row, so each row's result is
+    bit-identical to integrating it alone.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError("need finite bounds with hi > lo")
     edges = sorted({lo, hi, *(float(b) for b in breakpoints if lo < b < hi)})
-    heap: list[tuple[float, float, float, float]] = []  # (-err, left, right, value)
-    total = 0.0
-    total_err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = _gk15(f, a, b)
-        heapq.heappush(heap, (-e, a, b, v))
-        total += v
-        total_err += e
-    splits = 0
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if splits >= max_subdivisions:
-            raise ToleranceNotMet(
-                f"error {total_err:.3e} above tolerance after {splits} subdivisions"
-            )
-        neg_e, a, b, v = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            # panel no longer splittable at float resolution: freeze it
-            total_err += neg_e
-            heapq.heappush(heap, (0.0, a, b, v))
-            continue
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) + neg_e
-        heapq.heappush(heap, (-e1, a, mid, v1))
-        heapq.heappush(heap, (-e2, mid, b, v2))
-        splits += 1
-    return math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
+    first = list(zip(edges[:-1], edges[1:]))
+    cache: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}  # panel: (y, finite)
+
+    def evaluate(panels: list[tuple[float, float]]) -> np.ndarray:
+        a, b = np.array(panels).T[:, :, None]
+        x = 0.5 * (a + b) + 0.5 * (b - a) * KRONROD15_NODES
+        y = np.asarray(f(x.ravel()), dtype=float)
+        if y.shape[-1:] != (x.size,) or y.ndim > 2:
+            raise NonFinite(f"integrand returned shape {y.shape} for {x.size} nodes")
+        stack = y.reshape(-1, *x.shape)
+        finite = np.isfinite(stack).all(axis=2)
+        cache.update((panel, (stack[:, j], finite[:, j])) for j, panel in enumerate(panels))
+        return y
+
+    def gk15(row: int, lo: float, hi: float) -> tuple[float, float]:
+        # one row's (value, error estimate) on an evaluated panel
+        y, finite = cache[lo, hi]
+        if not finite[row]:
+            raise NonFinite(f"integrand not finite on panel [{lo!r}, {hi!r}]")
+        y = y[row]
+        half = 0.5 * (hi - lo)
+        ik = half * float(KRONROD15_WEIGHTS @ y)
+        ig = half * float(_WG @ y)
+        # QUADPACK-style scale-aware error estimate
+        resasc = half * float(KRONROD15_WEIGHTS @ np.abs(y - ik / (hi - lo)))
+        err = diff = abs(ik - ig)
+        if resasc > 0.0 and diff > 0.0:
+            err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+        return ik, max(err, _ERROR_FLOOR * abs(ik))
+
+    def subdivide(row: int) -> Generator[list[tuple[float, float]], None, float]:
+        # yields the children it needs evaluated; returns the row's integral
+        heap: list[tuple[float, float, float, float]] = []  # (-err, left, right, value)
+        total = total_err = 0.0
+        for a, b in first:
+            v, e = gk15(row, a, b)
+            heapq.heappush(heap, (-e, a, b, v))
+            total += v
+            total_err += e
+        splits = 0
+        while total_err > max(abs_tol, rel_tol * abs(total)):
+            if splits >= max_subdivisions:
+                raise ToleranceNotMet(
+                    f"error {total_err:.3e} above tolerance after {splits} subdivisions"
+                )
+            neg_e, a, b, v = heapq.heappop(heap)
+            mid = 0.5 * (a + b)
+            if not (a < mid < b):
+                # panel no longer splittable at float resolution: freeze it
+                total_err += neg_e
+                heapq.heappush(heap, (0.0, a, b, v))
+                continue
+            if (a, mid) not in cache or (mid, b) not in cache:
+                yield [(a, mid), (mid, b)]
+            v1, e1 = gk15(row, a, mid)
+            v2, e2 = gk15(row, mid, b)
+            total += (v1 + v2) - v
+            total_err += (e1 + e2) + neg_e
+            heapq.heappush(heap, (-e1, a, mid, v1))
+            heapq.heappush(heap, (-e2, mid, b, v2))
+            splits += 1
+        return math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
+
+    y = evaluate(first)
+    runs = {row: subdivide(row) for row in range(len(y) if y.ndim == 2 else 1)}
+    values = [0.0] * len(runs)
+    while runs:
+        wanted: dict[tuple[float, float], None] = {}
+        for row, run in list(runs.items()):
+            try:
+                wanted.update(dict.fromkeys(next(run)))
+            except StopIteration as done:
+                values[row] = done.value
+                del runs[row]
+        if wanted:
+            evaluate(list(wanted))
+    return np.array(values) if y.ndim == 2 else values[0]
 
 
 def _beta_half(x: float, y: float, cfg: QuadratureSettings) -> float:
@@ -291,35 +322,28 @@ def integrate_improper(
     split: float = 1.0,
     cfg: QuadratureSettings | None = None,
     breakpoints: Sequence[float] = (),
-) -> float:
-    """integral over (lo, inf) of a generic vectorized integrand.
+) -> float | np.ndarray:
+    """integral over (lo, inf) of a generic vectorized integrand, or of each row of a stack.
 
     The caller is responsible for integrability (head singularities no worse
     than the open panel rule can resolve, tail decay strictly faster than
     1/r).  Used for profile integrals that do not reduce to the power
-    family; the tail beyond ``max(split, lo)`` is mapped with u = 1/r.
+    family; the tail beyond ``max(split, lo)`` is mapped with u = 1/r.  A
+    stacked ``f`` returns (rows, nodes), as for :func:`adaptive_gauss_kronrod`.
     """
     cfg = cfg or QuadratureSettings()
     cut = max(split, lo)
+    tol = dict(rel_tol=cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol,
+               max_subdivisions=cfg.max_subdivisions)
     total = 0.0
     if cut > lo:
-        total += adaptive_gauss_kronrod(
-            f, lo, cut,
-            rel_tol=cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol,
-            max_subdivisions=cfg.max_subdivisions,
-            breakpoints=breakpoints,
-        )
+        total += adaptive_gauss_kronrod(f, lo, cut, breakpoints=breakpoints, **tol)
 
     def mapped(u: np.ndarray) -> np.ndarray:
         r = 1.0 / u
         return f(r) * r * r
 
-    total += adaptive_gauss_kronrod(
-        mapped, 0.0, 1.0 / cut,
-        rel_tol=cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol,
-        max_subdivisions=cfg.max_subdivisions,
-    )
-    return total
+    return total + adaptive_gauss_kronrod(mapped, 0.0, 1.0 / cut, **tol)
 
 
 def sphere_surface_area(n: int) -> float:

@@ -73,6 +73,70 @@ class TestAdaptiveGaussKronrod:
             )
 
 
+def _counted(f):
+    """f, and a list that grows by one entry per call of the returned wrapper."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x.size)
+        return f(x)
+
+    return wrapped, calls
+
+
+def _stacked(rows):
+    """One integrand returning the values of every function in ``rows``, stacked."""
+    return lambda x: np.stack([g(x) for g in rows])
+
+
+# rows of different difficulty on [0, 2]: a square-root head, an oscillation
+# and a polynomial the first panels already integrate exactly
+STACK_ROWS = [np.sqrt, lambda x: np.sin(20.0 * x) * np.exp(-x), lambda x: x**3 - x]
+
+
+class TestStackedRows:
+    def test_each_row_equals_its_one_row_integral_bit_for_bit(self):
+        stacked = adaptive_gauss_kronrod(_stacked(STACK_ROWS), 0.0, 2.0, breakpoints=(0.3,))
+        alone = [adaptive_gauss_kronrod(g, 0.0, 2.0, breakpoints=(0.3,)) for g in STACK_ROWS]
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (3,)
+        assert stacked.tolist() == alone
+        assert all(isinstance(v, float) for v in alone)
+
+    def test_improper_rows_equal_their_one_row_integrals(self):
+        rows = [lambda r: np.exp(-r), lambda r: 1.0 / (1.0 + r * r), lambda r: r * np.exp(-3.0 * r)]
+        stacked = integrate_improper(_stacked(rows), split=2.0)
+        assert stacked.tolist() == [integrate_improper(g, split=2.0) for g in rows]
+
+    def test_calls_at_most_one_plus_the_most_splits_of_a_row(self):
+        # a one-row call evaluates the first panels in one call and each
+        # split's two children in one more, so it makes 1 + splits calls
+        splits = []
+        for g in STACK_ROWS:
+            counted, calls = _counted(g)
+            adaptive_gauss_kronrod(counted, 0.0, 2.0)
+            splits.append(len(calls) - 1)
+        counted, calls = _counted(_stacked(STACK_ROWS))
+        adaptive_gauss_kronrod(counted, 0.0, 2.0)
+        assert max(splits) > min(splits)
+        assert len(calls) <= 1 + max(splits)
+
+    def test_tolerance_not_met_in_one_row_is_raised(self):
+        rows = [lambda x: x * x, lambda x: np.sin(50.0 * x), np.cos]
+        with pytest.raises(ToleranceNotMet):
+            adaptive_gauss_kronrod(
+                _stacked(rows), 0.0, 10.0,
+                rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=2,
+            )
+
+    def test_non_finite_in_one_row_is_raised(self):
+        rows = [lambda x: x * x, lambda x: x, np.cos]
+        stack = _stacked(rows)
+        assert adaptive_gauss_kronrod(stack, 0.0, 2.0).shape == (3,)
+        rows[1] = lambda x: np.where(x > 1.5, np.nan, x)
+        with pytest.raises(NonFinite):
+            adaptive_gauss_kronrod(stack, 0.0, 2.0)
+
+
 class TestImproper:
     def test_exponential(self):
         value = integrate_improper(lambda r: np.exp(-r))
