@@ -1,16 +1,19 @@
 """Experiment runner: every module exposed as a subcommand writing CSV.
 
 Subcommands: constants | identities | boundary | solve | sweep-lambda.
-Each takes --config PATH (a YAML document validated against a fixed schema;
-unknown keys are rejected with their full paths, parse errors carry line and
-column marks), plus --out PATH, --seed INT (randomised initial fields), and
---tol REAL (quadrature relative tolerance, or the solver's gradient
-tolerance for solve/sweep-lambda).
+Each takes --config PATH (a YAML document checked against a typed schema:
+unknown keys and wrong types are rejected with their full dotted paths,
+parse errors carry line and column marks), plus --out PATH, --seed INT
+(randomised initial fields), and --tol REAL (quadrature relative tolerance,
+or the solver's gradient tolerance for solve/sweep-lambda).
 
-CSV output is deterministic: header row, comma separators, '.' decimals,
-floats at 17 significant digits, rows in config order — identical configs
-produce byte-identical files.  Exit status is 0 iff every computation
-succeeded; partial failures are itemised on stderr.
+Each command builds all of its library objects before its first
+computation, so a config error, out-of-range values included, stops it
+before any work is done.  CSV output is deterministic: header row, comma
+separators, '.' decimals, floats at 17 significant digits, rows in config
+order — identical configs produce byte-identical files.  Exit status is 0
+iff every computation succeeded, 1 if some failed (each itemised on
+stderr), and 2 for a config error.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import yaml
@@ -34,54 +37,64 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config loading and schema validation
+# config loading: one typed walk
 # ---------------------------------------------------------------------------
 
-_LEAF = "leaf"
-
+# A leaf is the type its value converts to, [t] is a nonempty list of t, and
+# a mapping lists the only keys allowed in it.  Which keys are required
+# depends on the command; the runners ask for those with ``_require``.
 _SCHEMA: dict[str, Any] = {
-    "params": {"N": _LEAF, "s": _LEAF, "N_list": _LEAF, "s_list": _LEAF},
-    "geometry": {"curvatures": _LEAF, "delta": _LEAF},
-    "grid": {"bounds": _LEAF, "nodes": _LEAF},
-    "lambda": _LEAF,
-    "lambda_list": _LEAF,
-    "singularities": [{"location": _LEAF, "s": _LEAF}],
-    "far_sites": [{"distance": _LEAF, "s": _LEAF}],
-    "eps_list": _LEAF,
-    "beta_list": _LEAF,
-    "box_nodes": _LEAF,
-    "solver": {"max_iters": _LEAF, "grad_tol": _LEAF},
-    "init": {"type": _LEAF, "site": _LEAF, "eps": _LEAF, "value": _LEAF},
-    "output": _LEAF,
-    "field_output": _LEAF,
-    "seed": _LEAF,
-    "tol": _LEAF,
+    "params": {"N": int, "s": float, "N_list": [int], "s_list": [float]},
+    "geometry": {"curvatures": [float], "delta": float},
+    "grid": {"bounds": [[float]], "nodes": [int]},
+    "lambda": float,
+    "lambda_list": [float],
+    "singularities": [{"location": [float], "s": float}],
+    "far_sites": [{"distance": float, "s": float}],
+    "eps_list": [float],
+    "beta_list": [float],
+    "box_nodes": int,
+    "solver": {"max_iters": int, "grad_tol": float},
+    "init": {"type": str, "site": int, "eps": float, "value": float},
+    "output": str,
+    "field_output": str,
+    "seed": int,
+    "tol": float,
 }
 
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
 
-def _walk_schema(node: Any, schema: Any, path: str, problems: list[str]) -> None:
-    if schema == _LEAF:
-        return
+
+def _convert(node: Any, schema: Any, path: str, problems: list[str]) -> Any:
+    """``node`` checked against ``schema`` and converted to its types; each
+    mismatch is appended to ``problems`` with its dotted path."""
+    if isinstance(schema, dict):
+        if not isinstance(node, dict):
+            problems.append(f"{path}: expected a mapping, got {node!r}")
+            return None
+        out = {}
+        for key, value in node.items():
+            child = f"{path}.{key}" if path else str(key)
+            if key in schema:
+                out[key] = _convert(value, schema[key], child, problems)
+            else:
+                problems.append(f"unknown key: {child}")
+        return out
     if isinstance(schema, list):
-        if not isinstance(node, list):
-            problems.append(f"{path}: expected a list")
-            return
-        for i, item in enumerate(node):
-            _walk_schema(item, schema[0], f"{path}[{i}]", problems)
-        return
-    if not isinstance(node, dict):
-        problems.append(f"{path}: expected a mapping")
-        return
-    for key, value in node.items():
-        child = f"{path}.{key}" if path else str(key)
-        if key not in schema:
-            problems.append(f"unknown key: {child}")
-            continue
-        _walk_schema(value, schema[key], child, problems)
+        if not isinstance(node, list) or not node:
+            problems.append(f"{path}: expected a nonempty list, got {node!r}")
+            return None
+        return [_convert(item, schema[0], f"{path}[{i}]", problems)
+                for i, item in enumerate(node)]
+    accepted = (int, float) if schema is float else schema
+    if isinstance(node, bool) or not isinstance(node, accepted):
+        problems.append(f"{path}: expected {_EXPECTED[schema]}, got {node!r}")
+        return None
+    return schema(node)
 
 
 def load_config(path: str) -> dict:
-    """Parse and schema-validate a YAML config file."""
+    """Parse a YAML config file, check it against the schema and convert it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -99,138 +112,80 @@ def load_config(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     problems: list[str] = []
-    _walk_schema(data, _SCHEMA, "", problems)
+    cfg = _convert(data, _SCHEMA, "", problems)
     if problems:
         raise ConfigError("config schema errors:\n  " + "\n  ".join(problems))
-    return data
+    return cfg
 
 
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+def _require(node: dict, path: str) -> Any:
+    """``node``'s value under the last key of the dotted ``path``; a missing
+    key is a config error that names the whole path."""
+    key = path.rpartition(".")[2]
+    if key not in node:
+        raise ConfigError(f"missing required key: {path}")
+    return node[key]
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _make(where: str, factory: Callable, *args, **kwargs):
+    """``factory(*args, **kwargs)``.  The library's constructors check the
+    ranges of their inputs; a ValueError of theirs becomes a config error
+    about ``where``."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _as_float_list(value: Any, path: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of numbers")
-    return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _require(cfg: dict, key: str) -> Any:
-    if key not in cfg:
-        raise ConfigError(f"missing required key: {key}")
-    return cfg[key]
-
-
-def _exponent_in_range(s: float, path: str) -> float:
-    if not (0.0 < s < 2.0):
-        raise ConfigError(f"{path}: exponent s must lie in (0, 2), got {s}")
-    return s
-
-
-def _param_rows(cfg: dict) -> list[tuple[int, float]]:
+def _params(cfg: dict) -> list[extremals.HSParams]:
     """Cross product of the requested dimensions and exponents, config order."""
     params = _require(cfg, "params")
-    if "N_list" in params:
-        ns = [_as_int(v, "params.N_list") for v in params["N_list"]]
-    else:
-        ns = [_as_int(_require(params, "N"), "params.N")]
-    if "s_list" in params:
-        ss = _as_float_list(params["s_list"], "params.s_list")
-    else:
-        ss = [_as_float(_require(params, "s"), "params.s")]
-    for n in ns:
-        if n < 3:
-            raise ConfigError(f"params.N: dimension must be >= 3, got {n}")
-    ss = [_exponent_in_range(s, "params.s") for s in ss]
-    return [(n, s) for n in ns for s in ss]
-
-
-def _single_params(cfg: dict) -> tuple[int, float]:
-    rows = _param_rows(cfg)
-    if len(rows) != 1:
-        raise ConfigError("this subcommand needs a single (N, s) pair in params")
-    return rows[0]
-
-
-def _geometry(cfg: dict) -> boundary_energy.BoundaryGeometry:
-    geo = _require(cfg, "geometry")
-    curv = tuple(_as_float_list(_require(geo, "curvatures"), "geometry.curvatures"))
-    delta = _as_float(_require(geo, "delta"), "geometry.delta")
-    try:
-        return boundary_energy.BoundaryGeometry(curvatures=curv, delta=delta)
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-
-
-def _grid(cfg: dict) -> variational.DomainGrid:
-    grid = _require(cfg, "grid")
-    bounds_raw = _require(grid, "bounds")
-    if not isinstance(bounds_raw, list) or not bounds_raw:
-        raise ConfigError("grid.bounds: expected a list of [lo, hi] pairs")
-    bounds = []
-    for i, pair in enumerate(bounds_raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"grid.bounds[{i}]: expected a [lo, hi] pair")
-        bounds.append((_as_float(pair[0], f"grid.bounds[{i}][0]"),
-                       _as_float(pair[1], f"grid.bounds[{i}][1]")))
-    nodes_raw = _require(grid, "nodes")
-    if not isinstance(nodes_raw, list):
-        raise ConfigError("grid.nodes: expected a list of integers")
-    nodes = tuple(_as_int(v, f"grid.nodes[{i}]") for i, v in enumerate(nodes_raw))
-    try:
-        return variational.DomainGrid(bounds=tuple(bounds), nodes_per_axis=nodes)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
-def _singularities(cfg: dict) -> tuple[variational.Singularity, ...]:
-    raw = _require(cfg, "singularities")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("singularities: expected a nonempty list")
-    out = []
-    for i, entry in enumerate(raw):
-        loc = tuple(_as_float_list(_require(entry, "location"),
-                                   f"singularities[{i}].location"))
-        s = _exponent_in_range(
-            _as_float(_require(entry, "s"), f"singularities[{i}].s"),
-            f"singularities[{i}].s",
-        )
-        try:
-            out.append(variational.Singularity(location=loc, s=s))
-        except ValueError as exc:
-            raise ConfigError(f"singularities[{i}]: {exc}") from exc
-    return tuple(out)
-
-
-def _far_sites(cfg: dict) -> list[tuple[float, float]]:
-    raw = cfg.get("far_sites", [])
-    out = []
-    for i, entry in enumerate(raw):
-        dist = _as_float(_require(entry, "distance"), f"far_sites[{i}].distance")
-        s = _exponent_in_range(
-            _as_float(_require(entry, "s"), f"far_sites[{i}].s"),
-            f"far_sites[{i}].s",
-        )
-        out.append((dist, s))
-    return out
+    ns = params["N_list"] if "N_list" in params else [_require(params, "params.N")]
+    ss = params["s_list"] if "s_list" in params else [_require(params, "params.s")]
+    return [_make("params", extremals.HSParams, n, s) for n in ns for s in ss]
 
 
 def _quad_settings(cfg: dict, tol_flag: float | None) -> QuadratureSettings | None:
     tol = tol_flag if tol_flag is not None else cfg.get("tol")
     if tol is None:
         return None
-    tol = _as_float(tol, "tol")
-    if not (0.0 < tol < 1.0):
-        raise ConfigError(f"tol must lie in (0, 1), got {tol}")
-    return QuadratureSettings(rel_tol=tol, abs_tol=min(1e-14, tol))
+    return _make("tol", QuadratureSettings, rel_tol=tol, abs_tol=min(1e-14, tol))
+
+
+def _grid_and_sites(cfg: dict) -> tuple[variational.DomainGrid,
+                                        tuple[variational.Singularity, ...]]:
+    grid = _require(cfg, "grid")
+    domain = _make("grid", variational.DomainGrid,
+                   _require(grid, "grid.bounds"), _require(grid, "grid.nodes"))
+    sites = tuple(
+        _make(f"singularities[{i}]", variational.Singularity,
+              _require(site, f"singularities[{i}].location"),
+              _require(site, f"singularities[{i}].s"))
+        for i, site in enumerate(_require(cfg, "singularities")))
+    return domain, sites
+
+
+def _solve_options(cfg: dict, tol: float | None) -> variational.SolveOptions:
+    kwargs = dict(cfg.get("solver", {}))
+    if tol is not None:
+        kwargs["grad_tol"] = tol
+    return _make("solver", variational.SolveOptions, **kwargs)
+
+
+def _initial(cfg: dict, grid: variational.DomainGrid, seed: int):
+    init = cfg.get("init")
+    if init is None:
+        return None
+    kind = init.get("type", "bubble")
+    if kind == "bubble":
+        return variational.BubbleAt(site=init.get("site"), eps=init.get("eps"))
+    if kind == "constant":
+        return variational.Constant(value=init.get("value", 1.0))
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        field = init.get("value", 1.0) * np.abs(rng.standard_normal(grid.shape))
+        return variational.Custom(values=field)
+    raise ConfigError(f"init.type must be bubble, constant, or random, got {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,41 +213,42 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (header, rows, failures)
+# subcommands: each builds its inputs, then returns (header, rows, failures)
 # ---------------------------------------------------------------------------
 
 
-def _run_constants(cfg: dict, tol: float | None, seed: int):
+def _run_constants(cfg: dict, tol: float | None, seed: int, out_path: str):
     settings = _quad_settings(cfg, tol)
+    params = _params(cfg)
     header = ["n", "s", "grad_energy", "weighted_mass", "best_constant",
               "interior_threshold", "boundary_threshold"]
     rows, failures = [], []
-    for n, s in _param_rows(cfg):
+    for p in params:
         try:
-            p = extremals.HSParams(n, s)
             consts = extremals.whole_space_constants(p, settings)
             interior, boundary = (
-                identities.ps_threshold(n, [identities.SingularitySite(theta, s)],
+                identities.ps_threshold(p.N, [identities.SingularitySite(theta, p.s)],
                                         settings).overall
                 for theta in (1.0, 0.5))
-            rows.append([n, s, consts.grad_energy, consts.weighted_mass,
+            rows.append([p.N, p.s, consts.grad_energy, consts.weighted_mass,
                          consts.best_constant, interior, boundary])
         except Exception as exc:
-            failures.append(f"constants(N={n}, s={s}): {exc}")
+            failures.append(f"constants(N={p.N}, s={p.s}): {exc}")
     return header, rows, failures
 
 
-def _run_identities(cfg: dict, tol: float | None, seed: int):
+def _run_identities(cfg: dict, tol: float | None, seed: int, out_path: str):
     settings = _quad_settings(cfg, tol)
+    params = _params(cfg)
     header = ["kind", "n", "s", "beta", "lhs", "rhs", "rel_diff",
               "sliver_ratio_limit", "moment_ratio", "strict_gap"]
     rows, failures = [], []
-    for n, s in _param_rows(cfg):
-        p = extremals.HSParams(n, s)
+    for p in params:
+        n, s = p.N, p.s
         if "beta_list" in cfg:
-            betas = _as_float_list(cfg["beta_list"], "beta_list")
+            betas = cfg["beta_list"]
         else:
-            betas = list(np.linspace(2.0, 2.0 * (n - s) - 1.0, 6))
+            betas = np.linspace(2.0, 2.0 * (n - s) - 1.0, 6)
         for beta in betas:
             try:
                 chk = identities.beta_recurrence_check(beta, p, settings)
@@ -310,16 +266,23 @@ def _run_identities(cfg: dict, tol: float | None, seed: int):
     return header, rows, failures
 
 
-def _run_boundary(cfg: dict, tol: float | None, seed: int):
+def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
     settings = _quad_settings(cfg, tol)
-    n, s = _single_params(cfg)
-    p = extremals.HSParams(n, s)
-    geom = _geometry(cfg)
+    params = _params(cfg)
+    if len(params) != 1:
+        raise ConfigError("params: boundary takes a single (N, s) pair")
+    p = params[0]
+    geo = _require(cfg, "geometry")
+    geom = _make("geometry", boundary_energy.BoundaryGeometry,
+                 _require(geo, "geometry.curvatures"), _require(geo, "geometry.delta"))
     cut = boundary_energy.CutoffSpec(delta=geom.delta)
-    far = _far_sites(cfg)
-    lam = _as_float(cfg.get("lambda", 0.0), "lambda")
-    eps_list = _as_float_list(_require(cfg, "eps_list"), "eps_list")
-    box_nodes = _as_int(cfg["box_nodes"], "box_nodes") if "box_nodes" in cfg else None
+    # each far site's exponent is checked as the s of its own (N, s) pair
+    far = [(_require(site, f"far_sites[{i}].distance"),
+            _make(f"far_sites[{i}]", extremals.HSParams,
+                  p.N, _require(site, f"far_sites[{i}].s")).s)
+           for i, site in enumerate(cfg.get("far_sites", []))]
+    lam = cfg.get("lambda", 0.0)
+    eps_list = _require(cfg, "eps_list")
     threshold = boundary_energy.boundary_threshold(p, settings)
 
     header = ["kind", "eps", "grad_energy", "near_mass", "l2_mass",
@@ -330,12 +293,12 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int):
     for eps in eps_list:
         try:
             res = boundary_energy.bubble_energies(
-                eps, geom, cut, far, p, settings, box_nodes=box_nodes)
+                eps, geom, cut, far, p, settings, box_nodes=cfg.get("box_nodes"))
+            row = boundary_energy.margin_row(res, lam, p, threshold)
         except Exception as exc:
             failures.append(f"boundary(eps={eps}): {exc}")
             continue
         good.append(res)
-        row = boundary_energy.margin_row(res, lam, p, threshold)
         rows.append(["energy", res.eps, res.grad_energy, res.near_mass,
                      res.l2_mass, sum(res.far_masses), res.sliver_energy,
                      res.sliver_mass, row.peak, row.margin, row.scaled_margin])
@@ -359,98 +322,55 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int):
     return header, rows, failures
 
 
-def _solve_options(cfg: dict, tol: float | None) -> variational.SolveOptions:
-    solver = cfg.get("solver", {})
-    kwargs: dict[str, Any] = {}
-    if "max_iters" in solver:
-        kwargs["max_iters"] = _as_int(solver["max_iters"], "solver.max_iters")
-    if "grad_tol" in solver:
-        kwargs["grad_tol"] = _as_float(solver["grad_tol"], "solver.grad_tol")
-    if tol is not None:
-        kwargs["grad_tol"] = tol
-    try:
-        return variational.SolveOptions(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
-def _initial(cfg: dict, problem: variational.ProblemConfig, seed: int):
-    init = cfg.get("init")
-    if init is None:
-        return None
-    kind = init.get("type", "bubble")
-    if kind == "bubble":
-        site = _as_int(init["site"], "init.site") if "site" in init else None
-        eps = _as_float(init["eps"], "init.eps") if "eps" in init else None
-        return variational.BubbleAt(site=site, eps=eps)
-    if kind == "constant":
-        return variational.Constant(
-            value=_as_float(init.get("value", 1.0), "init.value"))
-    if kind == "random":
-        scale = _as_float(init.get("value", 1.0), "init.value")
-        rng = np.random.default_rng(seed)
-        field = scale * np.abs(rng.standard_normal(problem.grid.shape))
-        return variational.Custom(values=field)
-    raise ConfigError(f"init.type must be bubble, constant, or random, got {kind!r}")
-
-
-def _solve_header() -> list[str]:
-    return ["energy", "residual_sup", "min_value", "iterations",
-            "threshold", "below_threshold", "converged"]
-
-
 def _run_solve(cfg: dict, tol: float | None, seed: int, out_path: str):
-    grid = _grid(cfg)
-    sings = _singularities(cfg)
-    lam = _as_float(_require(cfg, "lambda"), "lambda")
-    try:
-        problem = variational.ProblemConfig(grid=grid, lam=lam, singularities=sings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid, sites = _grid_and_sites(cfg)
+    problem = _make("grid, lambda, singularities", variational.ProblemConfig,
+                    grid, _require(cfg, "lambda"), sites)
     opts = _solve_options(cfg, tol)
-    init = _initial(cfg, problem, seed)
+    init = _initial(cfg, grid, seed)
+    snapshot = cfg.get("field_output", out_path + ".field")
+    header = ["energy", "residual_sup", "min_value", "iterations",
+              "threshold", "below_threshold", "converged"]
     rows, failures = [], []
-    header = _solve_header()
     try:
         report, field = variational.mountain_pass_solve(problem, init, opts)
         rows.append([report.energy, report.residual_sup, report.min_value,
                      report.iterations, report.threshold,
                      report.below_threshold, report.converged])
-        snapshot = cfg.get("field_output", out_path + ".field")
         variational.save_field(snapshot, grid, field)
     except Exception as exc:
         failures.append(f"solve: {exc}")
     return header, rows, failures
 
 
-def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int):
+def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int, out_path: str):
     settings = _quad_settings(cfg, tol)
-    grid = _grid(cfg)
-    sings = _singularities(cfg)
-    lam_list = _as_float_list(_require(cfg, "lambda_list"), "lambda_list")
+    grid, sites = _grid_and_sites(cfg)
+    problems = [_make("grid, lambda_list, singularities", variational.ProblemConfig,
+                      grid, lam, sites)
+                for lam in _require(cfg, "lambda_list")]
+    qs = _make("grid", problems[0].exponents)
     opts = _solve_options(cfg, tol)
+    init = _initial(cfg, grid, seed)
 
     volume = grid.volume
     vol_nodes = variational.node_volumes(grid)
-    masses = [float(np.sum(variational.singular_weight(grid, s_) * vol_nodes))
-              for s_ in sings]
-    qs = [variational.critical_exponent(grid.N, s_.s) for s_ in sings]
-    sites = [identities.SingularitySite(variational.placement_of(grid, s_), s_.s)
-             for s_ in sings]
-    threshold = identities.ps_threshold(grid.N, sites, settings).overall
+    masses = [float(np.sum(variational.singular_weight(grid, site) * vol_nodes))
+              for site in sites]
+    placed = [identities.SingularitySite(variational.placement_of(grid, site), site.s)
+              for site in sites]
+    threshold = identities.ps_threshold(grid.N, placed, settings).overall
     lam_bound = identities.lambda_existence_bound(volume, masses, qs, threshold)
 
     header = ["lam", "constant_path_max", "threshold", "lambda_bound",
               "solver_energy", "below_threshold", "converged"]
     rows, failures = [], []
-    for lam in lam_list:
+    for problem in problems:
+        lam = problem.lam
         try:
             if lam <= 0.0:
                 raise ValueError("sweep requires lambda > 0")
             peak = identities.ray_peak(lam * volume, masses, qs)[1]
-            problem = variational.ProblemConfig(
-                grid=grid, lam=lam, singularities=sings)
-            init = _initial(cfg, problem, seed)
             report, _ = variational.mountain_pass_solve(problem, init, opts)
             rows.append([lam, peak, threshold, lam_bound, report.energy,
                          report.below_threshold, report.converged])
@@ -463,6 +383,15 @@ def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int):
 # entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "constants": (_run_constants, "whole-space constants and compactness thresholds"),
+    "identities": (_run_identities, "radial moment recurrence and ratio checks"),
+    "boundary": (_run_boundary, "curved-boundary bubble energy sweep over eps"),
+    "solve": (_run_solve, "mountain-pass solve on a Neumann box"),
+    "sweep-lambda": (_run_sweep_lambda,
+                     "constant path, existence bound, and solves over lambda"),
+}
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -472,13 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hardy-Sobolev variational toolkit experiment runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("constants", "whole-space constants and compactness thresholds"),
-        ("identities", "radial moment recurrence and ratio checks"),
-        ("boundary", "curved-boundary bubble energy sweep over eps"),
-        ("solve", "mountain-pass solve on a Neumann box"),
-        ("sweep-lambda", "constant path, existence bound, and solves over lambda"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="YAML config path")
         cmd.add_argument("--out", default=None, help="output CSV path")
@@ -492,23 +415,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    run = _COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else _as_int(
-            cfg.get("seed", 0), "seed")
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         out_path = args.out or cfg.get("output") or f"{args.command}.csv"
-        if not isinstance(out_path, str):
-            raise ConfigError("output must be a path string")
-        if args.command == "constants":
-            header, rows, failures = _run_constants(cfg, args.tol, seed)
-        elif args.command == "identities":
-            header, rows, failures = _run_identities(cfg, args.tol, seed)
-        elif args.command == "boundary":
-            header, rows, failures = _run_boundary(cfg, args.tol, seed)
-        elif args.command == "solve":
-            header, rows, failures = _run_solve(cfg, args.tol, seed, out_path)
-        else:
-            header, rows, failures = _run_sweep_lambda(cfg, args.tol, seed)
+        header, rows, failures = run(cfg, args.tol, seed, out_path)
         _write_csv(out_path, header, rows)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,7 +79,6 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "bubble_field",
-    "critical_exponent",
     "energy",
     "gradient",
     "load_field",
@@ -124,6 +123,8 @@ class DomainGrid:
     nodes_per_axis: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(len(pair) != 2 for pair in self.bounds):
+            raise ValueError("each axis needs a (lo, hi) pair of bounds")
         bounds = tuple((float(a), float(b)) for a, b in self.bounds)
         nodes = tuple(int(n) for n in self.nodes_per_axis)
         object.__setattr__(self, "bounds", bounds)
@@ -201,11 +202,6 @@ class Singularity:
             raise ValueError("exponent s must lie in (0, 2)")
 
 
-def critical_exponent(n: int, s: float) -> float:
-    """The weighted critical power 2(N - s)/(N - 2)."""
-    return 2.0 * (n - s) / (n - 2.0)
-
-
 def placement_of(grid: DomainGrid, sing: Singularity) -> float:
     """The site's share theta of the box: 2**-k, k the faces within half a
     cell of it (1 inside, 1/2 on a face, 1/4 on an edge, 1/8 at a corner)."""
@@ -245,8 +241,7 @@ class ProblemConfig:
                     raise ValueError("singular sites must be pairwise distinct")
 
     def exponents(self) -> tuple[float, ...]:
-        n = self.grid.N
-        return tuple(critical_exponent(n, sing.s) for sing in self.singularities)
+        return tuple(HSParams(self.grid.N, sing.s).two_star for sing in self.singularities)
 
 
 def _check_field(grid: DomainGrid, u) -> np.ndarray:

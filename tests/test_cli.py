@@ -215,6 +215,14 @@ class TestBoundaryCommand:
         assert "exceeds delta/10" in failed[0]
 
 
+    def test_failed_ray_peak_is_itemized(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BOUNDARY_CFG.replace("lambda: 1.0", "lambda: .inf"))
+        assert main(["boundary", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("failed: ")]
+        assert len(failed) == 2 and all("ray inputs must be finite" in f for f in failed)
+
+
 class TestSolveCommand:
     def test_solve_writes_csv_and_snapshot(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CFG)
@@ -313,7 +321,49 @@ class TestSweepLambdaCommand:
         assert len(rows) == 2  # header + the one lambda that succeeded
 
 
+PLANE_SWEEP_CFG = """
+grid:
+  bounds: [[0.0, 1.0], [0.0, 1.0]]
+  nodes: [10, 10]
+lambda_list: [0.01]
+singularities:
+  - location: [0.5, 0.5]
+    s: 1.0
+"""
+
+# (command, config, a key the message must name)
+FAULTY_CONFIGS = {
+    "scalar_N_list": ("constants", "params:\n  N_list: 3\n  s: 1.0\n", "params.N_list"),
+    "empty_N_list": ("constants", "params:\n  N_list: []\n  s: 1.0\n", "params.N_list"),
+    "short_site": ("sweep-lambda", SWEEP_CFG.replace("[0.5, 0.5, 0.5]", "[0.5, 0.5]"),
+                   "singularities"),
+    "plane_grid": ("sweep-lambda", PLANE_SWEEP_CFG, "grid"),
+    "bogus_init": ("sweep-lambda", SWEEP_CFG.replace("type: constant", "type: bogus"),
+                   "init.type"),
+    "empty_far_sites": ("boundary", BOUNDARY_CFG + "far_sites: []\n", "far_sites"),
+    "infinite_lambda": ("sweep-lambda", SWEEP_CFG.replace("[0.005, 0.02]", "[0.005, .inf]"),
+                        "lambda_list"),
+}
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("case", sorted(FAULTY_CONFIGS))
+    def test_faulty_config_exits_2_naming_the_key(self, tmp_path, capsys, case):
+        command, text, key = FAULTY_CONFIGS[case]
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    def test_wrong_types_report_every_dotted_path(self, tmp_path, capsys):
+        text = SWEEP_CFG.replace("s: 1.0", "s: one").replace("[10, 10, 10]", "[10, ten, 10]")
+        assert main(["sweep-lambda", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "singularities[0].s: expected a number, got 'one'" in err
+        assert "grid.nodes[1]: expected an integer, got 'ten'" in err
+
     def test_exponent_out_of_range(self, tmp_path):
         cfg = write_config(tmp_path, "params:\n  N: 3\n  s: 2.5\n")
         assert main(["constants", "--config", cfg,

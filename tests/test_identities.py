@@ -43,6 +43,12 @@ class TestMomentRecurrence:
             chk = beta_recurrence_check(beta, p)
             assert chk.rel_diff < 1e-10, (n, s, beta, chk)
 
+    def test_fractional_head_on_one_panel(self):
+        # the upper half of lhs maps to m = 8 with head t**1.186, where one
+        # panel's K15 and G7 agree to 2e-10 while K15 is 5e-7 off
+        chk = beta_recurrence_check(6.141547606193991, HSParams(N=4, s=0.42922619690300456))
+        assert chk.rel_diff < 1e-12, chk
+
     def test_beta_below_range(self):
         with pytest.raises(OutOfRangeBeta):
             beta_recurrence_check(1.5, P31)

@@ -40,7 +40,6 @@ from hslab.variational import (
     SolveOptions,
     SolveReport,
     bubble_field,
-    critical_exponent,
     energy,
     gradient,
     load_field,
@@ -99,7 +98,6 @@ class TestProblemConfig:
     def test_exponents(self):
         cfg = unit_config()
         assert cfg.exponents() == pytest.approx((4.0,))
-        assert critical_exponent(3, 1.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_site_outside_box_rejected(self):
         grid = DomainGrid(UNIT3, (9,) * 3)
