@@ -63,6 +63,7 @@ __all__ = [
     "RayPeak",
     "boundary_threshold",
     "bubble_energies",
+    "check_dimension",
     "fit_log_slope",
     "margin_row",
     "ray_peak_energy",
@@ -222,46 +223,41 @@ def _profile_pack(
     """Stacked radial densities of the (optionally cutoff) bubble in scaled coordinates.
 
     Returns dens(t) for t = |y|, an array with one leading entry per row:
-      "grad" : |d/dt (eta~ * U1)|**2        (squared radial derivative)
-      "mass" : (eta~ * U1)**q * t**(-s)     with q the critical exponent
-      "l2"   : (eta~ * U1)**2
-      q'     : (eta~ * U1)**q'              for a number q'
-    where U1(t) = (1 + t**(2-s))**kappa, kappa = (2-N)/(2-s), and
-    eta~(t) = eta(tau * t) is the cutoff seen at scale tau (eta~ == 1 when
-    ``cut`` is None, giving the pure whole-profile densities).  The powers
-    t**(1-s), 1 + t**(2-s), U1 and U1' are computed once for all rows, and
-    eta~ only where tau * t > delta (elsewhere it is exactly 1, its slope
-    exactly 0).  A row's values do not depend on the other rows.
+      "grad" : |d/dt u|**2       (squared radial derivative)
+      "mass" : u**q * t**(-s)    with q the critical exponent
+      "l2"   : u**2
+      q'     : u**q'             for a number q'
+    where u = eta~ * U1, U1(t) = (1 + t**(2-s))**kappa, kappa = (2-N)/(2-s),
+    and eta~(t) = eta(tau * t) is the cutoff seen at scale tau (eta~ == 1
+    when ``cut`` is None, giving the pure whole-profile densities).  Every
+    row but grad is a power of u.  The powers t**(1-s), 1 + t**(2-s), U1
+    and U1' are computed once for all rows, and eta~ enters only where
+    tau * t > delta (elsewhere it is exactly 1, its slope exactly 0).  A
+    row's values do not depend on the other rows.
     """
     n, s = p.N, p.s
     kappa = (2.0 - n) / (2.0 - s)
-    b = p.profile_decay
     q = p.two_star
-
-    def stack(t, x, u, du, eta, deta) -> np.ndarray:
-        # eta, deta: eta~ and its t-derivative, as arrays or exact constants
-        out = np.empty((len(rows), *t.shape))
-        for v, row in zip(out, rows):
-            if row == "grad":
-                np.square(deta * u + eta * du, out=v)
-            elif row == "mass":
-                np.multiply(eta**q * t ** (-s), x ** (-b), out=v)
-            elif row == "l2":
-                np.square(eta * u, out=v)
-            else:
-                np.multiply(eta**row, x ** (kappa * row), out=v)
-        return out
 
     def dens(t: np.ndarray) -> np.ndarray:
         x = 1.0 + t ** (2.0 - s)
         u = x**kappa
         du = (2.0 - n) * t ** (1.0 - s) * x ** (kappa - 1.0)
-        out = stack(t, x, u, du, 1.0, 0.0)
         if cut is not None and (ramp := tau * t > cut.delta).any():
             r = tau * t[ramp]
-            out[:, ramp] = stack(
-                t[ramp], x[ramp], u[ramp], du[ramp], cut.value(r), tau * cut.slope(r)
-            )
+            eta = cut.value(r)
+            du[ramp] = tau * cut.slope(r) * u[ramp] + eta * du[ramp]
+            u[ramp] *= eta
+        out = np.empty((len(rows), *t.shape))
+        for v, row in zip(out, rows):
+            if row == "grad":
+                np.square(du, out=v)
+            elif row == "mass":
+                np.multiply(u**q, t ** (-s), out=v)
+            elif row == "l2":
+                np.square(u, out=v)
+            else:
+                np.power(u, row, out=v)
         return out
 
     return dens
@@ -463,7 +459,9 @@ def _resolve_box_nodes(p: HSParams, box_nodes: int | None) -> int:
         ) from None
 
 
-def _check_dimension(geom: BoundaryGeometry, p: HSParams) -> None:
+def check_dimension(geom: BoundaryGeometry, p: HSParams) -> None:
+    """Raise ValueError unless ``geom`` has one curvature per tangential axis
+    of dimension p.N."""
     if len(geom.curvatures) != p.N - 1:
         raise ValueError(
             f"need {p.N - 1} principal curvatures for dimension {p.N}, "
@@ -494,7 +492,7 @@ def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
     """Sliver integral of one row of the uncut bubble at scale eps."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    _check_dimension(geom, p)
+    check_dimension(geom, p)
     cfg = cfg or QuadratureSettings()
     tau = eps ** (1.0 / (2.0 - p.s))
     nodes = _resolve_box_nodes(p, box_nodes)
@@ -552,7 +550,7 @@ def sliver_energy_leading_coefficient(
     radial moment diverges (the sliver energy carries an extra logarithm)
     and Divergent is raised.
     """
-    _check_dimension(geom, p)
+    check_dimension(geom, p)
     n, s = p.N, p.s
     b = p.profile_decay
     moment = integrate_radial_power(RadialPowerIntegrand(n + 2.0 - 2.0 * s, b, s), cfg)
@@ -566,7 +564,7 @@ def sliver_mass_leading_coefficient(
     geom: BoundaryGeometry, p: HSParams, cfg: QuadratureSettings | None = None
 ) -> float:
     """Limit of sliver_mass_integral / eps**(1/(2-s)) as eps -> 0 (all N >= 3)."""
-    _check_dimension(geom, p)
+    check_dimension(geom, p)
     n, s = p.N, p.s
     b = p.profile_decay
     moment = integrate_radial_power(RadialPowerIntegrand(n - s, b, s), cfg)
@@ -613,7 +611,7 @@ def bubble_energies(
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    _check_dimension(geom, p)
+    check_dimension(geom, p)
     if not math.isclose(cut.delta, geom.delta, rel_tol=1e-12):
         raise ValueError("cutoff radius and geometry patch radius must agree")
     cfg = cfg or QuadratureSettings()

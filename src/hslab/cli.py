@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Any, Callable, Sequence
 
@@ -172,20 +173,23 @@ def _solve_options(cfg: dict, tol: float | None) -> variational.SolveOptions:
     return _make("solver", variational.SolveOptions, **kwargs)
 
 
-def _initial(cfg: dict, grid: variational.DomainGrid, seed: int):
+def _initial(cfg: dict, problem: variational.ProblemConfig, seed: int) -> np.ndarray | None:
+    """The solver's start field, or None for its default bubble start."""
     init = cfg.get("init")
     if init is None:
         return None
     kind = init.get("type", "bubble")
     if kind == "bubble":
-        return variational.BubbleAt(site=init.get("site"), eps=init.get("eps"))
+        return _make("init", variational.bubble_start, problem, init.get("site"), init.get("eps"))
+    if kind not in ("constant", "random"):
+        raise ConfigError(f"init.type must be bubble, constant, or random, got {kind!r}")
+    value = init.get("value", 1.0)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ConfigError(f"init.value must be a positive real, got {value!r}")
+    shape = problem.grid.shape
     if kind == "constant":
-        return variational.Constant(value=init.get("value", 1.0))
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        field = init.get("value", 1.0) * np.abs(rng.standard_normal(grid.shape))
-        return variational.Custom(values=field)
-    raise ConfigError(f"init.type must be bubble, constant, or random, got {kind!r}")
+        return np.full(shape, value)
+    return value * np.abs(np.random.default_rng(seed).standard_normal(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +279,7 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
     geo = _require(cfg, "geometry")
     geom = _make("geometry", boundary_energy.BoundaryGeometry,
                  _require(geo, "geometry.curvatures"), _require(geo, "geometry.delta"))
+    _make("geometry.curvatures", boundary_energy.check_dimension, geom, p)
     cut = boundary_energy.CutoffSpec(delta=geom.delta)
     # each far site's exponent is checked as the s of its own (N, s) pair
     far = [(_require(site, f"far_sites[{i}].distance"),
@@ -326,8 +331,9 @@ def _run_solve(cfg: dict, tol: float | None, seed: int, out_path: str):
     grid, sites = _grid_and_sites(cfg)
     problem = _make("grid, lambda, singularities", variational.ProblemConfig,
                     grid, _require(cfg, "lambda"), sites)
+    _make("grid", problem.exponents)
     opts = _solve_options(cfg, tol)
-    init = _initial(cfg, grid, seed)
+    init = _initial(cfg, problem, seed)
     snapshot = cfg.get("field_output", out_path + ".field")
     header = ["energy", "residual_sup", "min_value", "iterations",
               "threshold", "below_threshold", "converged"]
@@ -351,7 +357,7 @@ def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int, out_path: str):
                 for lam in _require(cfg, "lambda_list")]
     qs = _make("grid", problems[0].exponents)
     opts = _solve_options(cfg, tol)
-    init = _initial(cfg, grid, seed)
+    init = _initial(cfg, problems[0], seed)
 
     volume = grid.volume
     vol_nodes = variational.node_volumes(grid)

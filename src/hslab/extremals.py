@@ -36,7 +36,6 @@ __all__ = [
     "NonPositiveEps",
     "WholeSpaceConstants",
     "bubble_radial",
-    "bubble_value",
     "whole_space_constants",
 ]
 
@@ -78,26 +77,13 @@ class WholeSpaceConstants:
     best_constant: float
 
 
-def _radius(x) -> np.ndarray:
-    """|x| for a single point or an (..., N) stack of points."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return np.abs(arr)
-    return np.sqrt(np.sum(arr * arr, axis=-1))
-
-
-def bubble_value(x, eps: float, p: HSParams):
-    """Concentrating profile at the point(s) x.
+def bubble_radial(r, eps: float, p: HSParams):
+    """Concentrating profile at radius r >= 0 (vectorized in r).
 
     bubble(0) = eps**(-(N-2)/(2(2-s))), and the family is generated from the
     eps = 1 member by the invariance
-    bubble(x; eps) = eps^(-(N-2)/(2(2-s))) * bubble(x * eps^(-1/(2-s)); 1).
+    bubble(r; eps) = eps^(-(N-2)/(2(2-s))) * bubble(r * eps^(-1/(2-s)); 1).
     """
-    return bubble_radial(_radius(x), eps, p)
-
-
-def bubble_radial(r, eps: float, p: HSParams):
-    """Radial form of :func:`bubble_value` (vectorized in r >= 0)."""
     if not (eps > 0.0 and math.isfinite(eps)):
         raise NonPositiveEps("eps must be a positive real")
     r = np.asarray(r, dtype=float)

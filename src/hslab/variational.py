@@ -6,12 +6,13 @@ axis (nodes include the faces).  The energy of a node field u is
     (1/2) * sum(|grad u|**2 + lambda u**2) - sum_i (1/q_i) * int w_i * u_+**q_i
 
 with q_i = 2(N - s_i)/(N - 2) and w_i the discretised singular weight
-|x - x_i|**(-s_i).  The Dirichlet part is assembled edge by edge (squared
-forward differences times edge volumes, transverse trapezoid weights), which
-is exactly the variational form of the ghost-node reflection Neumann
-stencil: its Euler derivative at a face node is the reflected second-order
-formula, so the gradient returned here is the exact derivative of the
-energy actually evaluated.
+|x - x_i|**(-s_i).  The quadratic part is <u, L u>, L the stencil matrix:
+per axis, forward-difference fluxes times edge volumes (transverse
+trapezoid weights), which is exactly the variational form of the
+ghost-node reflection Neumann stencil.  Its Euler derivative at a face
+node is the reflected second-order formula, and the gradient returned here
+is L u minus the mass terms, the exact derivative of the energy actually
+evaluated.
 
 Every full-grid pass of these kernels is contiguous.  Differences along
 axis k are taken on the flat row-major layout, d[j] = u[j + step] - u[j]
@@ -66,9 +67,6 @@ from .extremals import HSParams, bubble_radial
 from .identities import NonpositivePart, SingularitySite, ThresholdReport, ps_threshold, ray_peak
 
 __all__ = [
-    "BubbleAt",
-    "Constant",
-    "Custom",
     "DomainGrid",
     "NonpositiveLambda",
     "NonpositivePart",
@@ -79,6 +77,7 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "bubble_field",
+    "bubble_start",
     "energy",
     "gradient",
     "load_field",
@@ -438,22 +437,6 @@ def _edge_coefficients(grid: DomainGrid) -> list[float]:
     return [cell / h**2 for h in grid.spacing]
 
 
-def _quadratic_part(u: np.ndarray, cfg: ProblemConfig) -> float:
-    """sum(|grad u|**2) + lambda * sum(u**2), both volume-weighted."""
-    grid = cfg.grid
-    buf = np.empty(u.size)
-    total = 0.0
-    for k, c in enumerate(_edge_coefficients(grid)):
-        d, _ = _difference(u, k, buf)
-        d *= d
-        _weigh_edges(d, k)
-        total += c * float(np.sum(d))
-    sq = np.multiply(u, u, out=buf.reshape(u.shape))
-    sq *= _node_volumes(grid)
-    total += cfg.lam * float(np.sum(sq))
-    return total
-
-
 def _stencil(u: np.ndarray, cfg: ProblemConfig, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """L u, the reflected Neumann stencil -Lap u + lambda u times the node
     volumes, written into ``out`` (C-contiguous; ``buf``: flat scratch of
@@ -498,6 +481,12 @@ def _dot(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
     direction take ``_modal_dot``."""
     np.multiply(a, b, out=buf)
     return float(np.sum(buf))
+
+
+def _quadratic_part(u: np.ndarray, cfg: ProblemConfig) -> float:
+    """<u, L u>: sum(|grad u|**2) + lambda * sum(u**2), both volume-weighted."""
+    lu = _stencil(u, cfg, np.empty(u.shape), np.empty(u.size))
+    return _dot(u, lu, lu)
 
 
 def energy(u, cfg: ProblemConfig) -> float:
@@ -655,35 +644,18 @@ def _lbfgs_direction(g: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray
 
 
 @dataclass(frozen=True)
-class BubbleAt:
-    """Start from a concentrated bubble at one singular site (index into the
-    config's list; None picks the site with the smallest compactness level).
-    ``eps`` defaults to 4 times the largest grid spacing."""
-
-    site: int | None = None
-    eps: float | None = None
-
-
-@dataclass(frozen=True)
-class Constant:
-    value: float
-
-
-@dataclass(frozen=True)
-class Custom:
-    values: object
-
-
-@dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 20000
     grad_tol: float = 1e-6
-    armijo: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.max_iters < 1 or self.grad_tol <= 0.0:
             raise ValueError("max_iters must be >= 1 and grad_tol > 0")
 
+
+# Sufficient-decrease factor of the line search's Armijo test (Nocedal &
+# Wright, Numerical Optimization, 2006, sec. 3.1).
+ARMIJO = 1e-4
 
 # Allowance, relative to |energy|, by which a line-search trial may exceed the
 # Armijo bound.  A trial's energy comes in closed form from its ray polynomial
@@ -743,44 +715,35 @@ def bubble_field(grid: DomainGrid, location: Sequence[float], eps: float,
     return bubble_radial(r, eps, p)
 
 
-def _initial_field(
-    cfg: ProblemConfig, init, per_site: Sequence[tuple[SingularitySite, float]]
-) -> np.ndarray:
-    grid = cfg.grid
-    if init is None:
-        init = BubbleAt()
-    if isinstance(init, Custom):
-        return _check_field(grid, init.values).copy()
-    if isinstance(init, Constant):
-        if not (init.value > 0.0 and math.isfinite(init.value)):
-            raise ValueError("constant initial value must be positive")
-        return np.full(grid.shape, float(init.value))
-    if isinstance(init, BubbleAt):
-        if init.site is None:
-            site = min(range(len(per_site)), key=lambda i: per_site[i][1])
-        else:
-            site = int(init.site)
-            if not 0 <= site < len(cfg.singularities):
-                raise ValueError("site index out of range")
-        sing = cfg.singularities[site]
-        if init.eps is not None:
-            eps = float(init.eps)
-            if eps <= 0.0:
-                raise ValueError("eps must be positive")
-        else:
-            eps = 4.0 * max(grid.spacing)
-        return bubble_field(grid, sing.location, eps, sing.s)
-    raise TypeError("init must be BubbleAt, Constant, Custom, or None")
+def bubble_start(cfg: ProblemConfig, site: int | None = None,
+                 eps: float | None = None) -> np.ndarray:
+    """The bubble field of one singular site: the solver's default start.
+
+    ``site`` indexes the config's sites; None picks the site with the
+    lowest compactness level.  ``eps`` defaults to 4 times the largest grid
+    spacing.  Raises ValueError for a site index out of range and
+    NonPositiveEps for an eps that is not a positive real.
+    """
+    if site is None:
+        per_site = _threshold_for(cfg).per_site
+        site = min(range(len(per_site)), key=lambda i: per_site[i][1])
+    elif not 0 <= site < len(cfg.singularities):
+        raise ValueError(f"site index {site} out of range for {len(cfg.singularities)} sites")
+    sing = cfg.singularities[site]
+    eps = 4.0 * max(cfg.grid.spacing) if eps is None else eps
+    return bubble_field(cfg.grid, sing.location, eps, sing.s)
 
 
 def mountain_pass_solve(
     cfg: ProblemConfig,
-    init: BubbleAt | Constant | Custom | None = None,
+    init: np.ndarray | None = None,
     opts: SolveOptions | None = None,
 ) -> tuple[SolveReport, np.ndarray]:
     """Minimise the energy over the Nehari set by projected descent.
 
-    Every iterate v is rescaled to its ray peak (Nehari point).  The step
+    ``init`` is the start field, a node array shaped like the grid (copied;
+    ShapeMismatch otherwise), or None for ``bubble_start(cfg)``.  Every
+    iterate v is rescaled to its ray peak (Nehari point).  The step
     v - t d starts at t = 1 and is halved until the rescaled energy
     decreases (Armijo test against the directional slope, which on the
     Nehari set equals the full one).  d is the L-BFGS direction H g of the
@@ -793,15 +756,17 @@ def mountain_pass_solve(
     1964), where H0 divides by the symbol lambda + sum_k mu_k; g goes to
     modes and d back to node values once per iteration.
 
-    Along the search ray the quadratic part is the polynomial
-    Q(v - t d) = a0 - 2 t a1 + t**2 a2, with a0 = <v, L v> and a1 = <d, L v>
-    from the stencil L v that the gradient kernel (shared with ``gradient``)
-    already forms, and a2 = Q(d) = sum(sym * d^**2) from the modal
-    direction, sym = lambda + sum_k mu_k.  A trial therefore costs one mass
-    pass over its candidate, one power per distinct exponent; its rescaled
-    energy is the closed-form ray peak of that polynomial and the masses,
-    so only an accepted trial is rescaled as a field.  The test accepts an energy up to ``ROUNDING * |energy|``
-    above the Armijo bound, the rounding of that closed form, since steps
+    The quadratic part is Q(u) = <u, L u>, L the stencil.  Along the
+    search ray it is the polynomial Q(v - t d) = a0 - 2 t a1 + t**2 a2,
+    with a0 = <v, L v> and a1 = <d, L v> from the stencil L v that the
+    gradient kernel (shared with ``gradient``) already forms, and
+    a2 = Q(d) = sum(sym * d^**2) from the modal direction,
+    sym = lambda + sum_k mu_k.  A trial therefore costs one mass pass over
+    its candidate, one power per distinct exponent; its rescaled energy is
+    the closed-form ray peak of that polynomial and the masses, so only an
+    accepted trial is rescaled as a field.  The test accepts an energy up to
+    ``ROUNDING * |energy|`` above the Armijo bound (factor ``ARMIJO``), the
+    rounding of that closed form, since steps
     near convergence ask for decreases below it.  The reported energy is
     that closed form (or, with no accepted step, the re-assembled energy of
     the projected start).
@@ -822,7 +787,7 @@ def mountain_pass_solve(
     thresholds = _threshold_for(cfg)
     weights = _exponent_weights(cfg)
 
-    v = _initial_field(cfg, init, thresholds.per_site)
+    v = bubble_start(cfg) if init is None else _check_field(grid, init).copy()
     if np.isfinite(v).all():  # a non-finite start is reported as a bad slope
         v = nehari_scale(v, cfg) * v  # raises on a hopeless or overflowing start
     e_v = energy(v, cfg)
@@ -874,7 +839,7 @@ def mountain_pass_solve(
             except ValueError:  # no positive part, no positive peak, or overflow
                 t *= 0.5
                 continue
-            if math.isfinite(e_new) and e_new <= e_v - opts.armijo * t * slope + allowance:
+            if math.isfinite(e_new) and e_new <= e_v - ARMIJO * t * slope + allowance:
                 accepted = True
                 break
             t *= 0.5

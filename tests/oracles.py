@@ -26,12 +26,20 @@ from typing import Sequence
 import numpy as np
 
 from hslab.boundary_energy import _as_positive_arrays
-from hslab.extremals import HSParams, _radius
+from hslab.extremals import HSParams
 from hslab.quadrature import QuadratureSettings, integrate_improper, sphere_surface_area
 
 
 class NonPositiveScale(ValueError):
     """The extremal family needs a strictly positive scale parameter."""
+
+
+def _radius(x) -> np.ndarray:
+    """|x| for a single point or an (..., N) stack of points."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return np.abs(arr)
+    return np.sqrt(np.sum(arr * arr, axis=-1))
 
 
 def extremal_value(x, scale: float, p: HSParams, base: str = "linear"):

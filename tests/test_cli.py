@@ -331,6 +331,10 @@ singularities:
     s: 1.0
 """
 
+PLANE_SOLVE_CFG = PLANE_SWEEP_CFG.replace("lambda_list: [0.01]", "lambda: 0.01")
+
+CONSTANT_INIT = "  type: constant\n  value: 1.0\n"
+
 # (command, config, a key the message must name)
 FAULTY_CONFIGS = {
     "scalar_N_list": ("constants", "params:\n  N_list: 3\n  s: 1.0\n", "params.N_list"),
@@ -343,6 +347,21 @@ FAULTY_CONFIGS = {
     "empty_far_sites": ("boundary", BOUNDARY_CFG + "far_sites: []\n", "far_sites"),
     "infinite_lambda": ("sweep-lambda", SWEEP_CFG.replace("[0.005, 0.02]", "[0.005, .inf]"),
                         "lambda_list"),
+    "plane_solve": ("solve", PLANE_SOLVE_CFG, "grid"),
+    "curvature_count": ("boundary", BOUNDARY_CFG.replace("[1.0, 1.0, 1.0]", "[1.0, 1.0]"),
+                        "geometry.curvatures"),
+    "init_site_solve": ("solve", SOLVE_CFG.replace(CONSTANT_INIT, "  site: 3\n"), "init: site"),
+    "init_site_sweep": ("sweep-lambda", SWEEP_CFG.replace(CONSTANT_INIT, "  site: 3\n"),
+                        "init: site"),
+    "init_eps": ("solve", SOLVE_CFG.replace(CONSTANT_INIT, "  type: bubble\n  eps: -1.0\n"),
+                 "init: eps"),
+    "init_value_negative": ("solve", SOLVE_CFG.replace("value: 1.0", "value: -1.0"),
+                            "init.value"),
+    "init_value_infinite": ("solve", SOLVE_CFG.replace("value: 1.0", "value: .inf"),
+                            "init.value"),
+    "random_init_value_negative": (
+        "sweep-lambda",
+        SWEEP_CFG.replace(CONSTANT_INIT, "  type: random\n  value: -1.0\n"), "init.value"),
 }
 
 
@@ -354,6 +373,7 @@ class TestConfigErrors:
         assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_wrong_types_report_every_dotted_path(self, tmp_path, capsys):

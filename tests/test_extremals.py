@@ -9,7 +9,6 @@ from hslab.extremals import (
     HSParams,
     NonPositiveEps,
     bubble_radial,
-    bubble_value,
     whole_space_constants,
 )
 from hslab.quadrature import sphere_surface_area
@@ -55,8 +54,7 @@ class TestProfiles:
         for p in (P31, P41, HSParams(N=5, s=0.5)):
             for eps in (1e-2, 1e-4):
                 expected = eps ** (-(p.N - 2) / (2.0 * (2.0 - p.s)))
-                x = np.zeros(p.N)
-                assert bubble_value(x, eps, p) == pytest.approx(expected, rel=1e-13)
+                assert bubble_radial(0.0, eps, p) == pytest.approx(expected, rel=1e-13)
 
     def test_concentration_scaling_identity(self):
         # U_eps(x) = eps^(-(N-2)/(2(2-s))) * U_1(x / eps^(1/(2-s)))
@@ -66,9 +64,9 @@ class TestProfiles:
                 scale = eps ** (1.0 / (2.0 - p.s))
                 amp = eps ** (-(p.N - 2) / (2.0 * (2.0 - p.s)))
                 for _ in range(5):
-                    x = rng.standard_normal(p.N)
-                    lhs = bubble_value(x, eps, p)
-                    rhs = amp * bubble_value(x / scale, 1.0, p)
+                    r = float(np.linalg.norm(rng.standard_normal(p.N)))
+                    lhs = bubble_radial(r, eps, p)
+                    rhs = amp * bubble_radial(r / scale, 1.0, p)
                     assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_extremal_value_linear_base_center(self):
@@ -82,7 +80,7 @@ class TestProfiles:
         with pytest.raises(NonPositiveScale):
             extremal_value(np.zeros(3), 0.0, P31)
         with pytest.raises(NonPositiveEps):
-            bubble_value(np.zeros(3), -1.0, P31)
+            bubble_radial(0.0, -1.0, P31)
 
 
 class TestWholeSpaceConstants:

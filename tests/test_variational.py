@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hslab.boundary_energy import BoundaryGeometry, CutoffSpec, bubble_energies
-from hslab.extremals import HSParams
+from hslab.extremals import HSParams, NonPositiveEps
 from hslab import variational
 from hslab.identities import ray_peak
 from hslab.variational import (
@@ -27,9 +27,6 @@ from hslab.variational import (
     _stencil,
     _to_modes,
     _weighted_power,
-    BubbleAt,
-    Constant,
-    Custom,
     DomainGrid,
     NonpositiveLambda,
     NonpositivePart,
@@ -40,6 +37,7 @@ from hslab.variational import (
     SolveOptions,
     SolveReport,
     bubble_field,
+    bubble_start,
     energy,
     gradient,
     load_field,
@@ -731,7 +729,7 @@ class TestSolver:
     def test_small_solve_reaches_ground_state(self):
         cfg = unit_config(nodes=16, lam=0.01)
         report, u = mountain_pass_solve(
-            cfg, Constant(1.0), SolveOptions(grad_tol=1e-7)
+            cfg, np.ones(cfg.grid.shape), SolveOptions(grad_tol=1e-7)
         )
         assert report.converged is True
         assert report.residual_sup < 1e-7
@@ -746,7 +744,7 @@ class TestSolver:
         energies = []
         for k in range(1, 7):
             report, _ = mountain_pass_solve(
-                cfg, Constant(1.0),
+                cfg, np.ones(cfg.grid.shape),
                 SolveOptions(max_iters=k, grad_tol=1e-14),
             )
             energies.append(report.energy)
@@ -762,7 +760,7 @@ class TestSolver:
             ((0.0, 1.0, 0.0), math.pi / 12.0),
         ):
             cfg = unit_config(nodes=9, lam=0.01, sites=(Singularity(location, 1.0),))
-            report, _ = mountain_pass_solve(cfg, Constant(1.0), opts)
+            report, _ = mountain_pass_solve(cfg, np.ones(cfg.grid.shape), opts)
             assert report.threshold == pytest.approx(threshold, rel=1e-9)
 
     def test_resolution_refinement_is_contracting(self):
@@ -770,7 +768,7 @@ class TestSolver:
         for n in (16, 24, 32):
             cfg = unit_config(nodes=n, lam=0.01)
             report, _ = mountain_pass_solve(
-                cfg, Constant(1.0), SolveOptions(grad_tol=1e-8)
+                cfg, np.ones(cfg.grid.shape), SolveOptions(grad_tol=1e-8)
             )
             assert report.converged
             vals.append(report.energy)
@@ -782,7 +780,7 @@ class TestSolver:
             cfg, None, SolveOptions(max_iters=1, grad_tol=1e-14)
         )
         r_explicit, u_explicit = mountain_pass_solve(
-            cfg, BubbleAt(), SolveOptions(max_iters=1, grad_tol=1e-14)
+            cfg, bubble_start(cfg), SolveOptions(max_iters=1, grad_tol=1e-14)
         )
         assert np.array_equal(u_default, u_explicit)
         assert r_default.energy == r_explicit.energy
@@ -793,9 +791,9 @@ class TestSolver:
                  Singularity((0.0, 0.0, 0.0), 1.0))
         cfg = unit_config(nodes=12, lam=0.01, sites=sites)
         opts = SolveOptions(max_iters=1, grad_tol=1e-14)
-        _, u_default = mountain_pass_solve(cfg, BubbleAt(), opts)
-        _, u_corner = mountain_pass_solve(cfg, BubbleAt(site=2), opts)
-        _, u_face = mountain_pass_solve(cfg, BubbleAt(site=1), opts)
+        _, u_default = mountain_pass_solve(cfg, bubble_start(cfg), opts)
+        _, u_corner = mountain_pass_solve(cfg, bubble_start(cfg, site=2), opts)
+        _, u_face = mountain_pass_solve(cfg, bubble_start(cfg, site=1), opts)
         assert np.array_equal(u_default, u_corner)
         assert not np.array_equal(u_default, u_face)
 
@@ -803,14 +801,29 @@ class TestSolver:
         cfg = unit_config(nodes=9, lam=0.01)
         seed = np.full(cfg.grid.shape, 2.0)
         report, _ = mountain_pass_solve(
-            cfg, Custom(seed), SolveOptions(max_iters=1, grad_tol=1e-14)
+            cfg, seed, SolveOptions(max_iters=1, grad_tol=1e-14)
         )
         assert math.isfinite(report.energy)
+        assert np.array_equal(seed, np.full(cfg.grid.shape, 2.0))  # copied, not moved
+
+    def test_init_of_another_shape_rejected(self):
+        cfg = unit_config(nodes=9, lam=0.01)
+        with pytest.raises(ShapeMismatch):
+            mountain_pass_solve(cfg, np.ones((9, 9, 8)))
+
+    def test_bubble_start_rejects_bad_site_and_eps(self):
+        cfg = unit_config(nodes=9, lam=0.01)
+        for site in (-1, len(cfg.singularities)):
+            with pytest.raises(ValueError, match="site index"):
+                bubble_start(cfg, site=site)
+        for eps in (0.0, -1.0, math.inf):
+            with pytest.raises(NonPositiveEps):
+                bubble_start(cfg, eps=eps)
 
     def test_nonpositive_lambda_rejected(self):
         cfg = unit_config(nodes=9, lam=0.0)
         with pytest.raises(NonpositiveLambda):
-            mountain_pass_solve(cfg, Constant(1.0))
+            mountain_pass_solve(cfg, np.ones(cfg.grid.shape))
 
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -830,22 +843,23 @@ class TestStopping:
 
     def test_converged(self):
         cfg = unit_config(nodes=16, lam=0.01)
-        report, u = mountain_pass_solve(cfg, Constant(1.0), SolveOptions(grad_tol=1e-7))
+        report, u = mountain_pass_solve(cfg, np.ones(cfg.grid.shape), SolveOptions(grad_tol=1e-7))
         assert report.converged and report.iterations > 0
         assert report.residual_sup == _sup_residual(u, cfg) < 1e-7
 
     def test_max_iters(self):
         cfg = unit_config(nodes=16, lam=0.01)
         report, u = mountain_pass_solve(
-            cfg, Constant(1.0), SolveOptions(max_iters=2, grad_tol=1e-14))
+            cfg, np.ones(cfg.grid.shape), SolveOptions(max_iters=2, grad_tol=1e-14))
         assert not report.converged and report.iterations == 2
         assert report.residual_sup == _sup_residual(u, cfg) >= 1e-14
 
-    def test_line_search_exhausted(self):
+    def test_line_search_exhausted(self, monkeypatch):
         # an Armijo fraction of 1e30 asks every halving for a decrease
         # 1e30 times the slope's prediction
         cfg = unit_config(nodes=9, lam=0.01)
-        report, u = mountain_pass_solve(cfg, Constant(1.0), SolveOptions(armijo=1e30))
+        monkeypatch.setattr(variational, "ARMIJO", 1e30)
+        report, u = mountain_pass_solve(cfg, np.ones(cfg.grid.shape))
         assert not report.converged and report.iterations == 0
         assert report.residual_sup == _sup_residual(u, cfg)
         assert report.energy == energy(u, cfg)
@@ -857,7 +871,7 @@ class TestStopping:
         start = np.ones(cfg.grid.shape)
         start[0, 0, 0] = np.inf
         with np.errstate(invalid="ignore", over="ignore"):
-            report, _ = mountain_pass_solve(cfg, Custom(start))
+            report, _ = mountain_pass_solve(cfg, start)
         assert not report.converged and report.iterations == 0
 
 
@@ -873,13 +887,13 @@ class TestOverflowingMasses:
     def test_solve_from_an_overflowing_start_raises(self):
         cfg = unit_config(nodes=9, lam=0.01)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            mountain_pass_solve(cfg, Constant(1e100))
+            mountain_pass_solve(cfg, np.full(cfg.grid.shape, 1e100))
 
     def test_overflowing_trial_is_halved(self, monkeypatch):
         # the first line-search trial sees overflowed masses; the solver
         # halves its step and still reaches the ground state
         cfg = unit_config(nodes=9, lam=0.01)
-        plain, _ = mountain_pass_solve(cfg, Constant(1.0))
+        plain, _ = mountain_pass_solve(cfg, np.ones(cfg.grid.shape))
         real, trials = variational._masses, []
 
         def first_trial_overflows(u, weights, term):
@@ -891,7 +905,7 @@ class TestOverflowingMasses:
             return masses
 
         monkeypatch.setattr(variational, "_masses", first_trial_overflows)
-        report, _ = mountain_pass_solve(cfg, Constant(1.0))
+        report, _ = mountain_pass_solve(cfg, np.ones(cfg.grid.shape))
         assert len(trials) > 2 and report.converged and report.iterations > 0
         # the second trial halves the first one's step from the projected start
         ones = np.ones(cfg.grid.shape)
