@@ -70,7 +70,6 @@ __all__ = [
     "DomainGrid",
     "NonpositiveLambda",
     "NonpositivePart",
-    "PositiveLambda",
     "ProblemConfig",
     "ShapeMismatch",
     "Singularity",
@@ -82,7 +81,6 @@ __all__ = [
     "gradient",
     "load_field",
     "mountain_pass_solve",
-    "negative_lambda_sanity",
     "nehari_scale",
     "node_volumes",
     "placement_of",
@@ -97,10 +95,6 @@ class ShapeMismatch(ValueError):
 
 class NonpositiveLambda(ValueError):
     """The solver requires a strictly positive zeroth-order coefficient."""
-
-
-class PositiveLambda(ValueError):
-    """The nonpositive-coefficient sanity check was called with lambda > 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -861,23 +855,6 @@ def mountain_pass_solve(
         converged=converged,
     )
     return report, v
-
-
-def negative_lambda_sanity(cfg: ProblemConfig, c_samples: Sequence[float]) -> bool:
-    """True iff energy(constant c) < 0 for every sampled c > 0 (lambda <= 0).
-
-    With lambda <= 0 both energy terms of a positive constant are
-    nonpositive and the mass term is strictly negative, so constants are
-    never near-solutions; this op verifies that numerically.
-    """
-    if cfg.lam > 0.0:
-        raise PositiveLambda("sanity check applies to lambda <= 0 only")
-    samples = [float(c) for c in c_samples]
-    if not samples or any(c <= 0.0 for c in samples):
-        raise ValueError("c_samples must be positive reals")
-    return all(
-        energy(np.full(cfg.grid.shape, c), cfg) < 0.0 for c in samples
-    )
 
 
 # ---------------------------------------------------------------------------

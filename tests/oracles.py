@@ -1,4 +1,5 @@
-"""Test oracles: an extremal family, its Rayleigh quotient, a two-basis fit.
+"""Test oracles: an extremal family, its Rayleigh quotient, a two-basis fit,
+one-row slivers and a nonpositive-lambda sanity check.
 
 None of these is used by the library.  They cross-check it from outside:
 
@@ -16,6 +17,10 @@ None of these is used by the library.  They cross-check it from outside:
   N = 3, s = 1.8, and at N = 5, s = 1.95 it raises ``NonFinite``.
 * :func:`fit_power_log_basis` fits c1 * eps^p * ln(1/eps) + c2 * eps^p, the
   shape of the dimension-three sliver energy.
+* :func:`sliver_energy_integral` and :func:`sliver_mass_integral` are the
+  ledger's sliver of one row (grad or mass) of the uncut bubble.
+* :func:`negative_lambda_sanity` checks that with lambda <= 0 every positive
+  constant has negative discrete energy.
 """
 
 from __future__ import annotations
@@ -25,13 +30,24 @@ from typing import Sequence
 
 import numpy as np
 
-from hslab.boundary_energy import _as_positive_arrays
+from hslab.boundary_energy import (
+    BoundaryGeometry,
+    _as_positive_arrays,
+    _resolve_box_nodes,
+    _slivers,
+    check_dimension,
+)
 from hslab.extremals import HSParams
 from hslab.quadrature import QuadratureSettings, integrate_improper, sphere_surface_area
+from hslab.variational import ProblemConfig, energy
 
 
 class NonPositiveScale(ValueError):
     """The extremal family needs a strictly positive scale parameter."""
+
+
+class PositiveLambda(ValueError):
+    """The nonpositive-coefficient sanity check was called with lambda > 0."""
 
 
 def _radius(x) -> np.ndarray:
@@ -125,3 +141,68 @@ def fit_power_log_basis(
     design = np.stack([base * np.log(1.0 / e), base], axis=1)
     coef, *_ = np.linalg.lstsq(design, v, rcond=None)
     return float(coef[0]), float(coef[1])
+
+
+def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
+                 cfg: QuadratureSettings | None, box_nodes: int | None) -> float:
+    """Sliver integral of one row of the uncut bubble at scale eps."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    check_dimension(geom, p)
+    cfg = cfg or QuadratureSettings()
+    tau = eps ** (1.0 / (2.0 - p.s))
+    nodes = _resolve_box_nodes(p, box_nodes)
+    return _slivers(p, tau, None, (row,), geom, cfg, None, nodes)[0]
+
+
+def sliver_energy_integral(
+    eps: float,
+    geom: BoundaryGeometry,
+    p: HSParams,
+    cfg: QuadratureSettings | None = None,
+    *,
+    box_nodes: int | None = None,
+) -> float:
+    """Gradient energy of the pure bubble over the boundary-layer sliver.
+
+    In concentration coordinates this is the integral of
+    (N-2)**2 |y|**(2-2s) (1+|y|**(2-s))**(-2(N-s)/(2-s)) over the region
+    between the flat floor y_N = 0 and the scaled quadratic floor
+    y_N = eps**(1/(2-s)) * g(y').  It scales like eps**(1/(2-s)) for N >= 4
+    and like eps**(1/(2-s)) * |ln eps| in dimension three, and vanishes
+    identically for a flat patch.
+    """
+    return _pure_sliver("grad", eps, geom, p, cfg, box_nodes)
+
+
+def sliver_mass_integral(
+    eps: float,
+    geom: BoundaryGeometry,
+    p: HSParams,
+    cfg: QuadratureSettings | None = None,
+    *,
+    box_nodes: int | None = None,
+) -> float:
+    """Weighted critical mass of the pure bubble over the same sliver region.
+
+    Integrand |y|**(-s) (1+|y|**(2-s))**(-2(N-s)/(2-s)); scales like
+    eps**(1/(2-s)) in every dimension N >= 3.
+    """
+    return _pure_sliver("mass", eps, geom, p, cfg, box_nodes)
+
+
+def negative_lambda_sanity(cfg: ProblemConfig, c_samples: Sequence[float]) -> bool:
+    """True iff energy(constant c) < 0 for every sampled c > 0 (lambda <= 0).
+
+    With lambda <= 0 both energy terms of a positive constant are
+    nonpositive and the mass term is strictly negative, so constants are
+    never near-solutions; this op verifies that numerically.
+    """
+    if cfg.lam > 0.0:
+        raise PositiveLambda("sanity check applies to lambda <= 0 only")
+    samples = [float(c) for c in c_samples]
+    if not samples or any(c <= 0.0 for c in samples):
+        raise ValueError("c_samples must be positive reals")
+    return all(
+        energy(np.full(cfg.grid.shape, c), cfg) < 0.0 for c in samples
+    )

@@ -15,8 +15,6 @@ from hslab.boundary_energy import (
     CutoffSpec,
     bubble_energies,
     fit_log_slope,
-    sliver_energy_integral,
-    sliver_mass_integral,
     threshold_inequality_check,
 )
 from hslab.extremals import HSParams, whole_space_constants
@@ -36,10 +34,11 @@ from hslab.variational import (
     energy,
     gradient,
     mountain_pass_solve,
-    negative_lambda_sanity,
     node_volumes,
     singular_weight,
 )
+
+from oracles import negative_lambda_sanity, sliver_energy_integral, sliver_mass_integral
 
 P31 = HSParams(N=3, s=1.0)
 P41 = HSParams(N=4, s=1.0)

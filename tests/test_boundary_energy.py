@@ -8,6 +8,7 @@ import pytest
 
 from hslab.boundary_energy import (
     _BOX_CHUNK,
+    _W_EDGES,
     _blend,
     _box_pass,
     _gl_nodes,
@@ -21,18 +22,16 @@ from hslab.boundary_energy import (
     bubble_energies,
     fit_log_slope,
     ray_peak_energy,
-    sliver_energy_integral,
     sliver_energy_leading_coefficient,
-    sliver_mass_integral,
     sliver_mass_leading_coefficient,
     threshold_inequality_check,
 )
 from hslab.extremals import HSParams, whole_space_constants
 from hslab.identities import NonpositivePart, sliver_ratio_limit
-from hslab.quadrature import Divergent
+from hslab.quadrature import KRONROD15_NODES, KRONROD15_WEIGHTS, Divergent
 
 from box_quadrature import integrate_box
-from oracles import fit_power_log_basis
+from oracles import fit_power_log_basis, sliver_energy_integral, sliver_mass_integral
 
 P31 = HSParams(N=3, s=1.0)
 P41 = HSParams(N=4, s=1.0)
@@ -342,6 +341,43 @@ class TestFusedLedger:
         )
 
 
+# caps of the inner w-integral: inside, at and past the first panel's 1/64,
+# and across several geometric panels; radii from the box (|y'| <= 10) and
+# from the radial tail beyond |y'| = 8
+INNER_CAPS = (1e-4, 0.0094, 1.0 / 64.0, 0.1, 2.0)
+INNER_RADII = (0.05, 1.3, 9.7, 12.0, 40.0, 1e3)
+
+
+def composite_k15_inner(dens, rho, w_cap, pieces=8):
+    """integral over [0, w_cap] of dens(rho * sqrt(1 + w**2)) by K15 on
+    ``pieces`` equal parts of every geometric panel 0, 1/64, 1/32, ..."""
+    edges = np.unique(np.clip(_W_EDGES, 0.0, w_cap))
+    fine = np.concatenate([np.linspace(a, b, pieces + 1)[:-1]
+                           for a, b in zip(edges[:-1], edges[1:])] + [[w_cap]])
+    half = 0.5 * np.diff(fine)
+    w = (fine[:-1] + half)[:, None] + half[:, None] * KRONROD15_NODES
+    return dens(rho * np.sqrt(1.0 + w * w)) @ KRONROD15_WEIGHTS @ half
+
+
+class TestInnerRule:
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_composite_kronrod(self, n, s):
+        # the 4-point first panel and the K15 panels past it, against K15 on
+        # eight times finer panels: one call per cap (all caps below 1/64 is
+        # the box's case) and one call mixing every cap (the tail's case)
+        p = HSParams(n, s)
+        dens = _profile_pack(p, 1e-3, None, ("grad", "mass", "l2", HSParams(n, 0.7).two_star))
+        rho = np.array(INNER_RADII)
+        per_cap = [_inner_stack(dens, rho, np.full(rho.size, c)) for c in INNER_CAPS]
+        rho_all, cap_all = np.tile(rho, len(INNER_CAPS)), np.repeat(INNER_CAPS, rho.size)
+        want = np.stack([composite_k15_inner(dens, r, c) for r, c in zip(rho_all, cap_all)],
+                        axis=1)
+        np.testing.assert_allclose(np.concatenate(per_cap, axis=1), want, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(_inner_stack(dens, rho_all, cap_all), want,
+                                   rtol=1e-14, atol=0.0)
+
+
 # curvature patterns of the orbit walk: all equal, all distinct, equal but
 # not adjacent, and a large curvature whose box nodes cross the cutoff ramp
 ORBIT_PATTERNS = [(1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0),
@@ -386,9 +422,19 @@ class TestOrbitWalk:
         for y, wt in _orbit_chunks(nodes, alphas):
             count += len(y)
             weight += math.fsum(wt)
-        runs = [len(list(run)) for _, run in itertools.groupby(alphas)]
-        assert count == math.prod(math.comb(nodes + g - 1, g) for g in runs)
-        assert weight == pytest.approx(math.fsum(_gl_nodes(nodes)[1]) ** len(curv),
+        # brute force over the full index tensor: the orthant points with a
+        # nonzero blend, and among them the representatives, whose indices
+        # do not decrease within a run of equal curvatures
+        d = len(curv)
+        x, w = _gl_nodes(nodes)
+        idx = np.indices((nodes,) * d).reshape(d, -1)
+        inside = _blend(np.sqrt(np.sum(x[idx] ** 2, axis=0))) > 0.0
+        representative = inside.copy()
+        for j in range(1, d):
+            if alphas[j] == alphas[j - 1]:
+                representative &= idx[j] >= idx[j - 1]
+        assert count == np.count_nonzero(representative)
+        assert weight == pytest.approx(math.fsum(np.prod(w[idx], axis=0)[inside]),
                                        rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("curv", ORBIT_PATTERNS)

@@ -30,7 +30,6 @@ from hslab.variational import (
     DomainGrid,
     NonpositiveLambda,
     NonpositivePart,
-    PositiveLambda,
     ProblemConfig,
     ShapeMismatch,
     Singularity,
@@ -42,7 +41,6 @@ from hslab.variational import (
     gradient,
     load_field,
     mountain_pass_solve,
-    negative_lambda_sanity,
     nehari_scale,
     node_volumes,
     placement_of,
@@ -51,6 +49,7 @@ from hslab.variational import (
 )
 
 from box_quadrature import integrate_box
+from oracles import PositiveLambda, negative_lambda_sanity
 
 UNIT3 = ((0.0, 1.0),) * 3
 CENTER = (0.5, 0.5, 0.5)
