@@ -13,20 +13,22 @@ becomes y_N = tau * g(y') and each energy piece reduces to
 
 The ledger integrands (gradient, critical mass, plain L2 mass, one mass per
 far site) are rows of one stacked radial density, and each piece handles
-all rows in one pass.  Their slivers come from one walk of a tensor
-Gauss-Legendre rule over the box |y'_i| <= 10, reduced to one
+all rows in one pass.  When every principal curvature is equal the floor
+depends on |y'| alone, and the slivers are one stacked adaptive radial
+integral over 0 < |y'| < inf.  Otherwise they come from one walk of a
+tensor Gauss-Legendre rule over the box |y'_i| <= 10, reduced to one
 representative per permutation orbit of axes with equal curvature and to
 the points inside the ball |y'| < 10 (the blend is 0 outside it), blended
 smoothly (on 8 <= |y'| <= 10) into a stacked adaptive radial tail that
 replaces the anisotropic floor by its exact spherical average (g averaged
-over directions is (H / (2(N-1))) * |y'|**2, H the mean curvature); the
-tail's inner integral saturates instead of being linearised, which keeps it
-integrable in every dimension, including the logarithmically divergent
-linearisation in dimension three.  At each box point, and at each node of
-the tail, the integral across the sliver runs over w = y_N / |y'| from 0 to
-the floor's cap on fixed geometric panels: a 4-point Gauss-Legendre rule on
-the first panel [0, min(cap, 1/64)], relative error about cap**8 * 2.3e-5,
-and K15 past it.
+over directions is (H / (2(N-1))) * |y'|**2, H the mean curvature).  The
+radial integral's inner integral saturates instead of being linearised,
+which keeps it integrable in every dimension, including the
+logarithmically divergent linearisation in dimension three.  At each box
+point, and at each radial node, the integral across the sliver runs over
+w = y_N / |y'| from 0 to the floor's cap on fixed geometric panels: a
+4-point Gauss-Legendre rule on the first panel [0, min(cap, 1/64)],
+relative error about cap**8 * 2.3e-5, and K15 past it.
 
 Scaling prefactors: the gradient energy and the critical mass at the
 concentration site are scale-free, the plain L2 mass carries tau**2, and
@@ -63,7 +65,6 @@ __all__ = [
     "CutoffSpec",
     "EnergyBreakdown",
     "EpsTooLarge",
-    "MarginReport",
     "MarginRow",
     "RayPeak",
     "boundary_threshold",
@@ -74,7 +75,6 @@ __all__ = [
     "ray_peak_energy",
     "sliver_energy_leading_coefficient",
     "sliver_mass_leading_coefficient",
-    "threshold_inequality_check",
 ]
 
 
@@ -194,25 +194,6 @@ class MarginRow(NamedTuple):
     peak: float
     margin: float
     scaled_margin: float
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    """Peak-versus-threshold audit along a list of concentration scales.
-
-    ``rows`` are sorted by descending eps.  ``margin`` is threshold - peak
-    (positive means the ray maximum sits strictly below the compactness
-    threshold); it shrinks like eps**(1/(2-s)), so ``scaled_margin`` divides
-    it by that concentration scale.  ``strict_margin`` says every listed
-    margin is positive; ``scaled_margin_increasing`` says the scaled margins
-    strictly increase as eps decreases (the coherent monotone statement --
-    the absolute margin tends to zero by design).
-    """
-
-    threshold: float
-    rows: tuple[MarginRow, ...]
-    strict_margin: bool
-    scaled_margin_increasing: bool
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +396,10 @@ def _box_pass(
 ) -> np.ndarray | float:
     """Blend-weighted sliver integrals of every row over the box |y'_i| <= 10.
 
-    One walk over the orbit representatives of ``_orbit_chunks`` serves all
-    rows (0.0 when no box point lies under a nonzero floor).  The box is the
+    Used only when the curvatures differ; equal curvatures take the radial
+    integral alone (see ``_slivers``).  One walk over the orbit
+    representatives of ``_orbit_chunks`` serves all rows (0.0 when no box
+    point lies under a nonzero floor).  The box is the
     same along every axis, so sorting the curvatures changes nothing, and
     axes of equal curvature are permuted freely.  The integrand is even in
     every tangential coordinate (the floor height depends on squares only),
@@ -452,14 +435,18 @@ def _tail_part(
     p: HSParams,
     cap: float | None,
     cfg: QuadratureSettings,
+    lo: float = _BLEND_LO,
 ) -> np.ndarray | float:
-    """Radial tail of every row's sliver beyond the blend window, one stacked GK.
+    """Radial sliver of every row from |y'| = ``lo`` outward, one stacked GK.
 
-    Outside |y'| = 8 the anisotropic floor is replaced by its spherical
-    average tau * gamma * |y'|**2 with gamma = H / (2(N-1)) -- exact when all
+    The anisotropic floor is replaced by its spherical average
+    tau * gamma * |y'|**2 with gamma = H / (2(N-1)) -- exact when all
     curvatures coincide, and correct to leading order otherwise because the
     inner integral is linear in the floor height wherever the height is
     small and saturates (becoming direction-independent) wherever it is not.
+    From ``lo`` = 8 (the default) the radial weight is 1 - blend, the part
+    the box pass leaves; from ``lo`` = 0 it is 1 and this is the whole
+    sliver of an isotropic wall.
     """
     n = p.N
     gamma = geom.mean_curvature / (2.0 * (n - 1.0))
@@ -471,16 +458,17 @@ def _tail_part(
 
     def integrand(rho: np.ndarray) -> np.ndarray:
         inner = _inner_stack(dens, rho, tau * g * rho) * rho
-        return sgn * omega * (1.0 - _blend(rho)) * rho ** (n - 2.0) * inner
+        weight = 1.0 - _blend(rho) if lo else 1.0
+        return sgn * omega * weight * rho ** (n - 2.0) * inner
 
     knee = 1.0 / (tau * g)  # where the inner integral saturates
     if cap is None:
         split = _BLEND_HI * 2.0 if knee <= _BLEND_HI else min(8.0 * knee, 1e12)
         return integrate_improper(
-            integrand, lo=_BLEND_LO, split=split, cfg=cfg, breakpoints=_POWER_SEEDS
+            integrand, lo=lo, split=split, cfg=cfg, breakpoints=_POWER_SEEDS
         )
     return adaptive_gauss_kronrod(
-        integrand, _BLEND_LO, cap,
+        integrand, lo, cap,
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
         max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, knee],
     )
@@ -520,11 +508,21 @@ def _slivers(
     cap: float | None,
     box_nodes: int,
 ) -> list[float]:
-    """Sliver integral of every row: one fused box walk plus one stacked tail."""
+    """Sliver integral of every row.
+
+    With all curvatures equal (alpha) the floor tau * alpha * |y'|**2 / 2 is
+    its own spherical average, so the sliver is one stacked radial integral
+    over (0, inf) and no box is walked: the box's blend and the tail's
+    1 - blend add up to 1, and nothing is approximated.  Otherwise it is one
+    fused box walk plus the stacked tail beyond |y'| = 8.
+    """
     if all(a == 0.0 for a in geom.curvatures):
         return [0.0] * len(rows)
     dens = _profile_pack(p, tau, cut, rows)
-    sliver = _box_pass(dens, tau, geom, box_nodes) + _tail_part(dens, tau, geom, p, cap, cfg)
+    if len(set(geom.curvatures)) == 1:
+        sliver = _tail_part(dens, tau, geom, p, cap, cfg, lo=0.0)
+    else:
+        sliver = _box_pass(dens, tau, geom, box_nodes) + _tail_part(dens, tau, geom, p, cap, cfg)
     return np.broadcast_to(sliver, len(rows)).tolist()
 
 
@@ -600,6 +598,9 @@ def bubble_energies(
     weight delta**(-s_i).  Every entry (including the plain L2 mass and the
     far masses) is the half-space radial integral minus the corresponding
     sliver, i.e. an integral over the region above the quadratic floor.
+    ``box_nodes`` sets the tensor box of the sliver when the curvatures
+    differ (default 96, 56, 28 for N = 3, 4, 5); it is checked on every
+    call, but equal curvatures take the radial sliver and never use it.
 
     Raises EpsTooLarge when tau = eps**(1/(2-s)) exceeds delta/10, where the
     concentration scale is no longer separated from the patch scale.
@@ -674,47 +675,6 @@ def margin_row(b: EnergyBreakdown, lam: float, p: HSParams, threshold: float) ->
     margin = threshold - peak
     return MarginRow(eps=b.eps, peak=peak, margin=margin,
                      scaled_margin=margin / b.eps ** (1.0 / (2.0 - p.s)))
-
-
-def threshold_inequality_check(
-    eps_list: Sequence[float],
-    geom: BoundaryGeometry,
-    cut: CutoffSpec,
-    far_sites: Sequence[tuple[float, float]],
-    lam: float,
-    p: HSParams,
-    cfg: QuadratureSettings | None = None,
-    *,
-    box_nodes: int | None = None,
-) -> MarginReport:
-    """Audit the mountain-pass ray against the boundary compactness threshold.
-
-    For each eps the full energy breakdown is computed, the ray maximum is
-    taken, and the margin threshold - peak is reported (threshold = the
-    level of a boundary site, theta = 1/2, for the concentration exponent).
-    With positive mean curvature the margin is positive for small eps but
-    decays like eps**(1/(2-s)); the scaled margin margin/eps**(1/(2-s))
-    increases toward a positive limit as eps decreases, and that
-    monotonicity is what ``scaled_margin_increasing`` certifies.  A flat
-    patch never produces strictly positive margins (the report then carries
-    ``strict_margin=False``).
-    """
-    eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
-    if not eps_sorted:
-        raise ValueError("eps_list must be nonempty")
-    threshold = boundary_threshold(p, cfg)
-    rows = tuple(
-        margin_row(bubble_energies(eps, geom, cut, far_sites, p, cfg, box_nodes=box_nodes),
-                   lam, p, threshold)
-        for eps in eps_sorted
-    )
-    scaled = [r.scaled_margin for r in rows]
-    return MarginReport(
-        threshold=threshold,
-        rows=rows,
-        strict_margin=all(r.margin > 0.0 for r in rows),
-        scaled_margin_increasing=all(b > a for a, b in zip(scaled[:-1], scaled[1:])),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,6 @@ __all__ = [
     "Singularity",
     "SolveOptions",
     "SolveReport",
-    "bubble_field",
     "bubble_start",
     "energy",
     "gradient",
@@ -701,14 +700,6 @@ def _threshold_for(cfg: ProblemConfig) -> ThresholdReport:
     return ps_threshold(cfg.grid.N, sites)
 
 
-def bubble_field(grid: DomainGrid, location: Sequence[float], eps: float,
-                 s: float) -> np.ndarray:
-    """Discretised radial bubble profile centred at ``location``."""
-    p = HSParams(grid.N, s)
-    r = np.sqrt(_distance_sq(grid, tuple(float(x) for x in location)))
-    return bubble_radial(r, eps, p)
-
-
 def bubble_start(cfg: ProblemConfig, site: int | None = None,
                  eps: float | None = None) -> np.ndarray:
     """The bubble field of one singular site: the solver's default start.
@@ -725,7 +716,8 @@ def bubble_start(cfg: ProblemConfig, site: int | None = None,
         raise ValueError(f"site index {site} out of range for {len(cfg.singularities)} sites")
     sing = cfg.singularities[site]
     eps = 4.0 * max(cfg.grid.spacing) if eps is None else eps
-    return bubble_field(cfg.grid, sing.location, eps, sing.s)
+    return bubble_radial(np.sqrt(_distance_sq(cfg.grid, sing.location)), eps,
+                         HSParams(cfg.grid.N, sing.s))
 
 
 def mountain_pass_solve(

@@ -21,25 +21,34 @@ None of these is used by the library.  They cross-check it from outside:
   ledger's sliver of one row (grad or mass) of the uncut bubble.
 * :func:`negative_lambda_sanity` checks that with lambda <= 0 every positive
   constant has negative discrete energy.
+* :func:`threshold_inequality_check` audits the ledger's ray peaks against
+  the boundary threshold along a list of eps, in a :class:`MarginReport`.
+* :func:`bubble_field` is the radial bubble profile sampled on a grid.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from hslab.boundary_energy import (
     BoundaryGeometry,
+    CutoffSpec,
+    MarginRow,
     _as_positive_arrays,
     _resolve_box_nodes,
     _slivers,
+    boundary_threshold,
+    bubble_energies,
     check_dimension,
+    margin_row,
 )
-from hslab.extremals import HSParams
+from hslab.extremals import HSParams, bubble_radial
 from hslab.quadrature import QuadratureSettings, integrate_improper, sphere_surface_area
-from hslab.variational import ProblemConfig, energy
+from hslab.variational import DomainGrid, ProblemConfig, energy
 
 
 class NonPositiveScale(ValueError):
@@ -206,3 +215,72 @@ def negative_lambda_sanity(cfg: ProblemConfig, c_samples: Sequence[float]) -> bo
     return all(
         energy(np.full(cfg.grid.shape, c), cfg) < 0.0 for c in samples
     )
+
+
+@dataclass(frozen=True)
+class MarginReport:
+    """Peak-versus-threshold audit along a list of concentration scales.
+
+    ``rows`` are sorted by descending eps.  ``margin`` is threshold - peak
+    (positive means the ray maximum sits strictly below the compactness
+    threshold); it shrinks like eps**(1/(2-s)), so ``scaled_margin`` divides
+    it by that concentration scale.  ``strict_margin`` says every listed
+    margin is positive; ``scaled_margin_increasing`` says the scaled margins
+    strictly increase as eps decreases (the coherent monotone statement --
+    the absolute margin tends to zero by design).
+    """
+
+    threshold: float
+    rows: tuple[MarginRow, ...]
+    strict_margin: bool
+    scaled_margin_increasing: bool
+
+
+def threshold_inequality_check(
+    eps_list: Sequence[float],
+    geom: BoundaryGeometry,
+    cut: CutoffSpec,
+    far_sites: Sequence[tuple[float, float]],
+    lam: float,
+    p: HSParams,
+    cfg: QuadratureSettings | None = None,
+    *,
+    box_nodes: int | None = None,
+) -> MarginReport:
+    """Audit the mountain-pass ray against the boundary compactness threshold.
+
+    For each eps the full energy breakdown is computed, the ray maximum is
+    taken, and the margin threshold - peak is reported (threshold = the
+    level of a boundary site, theta = 1/2, for the concentration exponent).
+    With positive mean curvature the margin is positive for small eps but
+    decays like eps**(1/(2-s)); the scaled margin margin/eps**(1/(2-s))
+    increases toward a positive limit as eps decreases, and that
+    monotonicity is what ``scaled_margin_increasing`` certifies.  A flat
+    patch never produces strictly positive margins (the report then carries
+    ``strict_margin=False``).
+    """
+    eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
+    if not eps_sorted:
+        raise ValueError("eps_list must be nonempty")
+    threshold = boundary_threshold(p, cfg)
+    rows = tuple(
+        margin_row(bubble_energies(eps, geom, cut, far_sites, p, cfg, box_nodes=box_nodes),
+                   lam, p, threshold)
+        for eps in eps_sorted
+    )
+    scaled = [r.scaled_margin for r in rows]
+    return MarginReport(
+        threshold=threshold,
+        rows=rows,
+        strict_margin=all(r.margin > 0.0 for r in rows),
+        scaled_margin_increasing=all(b > a for a, b in zip(scaled[:-1], scaled[1:])),
+    )
+
+
+def bubble_field(grid: DomainGrid, location: Sequence[float], eps: float,
+                 s: float) -> np.ndarray:
+    """Radial bubble profile of exponent ``s`` and scale ``eps`` centred at
+    ``location``, at every node of ``grid``."""
+    axes = np.meshgrid(*(grid.axis_nodes(k) for k in range(grid.N)), indexing="ij")
+    r = np.sqrt(sum((x - float(c)) ** 2 for x, c in zip(axes, location)))
+    return bubble_radial(r, eps, HSParams(grid.N, s))

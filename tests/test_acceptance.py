@@ -15,7 +15,6 @@ from hslab.boundary_energy import (
     CutoffSpec,
     bubble_energies,
     fit_log_slope,
-    threshold_inequality_check,
 )
 from hslab.extremals import HSParams, whole_space_constants
 from hslab.identities import (
@@ -38,7 +37,12 @@ from hslab.variational import (
     singular_weight,
 )
 
-from oracles import negative_lambda_sanity, sliver_energy_integral, sliver_mass_integral
+from oracles import (
+    negative_lambda_sanity,
+    sliver_energy_integral,
+    sliver_mass_integral,
+    threshold_inequality_check,
+)
 
 P31 = HSParams(N=3, s=1.0)
 P41 = HSParams(N=4, s=1.0)

@@ -24,14 +24,18 @@ from hslab.boundary_energy import (
     ray_peak_energy,
     sliver_energy_leading_coefficient,
     sliver_mass_leading_coefficient,
-    threshold_inequality_check,
 )
 from hslab.extremals import HSParams, whole_space_constants
 from hslab.identities import NonpositivePart, sliver_ratio_limit
 from hslab.quadrature import KRONROD15_NODES, KRONROD15_WEIGHTS, Divergent
 
 from box_quadrature import integrate_box
-from oracles import fit_power_log_basis, sliver_energy_integral, sliver_mass_integral
+from oracles import (
+    fit_power_log_basis,
+    sliver_energy_integral,
+    sliver_mass_integral,
+    threshold_inequality_check,
+)
 
 P31 = HSParams(N=3, s=1.0)
 P41 = HSParams(N=4, s=1.0)
@@ -130,6 +134,25 @@ class TestSliverIntegrals:
         assert sliver_mass_integral(eps, GEOM41, P41) / tau == pytest.approx(
             coef_m, rel=0.02
         )
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_equal_curvature_sliver_meets_closed_form(self, n, s):
+        # the pure profile at tau = 1e-6: equal curvatures take the one
+        # radial sliver integral, which leaves no cubature floor (a 28-node
+        # box leaves about 2e-7 at N = 5); at N = 4 the energy's next term
+        # is about -3.7 tau relative, so there only the mass is held
+        p = HSParams(n, s)
+        geom = BoundaryGeometry((1.0,) * (n - 1), 0.1)
+        eps = 1e-6 ** (2.0 - s)
+        tau = eps ** (1.0 / (2.0 - s))
+        assert sliver_mass_integral(eps, geom, p) / tau == pytest.approx(
+            sliver_mass_leading_coefficient(geom, p), rel=1e-8 if n == 5 else 1e-9, abs=0.0
+        )
+        if n == 5:
+            assert sliver_energy_integral(eps, geom, p) / tau == pytest.approx(
+                sliver_energy_leading_coefficient(geom, p), rel=1e-8, abs=0.0
+            )
 
     def test_mass_to_energy_ratio_below_moment_ratio(self):
         # the sliver ratio tends to (N-3)/((N+1-s)(N-2)^2), strictly below
@@ -271,32 +294,35 @@ class TestBubbleEnergies:
 
 
 # Ledger entries (grad_energy, near_mass, l2_mass, sliver_energy,
-# sliver_mass, far_masses) computed by the per-integrand box walk that the
-# fused walk replaced, with delta = 0.1.
+# sliver_mass, far_masses) with delta = 0.1.  Equal curvatures take the one
+# radial sliver integral; the anisotropic case takes the box walk and its
+# blended tail, and keeps the value of the per-integrand box walk that the
+# fused walk replaced.
 LEDGER_REFERENCES = [
     # N = 3 with 0, 1 and 2 far sites
     (3, 1.0, (1.0, 1.0), 1e-3, [],
-     (2.16315327406849, 1.0459885932601671, 0.0007887825353916398,
-      0.019474548101433564, 0.0010231729877767282, ())),
+     (2.1631532740132258, 1.045988593251228, 0.0007887825353879826,
+      0.01947454815669757, 0.0010231729967157392, ())),
     (3, 1.0, (1.0, 1.0), 1e-3, [(0.5, 0.7)],
-     (2.16315327406849, 1.0459885932601671, 0.0007887825353916398,
-      0.019474548101433564, 0.0010231729877767282, (0.03326749460688805,))),
+     (2.1631532740132258, 1.045988593251228, 0.0007887825353879826,
+      0.01947454815669757, 0.0010231729967157392, (0.033267494606274026,))),
     (3, 1.0, (1.0, 1.0), 1e-3, [(0.5, 0.7), (0.4, 0.9)],
-     (2.16315327406849, 1.0459885932601671, 0.0007887825353916398,
-      0.019474548101433564, 0.0010231729877767282,
-      (0.03326749460688805, 0.023252199361061595))),
+     (2.1631532740132258, 1.045988593251228, 0.0007887825353879826,
+      0.01947454815669757, 0.0010231729967157392,
+      (0.033267494606274026, 0.0232521993604888))),
     # anisotropic curvatures with a negative entry
     (4, 1.0, (1.0, -0.5, 2.0), 5e-4, [(0.5, 0.7)],
      (1.9720605550022017, 0.32885575342820994, 9.215581399277936e-06,
       0.002093578302031377, 0.00013088060062124834, (0.006014743882003486,))),
     (5, 0.5, (1.0, 1.0, 1.0, 1.0), 1e-4, [(0.5, 0.7)],
-     (3.9339596018875724, 0.2918683853193855, 2.4286866974171373e-05,
-      0.01396740918904709, 0.0005643096911618358, (0.026844801901507436,))),
-    # tau = 0.009 near delta/10 with curvature 50: box nodes reach
-    # t = 10 * sqrt(1 + 2.25**2) > 2 * delta / tau, across the cutoff ramp
+     (3.9339595999039667, 0.2918683853038663, 2.4286866892044983e-05,
+      0.013967411172652718, 0.0005643097066810247, (0.02684480189726763,))),
+    # tau = 0.009 near delta/10 with curvature 50: the floor's cap reaches
+    # t = 10 * sqrt(1 + 2.25**2) > 2 * delta / tau at |y'| = 10, across the
+    # cutoff ramp
     (3, 1.0, (50.0, 50.0), 9e-3, [(0.5, 0.7)],
-     (1.0226199851281401, 0.7591188498862503, 0.0014703945739741402,
-      1.7670282753334372, 0.27526659528436637, (0.08816180660841319,))),
+     (1.0226200027882921, 0.7591188477169302, 0.0014703944781228092,
+      1.7670282576732852, 0.2752665974536866, (0.08816180587015834,))),
 ]
 
 
@@ -330,6 +356,28 @@ class TestFusedLedger:
             assert b.sliver_energy == runs[0].sliver_energy
             assert b.sliver_mass == runs[0].sliver_mass
         assert runs[2].far_masses[0] == runs[1].far_masses[0]
+
+    @pytest.mark.parametrize("n, coarse, fine", [(4, 56, 96), (5, 28, 40)])
+    def test_box_walk_converges_to_the_radial_path(self, n, coarse, fine):
+        # curvatures 1e-12 apart take the box walk and its blended tail,
+        # equal ones the radial integral; their gap is the box cubature's
+        # error, and it shrinks as the box refines
+        p = HSParams(n, 1.0)
+
+        def ledger(curv, box_nodes=None):
+            b = bubble_energies(1e-3, BoundaryGeometry(curv, 0.1), CutoffSpec(0.1),
+                                [(0.5, 0.7)], p, box_nodes=box_nodes)
+            return (b.grad_energy, b.near_mass, b.l2_mass, b.sliver_energy, b.sliver_mass,
+                    *b.far_masses)
+
+        want = ledger((1.0,) * (n - 1))
+
+        def gap(box_nodes):
+            got = ledger((1.0,) * (n - 2) + (1.0 + 1e-12,), box_nodes)
+            return max(abs(g / w - 1.0) for g, w in zip(got, want))
+
+        assert gap(fine) < 2e-8
+        assert gap(fine) < gap(coarse)
 
     def test_pure_profile_slivers_match_reference_values(self):
         geom = BoundaryGeometry((1.0, -0.5, 2.0), 0.1)

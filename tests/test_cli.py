@@ -7,13 +7,15 @@ import sys
 
 import pytest
 
-from hslab.boundary_energy import BoundaryGeometry, CutoffSpec, threshold_inequality_check
+from hslab.boundary_energy import BoundaryGeometry, CutoffSpec
 from hslab.cli import ConfigError, load_config, main
 from hslab.extremals import HSParams
 from hslab.identities import lambda_existence_bound
 from hslab.variational import (
     DomainGrid, Singularity, load_field, node_volumes, singular_weight,
 )
+
+from oracles import threshold_inequality_check
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):

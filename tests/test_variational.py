@@ -35,7 +35,6 @@ from hslab.variational import (
     Singularity,
     SolveOptions,
     SolveReport,
-    bubble_field,
     bubble_start,
     energy,
     gradient,
@@ -49,7 +48,7 @@ from hslab.variational import (
 )
 
 from box_quadrature import integrate_box
-from oracles import PositiveLambda, negative_lambda_sanity
+from oracles import PositiveLambda, bubble_field, negative_lambda_sanity
 
 UNIT3 = ((0.0, 1.0),) * 3
 CENTER = (0.5, 0.5, 0.5)
