@@ -13,22 +13,19 @@ becomes y_N = tau * g(y') and each energy piece reduces to
 
 The ledger integrands (gradient, critical mass, plain L2 mass, one mass per
 far site) are rows of one stacked radial density, and each piece handles
-all rows in one pass.  When every principal curvature is equal the floor
-depends on |y'| alone, and the slivers are one stacked adaptive radial
-integral over 0 < |y'| < inf.  Otherwise they come from one walk of a
-tensor Gauss-Legendre rule over the box |y'_i| <= 10, reduced to one
-representative per permutation orbit of axes with equal curvature and to
-the points inside the ball |y'| < 10 (the blend is 0 outside it), blended
-smoothly (on 8 <= |y'| <= 10) into a stacked adaptive radial tail that
-replaces the anisotropic floor by its exact spherical average (g averaged
-over directions is (H / (2(N-1))) * |y'|**2, H the mean curvature).  The
-radial integral's inner integral saturates instead of being linearised,
-which keeps it integrable in every dimension, including the
-logarithmically divergent linearisation in dimension three.  At each box
-point, and at each radial node, the integral across the sliver runs over
-w = y_N / |y'| from 0 to the floor's cap on fixed geometric panels: a
-4-point Gauss-Legendre rule on the first panel [0, min(cap, 1/64)],
-relative error about cap**8 * 2.3e-5, and K15 past it.
+all rows in one pass.  In polar coordinates y' = rho * theta the floor is
+tau * g(theta) * rho**2, so the sliver is the mean over directions of the
+sliver of an isotropic floor.  That mean is a weighted sum over eight
+Chebyshev nodes of g whose weights match the closed-form moments of g over
+the sphere (one node, exact, when every principal curvature is equal), and
+every row at every node is a row of one stacked adaptive radial integral
+over 0 < |y'| < 2 delta / tau.  The inner integral saturates instead of
+being linearised, which keeps it integrable in every dimension, including
+the logarithmically divergent linearisation in dimension three.  At each
+radial node the integral across the sliver runs over w = y_N / |y'| from 0
+to the floor's cap on fixed geometric panels: a 4-point Gauss-Legendre rule
+on the first panel [0, min(cap, 1/64)], relative error about
+cap**8 * 2.3e-5, and K15 past it.
 
 Scaling prefactors: the gradient energy and the critical mass at the
 concentration site are scale-free, the plain L2 mass carries tau**2, and
@@ -41,9 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,39 +255,10 @@ _G4_OUTER = math.sqrt(3.0 / 7.0 + 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
 _G4_NODES = np.array([-_G4_OUTER, -_G4_INNER, _G4_INNER, _G4_OUTER])
 _G4_WEIGHTS = np.array([18.0 - math.sqrt(30.0), 18.0 + math.sqrt(30.0),
                         18.0 + math.sqrt(30.0), 18.0 - math.sqrt(30.0)]) / 36.0
-_BOX_HALF_WIDTH = 10.0
-_BLEND_LO = 8.0
-_BLEND_HI = 10.0
-# The box walk drops partial index tuples whose sum of squares reaches this
-# bound: beyond _BLEND_HI the blend is 0, and the relative slack of 1e-12
-# outweighs every rounding of the partial and the full sums, so no point with
-# a nonzero blend is dropped.
-_BALL_R2 = _BLEND_HI**2 * (1.0 + 1e-12)
-_DEFAULT_BOX_NODES = {2: 96, 3: 56, 4: 28}
-# The box walk generates the orbit representatives in chunks of at most
-# _BOX_CHUNK points and sums each chunk on its own (the chunks set the
-# rounding of the ledger); it evaluates the stacked densities in blocks of
-# _STACK_BLOCK points, which bounds the (rows, points, panels, 15) array of
-# the K15 panels where a cap passes 1/64.
-_BOX_CHUNK = 1 << 14
-_STACK_BLOCK = 1 << 12
+_CURVATURE_NODES = 8  # Chebyshev nodes of the curvature rule
 # Initial panel edges of the radial GK integrals: the powers of two 1/64 ..
 # 2**64, of which each integral keeps those strictly inside its range.
 _POWER_SEEDS = [2.0**k for k in range(-6, 65)]
-
-
-@lru_cache(maxsize=8)
-def _gl_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights transplanted to [0, _BOX_HALF_WIDTH]."""
-    x, w = np.polynomial.legendre.leggauss(count)
-    half = 0.5 * _BOX_HALF_WIDTH
-    return half * (x + 1.0), half * w
-
-
-def _blend(rho: np.ndarray) -> np.ndarray:
-    """1 out to the blend window, C^2 descent to 0 across [8, 10]."""
-    t = np.clip((rho - _BLEND_LO) / (_BLEND_HI - _BLEND_LO), 0.0, 1.0)
-    return _smooth_fall(t)
 
 
 def _inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarray:
@@ -307,10 +273,9 @@ def _inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarr
     axis), so on [0, c] the 4-point rule's relative error is about
     c**8 * 2.3e-5, below 1e-19 at c = 1/64; against K15 on finer panels it
     agrees to rounding, below 1e-14 relative over N = 3-5 and s = 0.2-1.9.
-    Every box point of the shipped and benchmark eps has a cap below 1/64,
-    so it takes 4 density evaluations instead of 15.  The hard stop at
-    w = 128 truncates only integrands decaying at least like w**(3-2N), a
-    relative error below 128**(3-2N).
+    A radius whose cap stays below 1/64 takes 4 density evaluations
+    instead of 15.  The hard stop at w = 128 truncates only integrands
+    decaying at least like w**(3-2N), a relative error below 128**(3-2N).
     """
     first = 0.5 * np.minimum(w_cap, _W_EDGES[1])  # half the first panel
     active = int(np.count_nonzero(_W_EDGES[1:-1] < w_cap.max()))  # K15 panels
@@ -327,165 +292,42 @@ def _inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarr
                         KRONROD15_WEIGHTS, half))
 
 
-def _orbit_chunks(
-    box_nodes: int, alphas: tuple[float, ...]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Orbit representatives of the orthant box rule, chunk by chunk.
+def _direction_moments(b: np.ndarray, count: int) -> np.ndarray:
+    """E[x**j] for j < count, x = sum_i b_i * theta_i**2, theta uniform on the
+    unit sphere S^(d-1) with d = len(b).
 
-    ``alphas`` are sorted curvatures.  Swapping two axes of equal curvature
-    changes neither |y'| nor the floor, so within each run of equal
-    curvatures only nondecreasing node-index tuples are generated, each
-    standing for its g! / prod_v c_v! distinct permutations (g the run
-    length, c_v the multiplicity of index v): the orbit reduction of a
-    symmetric cubature rule (Stroud 1971).  The tuples are grown one axis at
-    a time, depth first in groups, so they come in lexicographic order and
-    no chunk exceeds _BOX_CHUNK points.  Only the points inside the blend
-    ball are generated: a partial tuple whose sum of squares already reaches
-    _BALL_R2 is dropped with all its extensions, since every one of them has
-    blend 0 (with equal curvatures and the default box nodes this drops 55 %
-    of the representatives at N = 4 and 72 % at N = 5), and chunks left
-    empty are skipped.  Yields (y, weight) per chunk, weight the tensor
-    Gauss-Legendre weight times the orbit size.  With distinct curvatures
-    every orbit is one point and this is the full tensor rule restricted to
-    the ball.
+    The squares theta_i**2 are Dirichlet(1/2, ..., 1/2) distributed, so
+    E[x**j] = j! / (d/2)_j * [z**j] prod_i (1 - b_i z)**(-1/2), with (d/2)_j
+    the rising factorial and (1/2)_j b_i**j / j! the coefficients of one
+    factor's series.
     """
-    d = len(alphas)
-    nodes, weights = _gl_nodes(box_nodes)
-    squares = nodes * nodes
-    tied = [False] + [alphas[j] == alphas[j - 1] for j in range(1, d)]
-    perms = math.prod(math.factorial(len(list(run))) for _, run in groupby(alphas))
-    group = max(1, _BOX_CHUNK // box_nodes)  # rows that grow into one chunk
-
-    def grow(cols: list[np.ndarray], r2: np.ndarray) -> Iterator[list[np.ndarray]]:
-        # cols holds one node-index array per axis filled so far, r2 the sum
-        # of squares of those nodes; each row gains the next axis's indices
-        # lo .. stop-1, lo its previous index within a run of equal
-        # curvatures and 0 at the start of one, stop the first index that
-        # takes the sum to _BALL_R2 (the nodes ascend)
-        ax = len(cols)
-        if ax == d:
-            yield cols
-            return
-        for start in range(0, len(cols[0]), group):
-            rows = [c[start : start + group] for c in cols]
-            part = r2[start : start + group]
-            lo = rows[-1] if tied[ax] else np.zeros(len(part), dtype=np.intp)
-            counts = np.maximum(np.searchsorted(squares, _BALL_R2 - part) - lo, 0)
-            parent = np.repeat(np.arange(len(lo)), counts)
-            if parent.size:
-                new = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-                yield from grow([c[parent] for c in rows] + [new], part[parent] + squares[new])
-
-    for cols in grow([np.arange(box_nodes)], squares):
-        y = np.empty((len(cols[0]), d))
-        wt = np.ones(len(cols[0]))
-        for ax in range(d - 1, -1, -1):
-            y[:, ax] = nodes[cols[ax]]
-            wt *= weights[cols[ax]]
-        # prod_v c_v! is the product, over the axes, of the length of the
-        # stretch of equal indices within a run that ends at that axis
-        equal_run, repeats = 1, 1
-        for j in range(1, d):
-            equal_run = np.where(cols[j] == cols[j - 1], equal_run + 1, 1) if tied[j] else 1
-            repeats = repeats * equal_run
-        yield y, wt * (perms // repeats)
+    j = np.arange(1, count)
+    series = np.zeros(count)
+    series[0] = 1.0
+    for bi in b:
+        factor = np.concatenate([[1.0], np.cumprod((j - 0.5) / j * bi)])
+        series = np.convolve(series, factor)[:count]
+    return series * np.concatenate([[1.0], np.cumprod(j / (0.5 * len(b) + j - 1.0))])
 
 
-def _box_pass(
-    dens: Callable, tau: float, geom: BoundaryGeometry, box_nodes: int
-) -> np.ndarray | float:
-    """Blend-weighted sliver integrals of every row over the box |y'_i| <= 10.
+def _curvature_rule(alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes gamma_k and weights W_k with sum_k W_k F(gamma_k) the mean of
+    F(g(theta)) over the unit sphere, g(theta) = (1/2) sum_i alpha_i theta_i**2.
 
-    Used only when the curvatures differ; equal curvatures take the radial
-    integral alone (see ``_slivers``).  One walk over the orbit
-    representatives of ``_orbit_chunks`` serves all rows (0.0 when no box
-    point lies under a nonzero floor).  The box is the
-    same along every axis, so sorting the curvatures changes nothing, and
-    axes of equal curvature are permuted freely.  The integrand is even in
-    every tangential coordinate (the floor height depends on squares only),
-    so one orthant is integrated and scaled by 2**(N-1).  Floor heights keep
-    their sign: where the quadratic floor dips below the flat one the sliver
-    contributes negatively.
+    ``alphas`` are sorted, so g ranges over [lo, hi] = [alpha_1, alpha_d] / 2.
+    The nodes are _CURVATURE_NODES Chebyshev points of that range, and the
+    weights make the rule exact for every polynomial in g of lower degree:
+    V^T W = m, V the Vandermonde matrix of the nodes mapped to [-1, 1] and m
+    the direction moments of x = (2g - lo - hi) / (hi - lo).  Equal
+    curvatures give one node, H / (2(N-1)), with weight 1.
     """
-    alphas = tuple(sorted(geom.curvatures))
-    alpha_arr = np.asarray(alphas, dtype=float)
-    total = 0.0
-    for y, wt in _orbit_chunks(box_nodes, alphas):
-        rho = np.sqrt(np.einsum("md,md->m", y, y))
-        floor = tau * 0.5 * ((y * y) @ alpha_arr)
-        psi = _blend(rho)
-        keep = (psi > 0.0) & (floor != 0.0)
-        if not np.any(keep):
-            continue
-        rk = rho[keep]
-        fk = floor[keep]
-        w_cap = np.abs(fk) / rk
-        inner = np.concatenate([
-            _inner_stack(dens, rk[j : j + _STACK_BLOCK], w_cap[j : j + _STACK_BLOCK])
-            for j in range(0, rk.size, _STACK_BLOCK)
-        ], axis=1) * rk * np.sign(fk)
-        total = total + np.sum(wt[keep] * psi[keep] * inner, axis=1)
-    return total * 2.0 ** len(alphas)
-
-
-def _tail_part(
-    dens: Callable,
-    tau: float,
-    geom: BoundaryGeometry,
-    p: HSParams,
-    cap: float | None,
-    cfg: QuadratureSettings,
-    lo: float = _BLEND_LO,
-) -> np.ndarray | float:
-    """Radial sliver of every row from |y'| = ``lo`` outward, one stacked GK.
-
-    The anisotropic floor is replaced by its spherical average
-    tau * gamma * |y'|**2 with gamma = H / (2(N-1)) -- exact when all
-    curvatures coincide, and correct to leading order otherwise because the
-    inner integral is linear in the floor height wherever the height is
-    small and saturates (becoming direction-independent) wherever it is not.
-    From ``lo`` = 8 (the default) the radial weight is 1 - blend, the part
-    the box pass leaves; from ``lo`` = 0 it is 1 and this is the whole
-    sliver of an isotropic wall.
-    """
-    n = p.N
-    gamma = geom.mean_curvature / (2.0 * (n - 1.0))
-    if gamma == 0.0:
-        return 0.0
-    sgn = math.copysign(1.0, gamma)
-    g = abs(gamma)
-    omega = sphere_surface_area(n - 1)
-
-    def integrand(rho: np.ndarray) -> np.ndarray:
-        inner = _inner_stack(dens, rho, tau * g * rho) * rho
-        weight = 1.0 - _blend(rho) if lo else 1.0
-        return sgn * omega * weight * rho ** (n - 2.0) * inner
-
-    knee = 1.0 / (tau * g)  # where the inner integral saturates
-    if cap is None:
-        split = _BLEND_HI * 2.0 if knee <= _BLEND_HI else min(8.0 * knee, 1e12)
-        return integrate_improper(
-            integrand, lo=lo, split=split, cfg=cfg, breakpoints=_POWER_SEEDS
-        )
-    return adaptive_gauss_kronrod(
-        integrand, lo, cap,
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, knee],
-    )
-
-
-def _resolve_box_nodes(p: HSParams, box_nodes: int | None) -> int:
-    if box_nodes is not None:
-        if box_nodes < 4:
-            raise ValueError("box_nodes must be at least 4")
-        return int(box_nodes)
-    d = p.N - 1
-    try:
-        return _DEFAULT_BOX_NODES[d]
-    except KeyError:
-        raise ValueError(
-            f"no default tensor resolution for {d} tangential axes; pass box_nodes"
-        ) from None
+    lo, hi = 0.5 * alphas[0], 0.5 * alphas[-1]
+    if lo == hi:
+        return np.array([math.fsum(alphas) / (2.0 * len(alphas))]), np.ones(1)
+    x = np.cos(np.pi * (np.arange(_CURVATURE_NODES) + 0.5) / _CURVATURE_NODES)
+    moments = _direction_moments((np.asarray(alphas) - (lo + hi)) / (hi - lo), _CURVATURE_NODES)
+    weights = np.linalg.solve(np.vander(x, increasing=True).T, moments)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, weights
 
 
 def check_dimension(geom: BoundaryGeometry, p: HSParams) -> None:
@@ -506,25 +348,66 @@ def _slivers(
     geom: BoundaryGeometry,
     cfg: QuadratureSettings,
     cap: float | None,
-    box_nodes: int,
 ) -> list[float]:
-    """Sliver integral of every row.
+    """Sliver integral of every row, from one stacked radial integral.
 
-    With all curvatures equal (alpha) the floor tau * alpha * |y'|**2 / 2 is
-    its own spherical average, so the sliver is one stacked radial integral
-    over (0, inf) and no box is walked: the box's blend and the tail's
-    1 - blend add up to 1, and nothing is approximated.  Otherwise it is one
-    fused box walk plus the stacked tail beyond |y'| = 8.
+    In polar coordinates y' = rho * theta the floor is tau * g(theta) *
+    rho**2, so the sliver is the mean over directions theta of F(g(theta)),
+    F(gamma) the sliver of the isotropic floor tau * gamma * rho**2:
+    omega_{N-2} times the integral over rho of rho**(N-1) times the inner
+    integral across w = y_N / rho up to the cap tau * |gamma| * rho, with
+    the sign of gamma (where the floor dips below the flat one the sliver
+    counts negatively).  The inner integral saturates instead of being
+    linearised, which keeps F integrable in every dimension, including the
+    logarithmically divergent linearisation in dimension three.
+
+    ``_curvature_rule`` takes the mean, and every row at every node is a row
+    of one adaptive radial integral, each node's knee 1 / (tau |gamma|),
+    where its inner integral saturates, an initial panel edge.  Equal
+    curvatures give one node and the exact sliver.  Where the cutoff bounds
+    rho (``cap`` = 2 delta / tau), F is smooth in gamma: the inner integrand
+    is singular only at gamma = +-i / (tau rho), on the imaginary axis at
+    least 1 / (2 delta) from 0.  So the rule is accurate while the range of
+    g is small against its distance from those points: against a converged
+    direction rule the ledger rows agree to 1.5e-11 on walls with curvatures
+    of order 1 (N = 3-5) and to 3.3e-9 for (50, 20, 50) at eps = 9e-3, but
+    only to 4.7e-7 for (0, 30), 8.8e-5 for (-10, 20) and 3.3e-2 for
+    (-50, 40) at N = 3, eps = 9e-3.  With ``cap`` None the uncut profile is
+    integrated over (0, inf); there the singularities reach gamma = 0, and a
+    floor that changes sign is only approximated.
     """
-    if all(a == 0.0 for a in geom.curvatures):
+    gammas, weights = _curvature_rule(tuple(sorted(geom.curvatures)))
+    keep = gammas != 0.0  # no sliver under a flat direction
+    if not keep.any():
         return [0.0] * len(rows)
+    gammas, weights = gammas[keep], weights[keep]
+    n = p.N
     dens = _profile_pack(p, tau, cut, rows)
-    if len(set(geom.curvatures)) == 1:
-        sliver = _tail_part(dens, tau, geom, p, cap, cfg, lo=0.0)
-    else:
-        sliver = _box_pass(dens, tau, geom, box_nodes) + _tail_part(dens, tau, geom, p, cap, cfg)
-    return np.broadcast_to(sliver, len(rows)).tolist()
+    omega = sphere_surface_area(n - 1)
+    signs, heights = np.sign(gammas), np.abs(gammas)
+    knees = 1.0 / (tau * heights)
 
+    def integrand(rho: np.ndarray) -> np.ndarray:
+        radial = omega * rho ** (n - 2.0)
+        return np.concatenate([
+            sign * radial * (_inner_stack(dens, rho, tau * g * rho) * rho)
+            for sign, g in zip(signs, heights)
+        ])
+
+    if cap is None:
+        # the tail map u = 1 / rho starts past the last node's knee
+        knee = knees.max()
+        split = 20.0 if knee <= 10.0 else min(8.0 * knee, 1e12)
+        value = integrate_improper(
+            integrand, lo=0.0, split=split, cfg=cfg, breakpoints=_POWER_SEEDS
+        )
+    else:
+        value = adaptive_gauss_kronrod(
+            integrand, 0.0, cap,
+            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+            max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, *knees],
+        )
+    return (weights @ value.reshape(len(gammas), len(rows))).tolist()
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -587,8 +470,6 @@ def bubble_energies(
     far_sites: Sequence[tuple[float, float]],
     p: HSParams,
     cfg: QuadratureSettings | None = None,
-    *,
-    box_nodes: int | None = None,
 ) -> EnergyBreakdown:
     """Direct quadrature of every energy piece over the curved model domain.
 
@@ -597,17 +478,19 @@ def bubble_energies(
     holds on the cutoff support, and its mass is computed under that proxy
     weight delta**(-s_i).  Every entry (including the plain L2 mass and the
     far masses) is the half-space radial integral minus the corresponding
-    sliver, i.e. an integral over the region above the quadratic floor.
-    ``box_nodes`` sets the tensor box of the sliver when the curvatures
-    differ (default 96, 56, 28 for N = 3, 4, 5); it is checked on every
-    call, but equal curvatures take the radial sliver and never use it.
+    sliver, i.e. an integral over the region above the quadratic floor; the
+    slivers of every entry come from one stacked radial integral over the
+    nodes of the curvature rule (see ``_slivers``).
 
-    Raises EpsTooLarge when tau = eps**(1/(2-s)) exceeds delta/10, where the
-    concentration scale is no longer separated from the patch scale.
+    Raises ValueError outside N = 3-5, the dimensions the ledger is tested
+    in, and EpsTooLarge when tau = eps**(1/(2-s)) exceeds delta/10, where
+    the concentration scale is no longer separated from the patch scale.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     check_dimension(geom, p)
+    if p.N > 5:
+        raise ValueError(f"the boundary ledger is tested for N = 3-5 only, got N = {p.N}")
     if not math.isclose(cut.delta, geom.delta, rel_tol=1e-12):
         raise ValueError("cutoff radius and geometry patch radius must agree")
     cfg = cfg or QuadratureSettings()
@@ -624,12 +507,11 @@ def bubble_energies(
         if not (0.0 < si < 2.0):
             raise ValueError("far-site exponent must lie in (0, 2)")
 
-    nodes = _resolve_box_nodes(p, box_nodes)
     cap = 2.0 * delta / tau
     kink = delta / tau
     # rows: grad, near mass, L2, then (eta~ * U1)**q_i for each far site's mass
     rows = ("grad", "mass", "l2", *(HSParams(p.N, si).two_star for _, si in sites))
-    slivers = _slivers(p, tau, cut, rows, geom, cfg, cap, nodes)
+    slivers = _slivers(p, tau, cut, rows, geom, cfg, cap)
     half_space = _half_space_radial(_profile_pack(p, tau, cut, rows), p.N, cap, cfg, kink)
     whole = (half_space - slivers).tolist()
     return EnergyBreakdown(

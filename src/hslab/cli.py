@@ -54,7 +54,6 @@ _SCHEMA: dict[str, Any] = {
     "far_sites": [{"distance": float, "s": float}],
     "eps_list": [float],
     "beta_list": [float],
-    "box_nodes": int,
     "solver": {"max_iters": int, "grad_tol": float},
     "init": {"type": str, "site": int, "eps": float, "value": float},
     "output": str,
@@ -297,8 +296,7 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
     good: list[boundary_energy.EnergyBreakdown] = []
     for eps in eps_list:
         try:
-            res = boundary_energy.bubble_energies(
-                eps, geom, cut, far, p, settings, box_nodes=cfg.get("box_nodes"))
+            res = boundary_energy.bubble_energies(eps, geom, cut, far, p, settings)
             row = boundary_energy.margin_row(res, lam, p, threshold)
         except Exception as exc:
             failures.append(f"boundary(eps={eps}): {exc}")

@@ -18,7 +18,12 @@ None of these is used by the library.  They cross-check it from outside:
 * :func:`fit_power_log_basis` fits c1 * eps^p * ln(1/eps) + c2 * eps^p, the
   shape of the dimension-three sliver energy.
 * :func:`sliver_energy_integral` and :func:`sliver_mass_integral` are the
-  ledger's sliver of one row (grad or mass) of the uncut bubble.
+  ledger's sliver of one row (grad or mass) of the uncut bubble, the only
+  slivers with no cutoff.  Without it the sliver of an isotropic floor is
+  not analytic in the floor's coefficient at 0, so on a floor that changes
+  sign the curvature rule is only approximate: it and a converged direction
+  rule differ by about 1.6e-6 at N = 4, curvatures (1, -0.5, 2), and by
+  2e-3 at N = 3, curvatures (1, -0.5), both at eps = 1e-3.
 * :func:`negative_lambda_sanity` checks that with lambda <= 0 every positive
   constant has negative discrete energy.
 * :func:`threshold_inequality_check` audits the ledger's ray peaks against
@@ -39,7 +44,6 @@ from hslab.boundary_energy import (
     CutoffSpec,
     MarginRow,
     _as_positive_arrays,
-    _resolve_box_nodes,
     _slivers,
     boundary_threshold,
     bubble_energies,
@@ -153,15 +157,14 @@ def fit_power_log_basis(
 
 
 def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
-                 cfg: QuadratureSettings | None, box_nodes: int | None) -> float:
+                 cfg: QuadratureSettings | None) -> float:
     """Sliver integral of one row of the uncut bubble at scale eps."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     check_dimension(geom, p)
     cfg = cfg or QuadratureSettings()
     tau = eps ** (1.0 / (2.0 - p.s))
-    nodes = _resolve_box_nodes(p, box_nodes)
-    return _slivers(p, tau, None, (row,), geom, cfg, None, nodes)[0]
+    return _slivers(p, tau, None, (row,), geom, cfg, None)[0]
 
 
 def sliver_energy_integral(
@@ -169,8 +172,6 @@ def sliver_energy_integral(
     geom: BoundaryGeometry,
     p: HSParams,
     cfg: QuadratureSettings | None = None,
-    *,
-    box_nodes: int | None = None,
 ) -> float:
     """Gradient energy of the pure bubble over the boundary-layer sliver.
 
@@ -181,7 +182,7 @@ def sliver_energy_integral(
     and like eps**(1/(2-s)) * |ln eps| in dimension three, and vanishes
     identically for a flat patch.
     """
-    return _pure_sliver("grad", eps, geom, p, cfg, box_nodes)
+    return _pure_sliver("grad", eps, geom, p, cfg)
 
 
 def sliver_mass_integral(
@@ -189,15 +190,13 @@ def sliver_mass_integral(
     geom: BoundaryGeometry,
     p: HSParams,
     cfg: QuadratureSettings | None = None,
-    *,
-    box_nodes: int | None = None,
 ) -> float:
     """Weighted critical mass of the pure bubble over the same sliver region.
 
     Integrand |y|**(-s) (1+|y|**(2-s))**(-2(N-s)/(2-s)); scales like
     eps**(1/(2-s)) in every dimension N >= 3.
     """
-    return _pure_sliver("mass", eps, geom, p, cfg, box_nodes)
+    return _pure_sliver("mass", eps, geom, p, cfg)
 
 
 def negative_lambda_sanity(cfg: ProblemConfig, c_samples: Sequence[float]) -> bool:
@@ -244,8 +243,6 @@ def threshold_inequality_check(
     lam: float,
     p: HSParams,
     cfg: QuadratureSettings | None = None,
-    *,
-    box_nodes: int | None = None,
 ) -> MarginReport:
     """Audit the mountain-pass ray against the boundary compactness threshold.
 
@@ -264,8 +261,7 @@ def threshold_inequality_check(
         raise ValueError("eps_list must be nonempty")
     threshold = boundary_threshold(p, cfg)
     rows = tuple(
-        margin_row(bubble_energies(eps, geom, cut, far_sites, p, cfg, box_nodes=box_nodes),
-                   lam, p, threshold)
+        margin_row(bubble_energies(eps, geom, cut, far_sites, p, cfg), lam, p, threshold)
         for eps in eps_sorted
     )
     scaled = [r.scaled_margin for r in rows]

@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from hslab.boundary_energy import (
-    _BOX_CHUNK,
     _W_EDGES,
-    _blend,
-    _box_pass,
-    _gl_nodes,
+    _direction_moments,
     _inner_stack,
-    _orbit_chunks,
     _profile_pack,
+    _slivers,
     BoundaryGeometry,
     CutoffSpec,
     EnergyBreakdown,
@@ -27,7 +24,7 @@ from hslab.boundary_energy import (
 )
 from hslab.extremals import HSParams, whole_space_constants
 from hslab.identities import NonpositivePart, sliver_ratio_limit
-from hslab.quadrature import KRONROD15_NODES, KRONROD15_WEIGHTS, Divergent
+from hslab.quadrature import KRONROD15_NODES, KRONROD15_WEIGHTS, Divergent, QuadratureSettings
 
 from box_quadrature import integrate_box
 from oracles import (
@@ -138,21 +135,23 @@ class TestSliverIntegrals:
     @pytest.mark.parametrize("s", [0.5, 1.0])
     @pytest.mark.parametrize("n", [4, 5])
     def test_equal_curvature_sliver_meets_closed_form(self, n, s):
-        # the pure profile at tau = 1e-6: equal curvatures take the one
-        # radial sliver integral, which leaves no cubature floor (a 28-node
-        # box leaves about 2e-7 at N = 5); at N = 4 the energy's next term
-        # is about -3.7 tau relative, so there only the mass is held
+        # the pure profile at tau = 1e-6, on an equal-curvature wall (one
+        # node of the curvature rule, the exact sliver) and on a wall with
+        # distinct curvatures (eight nodes); the leading coefficients depend
+        # on H alone.  At N = 4 the energy's next term is about -3.7 tau
+        # relative, so there only the mass is held
         p = HSParams(n, s)
-        geom = BoundaryGeometry((1.0,) * (n - 1), 0.1)
         eps = 1e-6 ** (2.0 - s)
         tau = eps ** (1.0 / (2.0 - s))
-        assert sliver_mass_integral(eps, geom, p) / tau == pytest.approx(
-            sliver_mass_leading_coefficient(geom, p), rel=1e-8 if n == 5 else 1e-9, abs=0.0
-        )
-        if n == 5:
-            assert sliver_energy_integral(eps, geom, p) / tau == pytest.approx(
-                sliver_energy_leading_coefficient(geom, p), rel=1e-8, abs=0.0
+        for curv in ((1.0,) * (n - 1), tuple(float(a) for a in range(1, n))):
+            geom = BoundaryGeometry(curv, 0.1)
+            assert sliver_mass_integral(eps, geom, p) / tau == pytest.approx(
+                sliver_mass_leading_coefficient(geom, p), rel=1e-8 if n == 5 else 1e-9, abs=0.0
             )
+            if n == 5:
+                assert sliver_energy_integral(eps, geom, p) / tau == pytest.approx(
+                    sliver_energy_leading_coefficient(geom, p), rel=1e-8, abs=0.0
+                )
 
     def test_mass_to_energy_ratio_below_moment_ratio(self):
         # the sliver ratio tends to (N-3)/((N+1-s)(N-2)^2), strictly below
@@ -294,10 +293,8 @@ class TestBubbleEnergies:
 
 
 # Ledger entries (grad_energy, near_mass, l2_mass, sliver_energy,
-# sliver_mass, far_masses) with delta = 0.1.  Equal curvatures take the one
-# radial sliver integral; the anisotropic case takes the box walk and its
-# blended tail, and keeps the value of the per-integrand box walk that the
-# fused walk replaced.
+# sliver_mass, far_masses) with delta = 0.1.  Equal curvatures take one node
+# of the curvature rule, the anisotropic case eight.
 LEDGER_REFERENCES = [
     # N = 3 with 0, 1 and 2 far sites
     (3, 1.0, (1.0, 1.0), 1e-3, [],
@@ -312,14 +309,13 @@ LEDGER_REFERENCES = [
       (0.033267494606274026, 0.0232521993604888))),
     # anisotropic curvatures with a negative entry
     (4, 1.0, (1.0, -0.5, 2.0), 5e-4, [(0.5, 0.7)],
-     (1.9720605550022017, 0.32885575342820994, 9.215581399277936e-06,
-      0.002093578302031377, 0.00013088060062124834, (0.006014743882003486,))),
+     (1.972061041964285, 0.328855754093021, 9.215988562129387e-06,
+      0.002093091339948041, 0.0001308799358101722, (0.006014743966689717,))),
     (5, 0.5, (1.0, 1.0, 1.0, 1.0), 1e-4, [(0.5, 0.7)],
      (3.9339595999039667, 0.2918683853038663, 2.4286866892044983e-05,
       0.013967411172652718, 0.0005643097066810247, (0.02684480189726763,))),
-    # tau = 0.009 near delta/10 with curvature 50: the floor's cap reaches
-    # t = 10 * sqrt(1 + 2.25**2) > 2 * delta / tau at |y'| = 10, across the
-    # cutoff ramp
+    # tau = 0.009 near delta/10 with curvature 50: the floor's cap passes 1
+    # inside the cutoff ramp
     (3, 1.0, (50.0, 50.0), 9e-3, [(0.5, 0.7)],
      (1.0226200027882921, 0.7591188477169302, 0.0014703944781228092,
       1.7670282576732852, 0.2752665974536866, (0.08816180587015834,))),
@@ -357,41 +353,93 @@ class TestFusedLedger:
             assert b.sliver_mass == runs[0].sliver_mass
         assert runs[2].far_masses[0] == runs[1].far_masses[0]
 
-    @pytest.mark.parametrize("n, coarse, fine", [(4, 56, 96), (5, 28, 40)])
-    def test_box_walk_converges_to_the_radial_path(self, n, coarse, fine):
-        # curvatures 1e-12 apart take the box walk and its blended tail,
-        # equal ones the radial integral; their gap is the box cubature's
-        # error, and it shrinks as the box refines
+    @pytest.mark.parametrize("curv", [(1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0),
+                                      (1.0, -0.5, 2.0), (1.0, -0.5, 1.0), (50.0, 50.0),
+                                      (-0.947, 2.35, 0.037)])
+    def test_curvature_order_leaves_the_ledger_bit_identical(self, curv):
+        # (-0.947, 2.35, 0.037) sums to different doubles in different orders
+        p = HSParams(len(curv) + 1, 1.0)
+        eps = 9e-3 if curv[0] == 50.0 else 1e-3
+        runs = [bubble_energies(eps, BoundaryGeometry(order, 0.1), CutoffSpec(0.1),
+                                [(0.5, 0.7)], p)
+                for order in sorted(set(itertools.permutations(curv)))]
+        assert all(b == runs[0] for b in runs[1:])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_near_equal_curvatures_meet_the_equal_ledger(self, n):
+        # curvatures 1e-12 apart take the eight-node rule on a range of
+        # width 5e-13, equal ones the single node: the rule is continuous
         p = HSParams(n, 1.0)
 
-        def ledger(curv, box_nodes=None):
+        def ledger(curv):
             b = bubble_energies(1e-3, BoundaryGeometry(curv, 0.1), CutoffSpec(0.1),
-                                [(0.5, 0.7)], p, box_nodes=box_nodes)
+                                [(0.5, 0.7)], p)
             return (b.grad_energy, b.near_mass, b.l2_mass, b.sliver_energy, b.sliver_mass,
                     *b.far_masses)
 
+        got = ledger((1.0,) * (n - 2) + (1.0 + 1e-12,))
         want = ledger((1.0,) * (n - 1))
+        assert max(abs(g / w - 1.0) for g, w in zip(got, want)) < 1e-9
 
-        def gap(box_nodes):
-            got = ledger((1.0,) * (n - 2) + (1.0 + 1e-12,), box_nodes)
-            return max(abs(g / w - 1.0) for g, w in zip(got, want))
+    def test_slivers_match_a_cartesian_tensor_rule(self):
+        # N = 3, curvatures (1, 3), cut bubble at eps = 1e-3: every row's
+        # sliver by a tensor Gauss-Legendre rule over the orthant of the
+        # support |y'| < 2 delta / tau = 200 (four times), 8 nodes per panel,
+        # geometric panels 0, 1/256, ..., 32 and then width 4 to 200, with
+        # _inner_stack across the sliver at each point
+        p, tau = HSParams(3, 1.0), 1e-3
+        cut = CutoffSpec(0.1)
+        rows = ("grad", "mass", "l2", HSParams(3, 0.7).two_star)
+        edges = np.concatenate([[0.0], 2.0 ** np.arange(-8.0, 6.0), np.arange(36.0, 201.0, 4.0)])
+        x, w = np.polynomial.legendre.leggauss(8)
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes = ((edges[:-1, None] + half) + half * x).ravel()
+        weights = (half * w).ravel()
+        y1, y2 = (a.ravel() for a in np.meshgrid(nodes, nodes, indexing="ij"))
+        wt = np.outer(weights, weights).ravel()
+        rho = np.hypot(y1, y2)
+        inside = rho < 200.0
+        rho, wt = rho[inside], wt[inside]
+        floor = tau * 0.5 * (y1[inside] ** 2 + 3.0 * y2[inside] ** 2)
+        dens = _profile_pack(p, tau, cut, rows)
+        want = 4.0 * sum(
+            (_inner_stack(dens, rho[j : j + 8192], floor[j : j + 8192] / rho[j : j + 8192])
+             * rho[j : j + 8192]) @ wt[j : j + 8192]
+            for j in range(0, rho.size, 8192)
+        )
+        got = _slivers(p, tau, cut, rows, BoundaryGeometry((1.0, 3.0), 0.1),
+                       QuadratureSettings(), 200.0)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
-        assert gap(fine) < 2e-8
-        assert gap(fine) < gap(coarse)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_direction_moments_match_a_gaussian_rule(self, d):
+        # E over the sphere of x**j, x = sum b_i theta_i**2, equals
+        # E[(sum b_i z_i**2)**j] / E[|z|**(2j)] for a standard normal z in
+        # R^d; an 8-point Gauss-Hermite tensor rule is exact for both (degree
+        # 2j <= 14 per axis)
+        b = np.random.default_rng(d).uniform(-1.0, 1.0, d)
+        z, wz = np.polynomial.hermite_e.hermegauss(8)
+        zs = np.stack(np.meshgrid(*[z] * d, indexing="ij"), axis=-1).reshape(-1, d) ** 2
+        wt = np.prod(np.stack(np.meshgrid(*[wz] * d, indexing="ij"), axis=-1), axis=-1).ravel()
+        j = np.arange(8)[:, None]
+        want = ((zs @ b) ** j @ wt) / (zs.sum(axis=1) ** j @ wt)
+        np.testing.assert_allclose(_direction_moments(b, 8), want, rtol=0.0, atol=1e-14)
 
     def test_pure_profile_slivers_match_reference_values(self):
         geom = BoundaryGeometry((1.0, -0.5, 2.0), 0.1)
+        # the uncut floor changes sign, so these hold the rule's values, which
+        # a converged direction rule moves by about 1.6e-6 (see the oracles)
         assert sliver_energy_integral(1e-3, geom, P41) == pytest.approx(
-            0.0041760798998780385, rel=1e-12, abs=0.0
+            0.004168923644563273, rel=1e-12, abs=0.0
         )
         assert sliver_mass_integral(1e-3, geom, P41) == pytest.approx(
-            0.0002617931365915535, rel=1e-12, abs=0.0
+            0.0002617860121227337, rel=1e-12, abs=0.0
         )
 
 
 # caps of the inner w-integral: inside, at and past the first panel's 1/64,
-# and across several geometric panels; radii from the box (|y'| <= 10) and
-# from the radial tail beyond |y'| = 8
+# and across several geometric panels; radii from the head, plateau and far
+# range of the radial sliver
 INNER_CAPS = (1e-4, 0.0094, 1.0 / 64.0, 0.1, 2.0)
 INNER_RADII = (0.05, 1.3, 9.7, 12.0, 40.0, 1e3)
 
@@ -413,7 +461,7 @@ class TestInnerRule:
     def test_matches_composite_kronrod(self, n, s):
         # the 4-point first panel and the K15 panels past it, against K15 on
         # eight times finer panels: one call per cap (all caps below 1/64 is
-        # the box's case) and one call mixing every cap (the tail's case)
+        # the case at small radii) and one call mixing every cap
         p = HSParams(n, s)
         dens = _profile_pack(p, 1e-3, None, ("grad", "mass", "l2", HSParams(n, 0.7).two_star))
         rho = np.array(INNER_RADII)
@@ -424,96 +472,6 @@ class TestInnerRule:
         np.testing.assert_allclose(np.concatenate(per_cap, axis=1), want, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(_inner_stack(dens, rho_all, cap_all), want,
                                    rtol=1e-14, atol=0.0)
-
-
-# curvature patterns of the orbit walk: all equal, all distinct, equal but
-# not adjacent, and a large curvature whose box nodes cross the cutoff ramp
-ORBIT_PATTERNS = [(1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0),
-                  (1.0, -0.5, 2.0), (1.0, -0.5, 1.0), (50.0, 50.0)]
-# coarser boxes than the defaults keep the full-tensor references cheap
-ORBIT_BOX_NODES = {2: 96, 3: 40, 4: 16}
-
-
-def _orbit_case(curv):
-    p = HSParams(len(curv) + 1, 1.0)
-    eps = 9e-3 if curv[0] == 50.0 else 1e-3
-    tau = eps ** (1.0 / (2.0 - p.s))
-    return p, eps, tau, _profile_pack(p, tau, CutoffSpec(0.1), ("grad", "mass", "l2", 3.5))
-
-
-def tensor_box_pass(dens, tau, curvatures, box_nodes):
-    """The blend-weighted box integrals by a plain walk of every point of the
-    orthant tensor rule, in the given axis order."""
-    d = len(curvatures)
-    nodes, weights = _gl_nodes(box_nodes)
-    y = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    wt = np.prod(np.stack(np.meshgrid(*[weights] * d, indexing="ij"), axis=-1), axis=-1).ravel()
-    rho = np.sqrt(np.sum(y * y, axis=1))
-    floor = tau * 0.5 * ((y * y) @ np.asarray(curvatures))
-    psi = _blend(rho)
-    keep = (psi > 0.0) & (floor != 0.0)
-    rho, floor, wt = rho[keep], floor[keep], (wt * psi)[keep]
-    total = 0.0
-    for j in range(0, rho.size, 4096):
-        r, f = rho[j : j + 4096], floor[j : j + 4096]
-        inner = _inner_stack(dens, r, np.abs(f) / r) * r * np.sign(f)
-        total = total + inner @ wt[j : j + 4096]
-    return total * 2.0**d
-
-
-class TestOrbitWalk:
-    @pytest.mark.parametrize("curv", ORBIT_PATTERNS)
-    def test_representatives_reproduce_the_orthant(self, curv):
-        alphas = tuple(sorted(curv))
-        nodes = ORBIT_BOX_NODES[len(curv)]
-        count, weight = 0, 0.0
-        for y, wt in _orbit_chunks(nodes, alphas):
-            count += len(y)
-            weight += math.fsum(wt)
-        # brute force over the full index tensor: the orthant points with a
-        # nonzero blend, and among them the representatives, whose indices
-        # do not decrease within a run of equal curvatures
-        d = len(curv)
-        x, w = _gl_nodes(nodes)
-        idx = np.indices((nodes,) * d).reshape(d, -1)
-        inside = _blend(np.sqrt(np.sum(x[idx] ** 2, axis=0))) > 0.0
-        representative = inside.copy()
-        for j in range(1, d):
-            if alphas[j] == alphas[j - 1]:
-                representative &= idx[j] >= idx[j - 1]
-        assert count == np.count_nonzero(representative)
-        assert weight == pytest.approx(math.fsum(np.prod(w[idx], axis=0)[inside]),
-                                       rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("curv", ORBIT_PATTERNS)
-    def test_box_pass_matches_full_tensor_walk(self, curv):
-        _, _, tau, dens = _orbit_case(curv)
-        nodes = ORBIT_BOX_NODES[len(curv)]
-        got = _box_pass(dens, tau, BoundaryGeometry(curv, 0.1), nodes)
-        want = tensor_box_pass(dens, tau, curv, nodes)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-
-    @pytest.mark.parametrize("curv", ORBIT_PATTERNS + [(-0.947, 2.35, 0.037)])
-    def test_curvature_order_leaves_the_ledger_bit_identical(self, curv):
-        # (-0.947, 2.35, 0.037) sums to different doubles in different orders
-        p, eps, _, _ = _orbit_case(curv)
-        runs = [bubble_energies(eps, BoundaryGeometry(order, 0.1), CutoffSpec(0.1),
-                                [(0.5, 0.7)], p)
-                for order in sorted(set(itertools.permutations(curv)))]
-        assert all(b == runs[0] for b in runs[1:])
-
-    @pytest.mark.parametrize("box_nodes", [4, 28, 200])
-    @pytest.mark.parametrize("curv", [(1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0)])
-    def test_chunks_stay_bounded_and_lexicographic(self, curv, box_nodes):
-        # memory stays fixed by _BOX_CHUNK for any resolution, and the chunks
-        # list the kept index tuples in the order of the full tensor walk
-        nodes = _gl_nodes(box_nodes)[0]
-        last = -1
-        for y, _ in itertools.islice(_orbit_chunks(box_nodes, curv), 48):
-            assert 0 < len(y) <= _BOX_CHUNK
-            flat = np.searchsorted(nodes, y) @ box_nodes ** np.arange(len(curv) - 1, -1, -1)
-            assert last < flat[0] and np.all(np.diff(flat) > 0)
-            last = flat[-1]
 
 
 class TestRayPeak:
