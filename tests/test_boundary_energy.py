@@ -353,18 +353,6 @@ class TestFusedLedger:
             assert b.sliver_mass == runs[0].sliver_mass
         assert runs[2].far_masses[0] == runs[1].far_masses[0]
 
-    @pytest.mark.parametrize("curv", [(1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0),
-                                      (1.0, -0.5, 2.0), (1.0, -0.5, 1.0), (50.0, 50.0),
-                                      (-0.947, 2.35, 0.037)])
-    def test_curvature_order_leaves_the_ledger_bit_identical(self, curv):
-        # (-0.947, 2.35, 0.037) sums to different doubles in different orders
-        p = HSParams(len(curv) + 1, 1.0)
-        eps = 9e-3 if curv[0] == 50.0 else 1e-3
-        runs = [bubble_energies(eps, BoundaryGeometry(order, 0.1), CutoffSpec(0.1),
-                                [(0.5, 0.7)], p)
-                for order in sorted(set(itertools.permutations(curv)))]
-        assert all(b == runs[0] for b in runs[1:])
-
     @pytest.mark.parametrize("n", [4, 5])
     def test_near_equal_curvatures_meet_the_equal_ledger(self, n):
         # curvatures 1e-12 apart take the eight-node rule on a range of
@@ -435,6 +423,22 @@ class TestFusedLedger:
         assert sliver_mass_integral(1e-3, geom, P41) == pytest.approx(
             0.0002617860121227337, rel=1e-12, abs=0.0
         )
+
+
+class TestOrbitWalk:
+    """the ledger along the orbit of the curvatures under permutation"""
+
+    @pytest.mark.parametrize("curv", [(1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0),
+                                      (1.0, -0.5, 2.0), (1.0, -0.5, 1.0), (50.0, 50.0),
+                                      (-0.947, 2.35, 0.037)])
+    def test_curvature_order_leaves_the_ledger_bit_identical(self, curv):
+        # (-0.947, 2.35, 0.037) sums to different doubles in different orders
+        p = HSParams(len(curv) + 1, 1.0)
+        eps = 9e-3 if curv[0] == 50.0 else 1e-3
+        runs = [bubble_energies(eps, BoundaryGeometry(order, 0.1), CutoffSpec(0.1),
+                                [(0.5, 0.7)], p)
+                for order in sorted(set(itertools.permutations(curv)))]
+        assert all(b == runs[0] for b in runs[1:])
 
 
 # caps of the inner w-integral: inside, at and past the first panel's 1/64,
