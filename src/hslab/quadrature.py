@@ -18,7 +18,8 @@ rule is open (no endpoint is ever sampled), so integrable endpoint
 singularities are admissible.  Each integrand, or each row of a stacked one,
 bisects its panel of largest error estimate (ties by left endpoint) and sums
 its panels left to right, so results are bit-stable across runs and a row's
-value does not depend on the rows stacked with it.
+value does not depend on the rows stacked with it.  The K15 and G7 estimates
+of every row and panel of an evaluation come from one pass of matrix products.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -93,18 +94,17 @@ def _build_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # ascending: seven negatives, zero, seven positives
     nodes = np.concatenate([-_ABSCISSAE[:7], _ABSCISSAE[7:8], _ABSCISSAE[:7][::-1]])
     wk = np.concatenate([_KRONROD_W[:7], _KRONROD_W[7:8], _KRONROD_W[:7][::-1]])
-    wg = np.zeros(15)
-    wg[[1, 3, 5]] = _GAUSS_W[:3]
-    wg[7] = _GAUSS_W[3]
-    wg[[9, 11, 13]] = _GAUSS_W[:3][::-1]
-    for rule in (nodes, wk, wg):
+    rules = np.zeros((15, 2))  # K15 weights, and G7 weights on the odd nodes
+    rules[:, 0] = wk
+    rules[1::2, 1] = np.concatenate([_GAUSS_W, _GAUSS_W[2::-1]])
+    for rule in (nodes, wk, rules):
         rule.flags.writeable = False
-    return nodes, wk, wg
+    return nodes, wk, rules
 
 
 # The ascending 15-point Kronrod nodes and weights on [-1, 1] (read-only),
 # shared by every fixed-panel integral in the package.
-KRONROD15_NODES, KRONROD15_WEIGHTS, _WG = _build_rule()
+KRONROD15_NODES, KRONROD15_WEIGHTS, _RULES = _build_rule()
 
 # Floor of a panel's error estimate relative to its value (QUADPACK's
 # 50 * epmach).
@@ -178,87 +178,107 @@ def adaptive_gauss_kronrod(
     (largest error estimate, ties by left endpoint) until its summed error
     meets the tolerance, within its own ``max_subdivisions``, then fsums its
     panels left to right.  Rows share only the evaluation: each step calls
-    ``f`` once, on the children of the panels unfinished rows bisect, and a
-    panel evaluated once serves every row, so each row's result is
+    ``f`` once, on the children of the panels unfinished rows bisect, and
+    takes the estimates of every row and panel from that call in one pass.
+    A panel evaluated once serves every row, so each row's result is
     bit-identical to integrating it alone.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError("need finite bounds with hi > lo")
     edges = sorted({lo, hi, *(float(b) for b in breakpoints if lo < b < hi)})
     first = list(zip(edges[:-1], edges[1:]))
-    cache: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}  # panel: (y, finite)
+    # panel: per row, its [K15, G7, resasc], or None where the row was not finite
+    cache: dict[tuple[float, float], list[list[float] | None]] = {}
 
     def evaluate(panels: list[tuple[float, float]]) -> np.ndarray:
         a, b = np.array(panels).T[:, :, None]
-        x = 0.5 * (a + b) + 0.5 * (b - a) * KRONROD15_NODES
+        width = b - a
+        half = 0.5 * width
+        x = 0.5 * (a + b) + half * KRONROD15_NODES
         y = np.asarray(f(x.ravel()), dtype=float)
         if y.shape[-1:] != (x.size,) or y.ndim > 2:
             raise NonFinite(f"integrand returned shape {y.shape} for {x.size} nodes")
         stack = y.reshape(-1, *x.shape)
-        finite = np.isfinite(stack).all(axis=2)
-        cache.update((panel, (stack[:, j], finite[:, j])) for j, panel in enumerate(panels))
+        finite = np.isfinite(stack)
+        clean = np.count_nonzero(finite) == finite.size
+        if not clean:
+            stack = np.where(finite, stack, 0.0)  # keeps inf and nan out of the sums
+        # K15, G7 and QUADPACK's resasc of every row and panel, from gemm
+        # products of two lines by two columns: a line's bits there do not
+        # depend on what is stacked with it on any OpenBLAS kernel checked,
+        # while longer products sum some lines in another order on SSE-era
+        # kernels, and numpy sends one-line or one-column products to gemv
+        if stack.size // 15 % 2:
+            stack = np.concatenate([stack, stack[-1:]])  # an even count of lines
+        shape = (*stack.shape[:2], 2)
+        sums = (stack.reshape(-1, 2, 15) @ _RULES).reshape(shape) * half
+        dev = np.abs(stack - sums[..., :1] / width).reshape(-1, 2, 15)
+        resasc = (dev @ _RULES).reshape(shape)[..., :1] * half
+        estimates = np.concatenate([sums, resasc], axis=2).transpose(1, 0, 2).tolist()
+        if not clean:
+            for row, j in np.argwhere(~finite.all(axis=2)):
+                estimates[j][row] = None
+        cache.update(zip(panels, estimates))
         return y
 
     def gk15(row: int, lo: float, hi: float) -> tuple[float, float]:
         # one row's (value, error estimate) on an evaluated panel
-        y, finite = cache[lo, hi]
-        if not finite[row]:
+        sums = cache[lo, hi][row]
+        if sums is None:
             raise NonFinite(f"integrand not finite on panel [{lo!r}, {hi!r}]")
-        y = y[row]
-        half = 0.5 * (hi - lo)
-        ik = half * float(KRONROD15_WEIGHTS @ y)
-        ig = half * float(_WG @ y)
+        ik, ig, resasc = sums
         # QUADPACK-style scale-aware error estimate
-        resasc = half * float(KRONROD15_WEIGHTS @ np.abs(y - ik / (hi - lo)))
         err = diff = abs(ik - ig)
         if resasc > 0.0 and diff > 0.0:
             err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
         return ik, max(err, _ERROR_FLOOR * abs(ik))
 
-    def subdivide(row: int) -> Generator[list[tuple[float, float]], None, float]:
-        # yields the children it needs evaluated; returns the row's integral
-        heap: list[tuple[float, float, float, float]] = []  # (-err, left, right, value)
+    y = evaluate(first)
+    values = [0.0] * (len(y) if y.ndim == 2 else 1)
+    # per unfinished row: its heap of (-err, left, right, value), value and
+    # error sums and splits; each step runs every row as far as evaluated
+    # panels take it, then evaluates the children the rows stopped at
+    runs = []
+    for row in range(len(values)):
+        heap = []
         total = total_err = 0.0
         for a, b in first:
             v, e = gk15(row, a, b)
-            heapq.heappush(heap, (-e, a, b, v))
+            heap.append((-e, a, b, v))
             total += v
             total_err += e
-        splits = 0
-        while total_err > max(abs_tol, rel_tol * abs(total)):
-            if splits >= max_subdivisions:
-                raise ToleranceNotMet(
-                    f"error {total_err:.3e} above tolerance after {splits} subdivisions"
-                )
-            neg_e, a, b, v = heapq.heappop(heap)
-            mid = 0.5 * (a + b)
-            if not (a < mid < b):
-                # panel no longer splittable at float resolution: freeze it
-                total_err += neg_e
-                heapq.heappush(heap, (0.0, a, b, v))
-                continue
-            if (a, mid) not in cache or (mid, b) not in cache:
-                yield [(a, mid), (mid, b)]
-            v1, e1 = gk15(row, a, mid)
-            v2, e2 = gk15(row, mid, b)
-            total += (v1 + v2) - v
-            total_err += (e1 + e2) + neg_e
-            heapq.heappush(heap, (-e1, a, mid, v1))
-            heapq.heappush(heap, (-e2, mid, b, v2))
-            splits += 1
-        return math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
-
-    y = evaluate(first)
-    runs = {row: subdivide(row) for row in range(len(y) if y.ndim == 2 else 1)}
-    values = [0.0] * len(runs)
+        heapq.heapify(heap)
+        runs.append((row, heap, total, total_err, 0))
     while runs:
         wanted: dict[tuple[float, float], None] = {}
-        for row, run in list(runs.items()):
-            try:
-                wanted.update(dict.fromkeys(next(run)))
-            except StopIteration as done:
-                values[row] = done.value
-                del runs[row]
+        waiting = []
+        for row, heap, total, total_err, splits in runs:
+            while total_err > max(abs_tol, rel_tol * abs(total)):
+                if splits >= max_subdivisions:
+                    raise ToleranceNotMet(
+                        f"error {total_err:.3e} above tolerance after {splits} subdivisions"
+                    )
+                neg_e, a, b, v = heap[0]
+                mid = 0.5 * (a + b)
+                if not (a < mid < b):
+                    # panel no longer splittable at float resolution: freeze it
+                    total_err += neg_e
+                    heapq.heapreplace(heap, (0.0, a, b, v))
+                    continue
+                if (a, mid) not in cache or (mid, b) not in cache:
+                    wanted[a, mid] = wanted[mid, b] = None
+                    waiting.append((row, heap, total, total_err, splits))
+                    break
+                v1, e1 = gk15(row, a, mid)
+                v2, e2 = gk15(row, mid, b)
+                total += (v1 + v2) - v
+                total_err += (e1 + e2) + neg_e
+                heapq.heapreplace(heap, (-e1, a, mid, v1))
+                heapq.heappush(heap, (-e2, mid, b, v2))
+                splits += 1
+            else:
+                values[row] = math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
+        runs = waiting
         if wanted:
             evaluate(list(wanted))
     return np.array(values) if y.ndim == 2 else values[0]

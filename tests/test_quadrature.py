@@ -1,12 +1,14 @@
 """Quadrature kernel: closed-form anchors, error control, invariances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hslab import quadrature
 from hslab.quadrature import (
     KRONROD15_NODES,
     KRONROD15_WEIGHTS,
@@ -93,6 +95,17 @@ def _stacked(rows):
 # and a polynomial the first panels already integrate exactly
 STACK_ROWS = [np.sqrt, lambda x: np.sin(20.0 * x) * np.exp(-x), lambda x: x**3 - x]
 
+# 17 rows for stacks of every size: STACK_ROWS, then polynomials the first
+# panels integrate exactly, alternating with square-root heads under
+# oscillations of growing frequency
+MANY_ROWS = STACK_ROWS + [
+    np.polynomial.Polynomial([(j + 1.0) / (k + 7.0) for j in range(k // 2 + 3)]) if k % 2 == 0
+    else lambda x, k=k: np.sqrt(x) * np.cos((k + 1.0) * x) + k
+    for k in range(14)
+]
+# first panels: one, two, and forty (39 breakpoints)
+SEEDS = {"1": (), "2": (0.3,), "40": tuple(np.linspace(0.0, 2.0, 41)[1:-1])}
+
 
 class TestStackedRows:
     def test_each_row_equals_its_one_row_integral_bit_for_bit(self):
@@ -101,6 +114,31 @@ class TestStackedRows:
         assert isinstance(stacked, np.ndarray) and stacked.shape == (3,)
         assert stacked.tolist() == alone
         assert all(isinstance(v, float) for v in alone)
+
+    @pytest.mark.parametrize("seeds", SEEDS.values(), ids=[f"{k}-panels" for k in SEEDS])
+    @pytest.mark.parametrize("count", [1, 2, 5, 9, 17])
+    def test_stacks_of_every_size_match_their_rows_bit_for_bit(self, count, seeds):
+        # the estimates of a whole evaluation come from matrix products, whose
+        # BLAS kernels change with the number of rows and panels; each row's
+        # value must not, in either row order
+        rows = MANY_ROWS[:count]
+        alone = [adaptive_gauss_kronrod(g, 0.0, 2.0, breakpoints=seeds) for g in rows]
+        for order in (1, -1):
+            stacked = adaptive_gauss_kronrod(_stacked(rows[::order]), 0.0, 2.0, breakpoints=seeds)
+            assert stacked.tolist() == alone[::order]
+
+    def test_a_lone_panel_gets_the_bits_it_gets_beside_another(self):
+        # each polynomial is integrated on its first panel [0, 1], evaluated
+        # alone, and again beside (1, 2), where the integrand is zero; both
+        # calls accept their first panels unsplit
+        for k in range(12):
+            coeffs = [(j + 1.0) / (k + 7.0) * (-1.0) ** (j * k) for j in range(k + 2)]
+            poly = np.polynomial.Polynomial(coeffs)
+            counted, calls = _counted(lambda x: np.where(x < 1.0, poly(x), 0.0))
+            alone = adaptive_gauss_kronrod(counted, 0.0, 1.0)
+            beside = adaptive_gauss_kronrod(counted, 0.0, 2.0, breakpoints=(1.0,))
+            assert len(calls) == 2
+            assert alone == beside
 
     def test_improper_rows_equal_their_one_row_integrals(self):
         rows = [lambda r: np.exp(-r), lambda r: 1.0 / (1.0 + r * r), lambda r: r * np.exp(-3.0 * r)]
@@ -135,6 +173,62 @@ class TestStackedRows:
         rows[1] = lambda x: np.where(x > 1.5, np.nan, x)
         with pytest.raises(NonFinite):
             adaptive_gauss_kronrod(stack, 0.0, 2.0)
+
+    def test_infinite_row_raises_non_finite_not_a_warning(self):
+        # an inf times a zero G7 weight would be an invalid operation in the sums
+        rows = [lambda x: x * x, lambda x: np.where(x > 1.5, np.inf, x), np.cos]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFinite):
+                adaptive_gauss_kronrod(_stacked(rows), 0.0, 2.0)
+
+
+class TestEvaluationPath:
+    """Integrand calls and nodes of fixed inputs, as recorded when each row and
+    panel still had its own K15/G7 dot products: a moved subdivision decision
+    changes them."""
+
+    @pytest.mark.parametrize(
+        "seeds, counts",
+        [
+            # (calls, nodes) of each row alone, then of the three stacked
+            ((0.3,), [(20, 600), (9, 270), (1, 30), (18, 750)]),
+            ((), [(20, 585), (10, 285), (1, 15), (20, 765)]),
+        ],
+    )
+    def test_stack_rows(self, seeds, counts):
+        seen = []
+        for g in [*STACK_ROWS, _stacked(STACK_ROWS)]:
+            counted, calls = _counted(g)
+            adaptive_gauss_kronrod(counted, 0.0, 2.0, breakpoints=seeds)
+            seen.append((len(calls), sum(calls)))
+        assert seen == counts
+
+    @pytest.mark.parametrize(
+        "n, s, a, calls, nodes, value",
+        [
+            (4, 1.3937620379065336, 2.4424951848373864 - 1.3937620379065336,
+             7, 210, 0.009368389220188952),
+            (5, 1.7984414117183, 6.0 - 2.0 * 1.7984414117183, 6, 180, 1.297938442681571e-09),
+        ],
+    )
+    def test_pinned_bubble_moment_inputs(self, monkeypatch, n, s, a, calls, nodes, value):
+        # the two inputs of TestRadialPower.test_pinned_bubble_moments, both halves
+        seen = []
+        plain = quadrature.adaptive_gauss_kronrod
+
+        def counting(f, *args, **kwargs):
+            counted, made = _counted(f)
+            result = plain(counted, *args, **kwargs)
+            seen.extend(made)
+            return result
+
+        monkeypatch.setattr(quadrature, "adaptive_gauss_kronrod", counting)
+        got = integrate_radial_power(RadialPowerIntegrand(a, 2.0 * (n - s) / (2.0 - s), s))
+        assert (len(seen), sum(seen)) == (calls, nodes)
+        # numpy's float64 power has CPU-specific SIMD kernels that can differ
+        # from libm in the last bit, so the value is held to a few ulps
+        assert abs(got - value) <= 8 * math.ulp(value)
 
 
 class TestImproper:
