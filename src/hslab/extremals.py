@@ -27,7 +27,7 @@ import numpy as np
 from .quadrature import (
     QuadratureSettings,
     RadialPowerIntegrand,
-    integrate_radial_power,
+    integrate_radial_powers,
     sphere_surface_area,
 )
 
@@ -97,10 +97,12 @@ def _constants_cached(p: HSParams, cfg: QuadratureSettings) -> WholeSpaceConstan
     n, s = p.N, p.s
     b = p.profile_decay
     omega = sphere_surface_area(n)
-    grad = (n - 2.0) ** 2 * omega * integrate_radial_power(
-        RadialPowerIntegrand(n + 1.0 - 2.0 * s, b, s), cfg
+    grad_moment, mass_moment = integrate_radial_powers(
+        [RadialPowerIntegrand(n + 1.0 - 2.0 * s, b, s), RadialPowerIntegrand(n - 1.0 - s, b, s)],
+        cfg,
     )
-    mass = omega * integrate_radial_power(RadialPowerIntegrand(n - 1.0 - s, b, s), cfg)
+    grad = (n - 2.0) ** 2 * omega * grad_moment
+    mass = omega * mass_moment
     return WholeSpaceConstants(
         grad_energy=grad,
         weighted_mass=mass,

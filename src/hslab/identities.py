@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .extremals import HSParams, whole_space_constants
-from .quadrature import QuadratureSettings, RadialPowerIntegrand, integrate_radial_power
+from .quadrature import QuadratureSettings, RadialPowerIntegrand, integrate_radial_powers
 
 __all__ = [
     "EmptySiteList",
@@ -121,8 +121,9 @@ def beta_recurrence_check(
         raise OutOfRangeBeta(f"beta={beta} outside [2, {hi}]")
     cfg = cfg or QuadratureSettings()
     b = p.profile_decay
-    lhs = integrate_radial_power(RadialPowerIntegrand(beta - s, b, s), cfg)
-    base = integrate_radial_power(RadialPowerIntegrand(beta - 2.0, b, s), cfg)
+    lhs, base = integrate_radial_powers(
+        [RadialPowerIntegrand(beta - s, b, s), RadialPowerIntegrand(beta - 2.0, b, s)], cfg
+    )
     rhs = (beta - 1.0) / (2.0 * n - beta - 1.0 - s) * base
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return RecurrenceCheck(lhs=lhs, rhs=rhs, rel_diff=rel)

@@ -7,10 +7,11 @@ members of a single family of improper radial integrals,
 
 together with unit-sphere surface areas.  The substitution
 u = r**(2-s) / (1 + r**(2-s)) turns each member into a Beta integral
-(DLMF 5.12.3), which :func:`integrate_radial_power` evaluates by one
-deterministic adaptive Gauss-Kronrod panel scheme.  The Beta function itself
-is never evaluated in closed form: the quadrature is what the package's
-identity checks test.
+(DLMF 5.12.3), split at u = 1/2 into two halves.  Each half is mapped onto
+tau in [0, 1], so :func:`integrate_radial_powers` integrates both halves of
+every moment a call needs as the rows of one deterministic adaptive
+Gauss-Kronrod run.  The Beta function itself is never evaluated in closed
+form: the quadrature is what the package's identity checks test.
 
 Integrands outside the power family go through :func:`integrate_improper`,
 which splits at a finite radius and maps the tail with u = 1/r.  The panel
@@ -42,6 +43,7 @@ __all__ = [
     "adaptive_gauss_kronrod",
     "integrate_improper",
     "integrate_radial_power",
+    "integrate_radial_powers",
     "sphere_surface_area",
 ]
 
@@ -284,61 +286,86 @@ def adaptive_gauss_kronrod(
     return np.array(values) if y.ndim == 2 else values[0]
 
 
-def _beta_half(x: float, y: float, cfg: QuadratureSettings) -> float:
-    """integral over (0, 1/2] of u**(x-1) * (1-u)**(y-1), with x, y > 0.
+def _beta_halves(pairs: Sequence[tuple[float, float]], cfg: QuadratureSettings) -> np.ndarray:
+    """integral over (0, 1/2] of u**(x-1) * (1-u)**(y-1) for each (x, y) of
+    ``pairs`` (x, y > 0), every pair a row of one stacked run on [0, 1].
 
     The head is regularised by u = t**m, m = max(1, ceil(2/x)), so the mapped
     integrand m * t**(m*x-1) * (1-t**m)**(y-1) vanishes at least linearly at
-    t = 0.  Its head t**(m*x-1) is not smooth there unless m*x-1 is an
+    t = 0.  With h = 2**(-1/m) the upper end t = h is moved to tau = 1 by
+    t = h * tau, so every row integrates h * m * t**(m*x-1) * (1-t**m)**(y-1)
+    over tau in [0, 1], with its h*m, h, m*x-1, m and y-1 held as (rows, 1)
+    columns.  The head t**(m*x-1) is not smooth at 0 unless m*x-1 is an
     integer, and on one panel K15 and G7 can agree far more closely than
     either matches the integral: at x = 0.273, y = 4.273 (m = 8, head
     t**1.186) they differ by 2e-10 while K15 is 5e-7 off, and the error
     estimate passes the panel unsplit.  The range therefore starts as two
-    panels.
+    panels, split at tau = 1/2.
     """
-    m = max(1, math.ceil(2.0 / x))
-    expo = m * x - 1.0
-    hi = 0.5 ** (1.0 / m)
+    cols = []
+    for x, y in pairs:
+        m = max(1, math.ceil(2.0 / x))
+        h = 0.5 ** (1.0 / m)
+        cols.append((h * m, h, m * x - 1.0, m, y - 1.0))
+    table = np.array(cols).T[:, :, None]
+    scale, hi, powers = table[0], table[1], table[2:]
 
-    def g(t: np.ndarray) -> np.ndarray:
-        return m * t**expo * (1.0 - t**m) ** (y - 1.0)
+    def g(tau: np.ndarray) -> np.ndarray:
+        t = hi * tau
+        # exponents as full (rows, nodes) arrays: numpy takes another power
+        # kernel for a broadcast column of one row than for one of several,
+        # which would give a row other bits alone than in a stack
+        head, m, tail = np.repeat(powers, tau.size, axis=2)
+        return scale * np.power(t, head) * np.power(1.0 - np.power(t, m), tail)
 
     return adaptive_gauss_kronrod(
-        g, 0.0, hi, breakpoints=[0.5 * hi],
+        g, 0.0, 1.0, breakpoints=[0.5],
         rel_tol=cfg.rel_tol, abs_tol=0.0,
         max_subdivisions=cfg.max_subdivisions,
     )
 
 
-def integrate_radial_power(f: RadialPowerIntegrand, cfg: QuadratureSettings | None = None) -> float:
-    """Evaluate the improper integral of a :class:`RadialPowerIntegrand`.
+def integrate_radial_powers(
+    fs: Sequence[RadialPowerIntegrand], cfg: QuadratureSettings | None = None
+) -> list[float]:
+    """Evaluate the improper integral of each :class:`RadialPowerIntegrand`.
 
-    With p = 2 - s, the substitution u = r**p / (1 + r**p) maps the integral
+    With p = 2 - s, the substitution u = r**p / (1 + r**p) maps an integral
     onto the Beta integral (1/p) * integral over (0, 1) of
     u**(x-1) * (1-u)**(y-1), where x = (a+1)/p and y = b - x.  That is
     split at u = 1/2 into two halves of the same shape (the upper one with x
-    and y swapped), each integrated by :func:`_beta_half`.  Each half stops
-    on ``cfg.rel_tol`` alone, so the moment is accurate to about
-    ``cfg.rel_tol`` relative however small it is; ``cfg.abs_tol`` does not
-    apply here.
+    and y swapped), and the halves of every integral are the rows of one
+    :func:`_beta_halves` run.  A row's value does not depend on the rows
+    stacked with it, so each result is bit-identical to integrating that
+    member alone.  Each half stops on ``cfg.rel_tol`` alone, so a moment is
+    accurate to about ``cfg.rel_tol`` relative however small it is;
+    ``cfg.abs_tol`` does not apply here.
 
     Raises
     ------
     Divergent
-        If the convergence test a > -1 and (2-s)*b - a > 1 fails.
+        If a member fails the convergence test a > -1 and (2-s)*b - a > 1;
+        checked for every member before any integrand is evaluated.
     ToleranceNotMet
-        If ``cfg.max_subdivisions`` is exhausted on either half.
+        If ``cfg.max_subdivisions`` is exhausted on any half.
     """
     cfg = cfg or QuadratureSettings()
-    if not f.is_convergent:
-        raise Divergent(
-            f"integral of r**{f.a}/(1+r**(2-{f.s}))**{f.b} diverges "
-            "(need a > -1 and (2-s)*b - a > 1)"
-        )
-    p = 2.0 - f.s
-    x = (f.a + 1.0) / p
-    y = f.b - x
-    return (_beta_half(x, y, cfg) + _beta_half(y, x, cfg)) / p
+    pairs = []
+    for f in fs:
+        if not f.is_convergent:
+            raise Divergent(
+                f"integral of r**{f.a}/(1+r**(2-{f.s}))**{f.b} diverges "
+                "(need a > -1 and (2-s)*b - a > 1)"
+            )
+        x = (f.a + 1.0) / (2.0 - f.s)
+        pairs += [(x, f.b - x), (f.b - x, x)]
+    halves = _beta_halves(pairs, cfg).tolist()
+    return [(lo + hi) / (2.0 - f.s) for lo, hi, f in zip(halves[::2], halves[1::2], fs)]
+
+
+def integrate_radial_power(f: RadialPowerIntegrand, cfg: QuadratureSettings | None = None) -> float:
+    """The one-member case of :func:`integrate_radial_powers`: one run of two rows."""
+    return integrate_radial_powers([f], cfg)[0]
 
 
 def integrate_improper(

@@ -618,13 +618,13 @@ def _lbfgs_direction(g: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray
     initial inverse Hessian H0, the Riesz map L^-1, divides by the symbol
     ``sym``.  ``q`` and ``buf`` are scratch arrays shaped like g; with no
     pairs the result is g / sym."""
-    np.copyto(q, g)
     alphas = []
+    qk = g  # the recursion's q: g itself until the first pair writes the scratch q
     for s, y, rho in reversed(pairs):
-        alpha = rho * _modal_dot(s, q)
-        q -= np.multiply(y, alpha, out=buf)
+        alpha = rho * _modal_dot(s, qk)
+        qk = np.subtract(qk, np.multiply(y, alpha, out=buf), out=q)
         alphas.append(alpha)
-    r = np.divide(q, sym)
+    r = np.divide(qk, sym)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         beta = rho * _modal_dot(y, r)
         r += np.multiply(s, alpha - beta, out=buf)
@@ -817,8 +817,9 @@ def mountain_pass_solve(
         allowance = ROUNDING * abs(e_v)
         t = 1.0
         for _ in range(80):
-            np.multiply(direction, t, out=candidate)
-            np.subtract(v, candidate, out=candidate)
+            # the first trial, t = 1, steps by the direction itself
+            step = direction if t == 1.0 else np.multiply(direction, t, out=candidate)
+            np.subtract(v, step, out=candidate)
             try:
                 tau, e_new = ray_peak(a0 - 2.0 * t * a1 + t * t * a2,
                                       _masses(candidate, weights, term), weights.qs)

@@ -14,11 +14,13 @@ from hslab.quadrature import (
     KRONROD15_WEIGHTS,
     Divergent,
     NonFinite,
+    QuadratureSettings,
     RadialPowerIntegrand,
     ToleranceNotMet,
     adaptive_gauss_kronrod,
     integrate_improper,
     integrate_radial_power,
+    integrate_radial_powers,
     sphere_surface_area,
 )
 
@@ -205,15 +207,17 @@ class TestEvaluationPath:
         assert seen == counts
 
     @pytest.mark.parametrize(
-        "n, s, a, calls, nodes, value",
+        "n, s, a, calls, nodes, panels, value",
         [
             (4, 1.3937620379065336, 2.4424951848373864 - 1.3937620379065336,
-             7, 210, 0.009368389220188952),
-            (5, 1.7984414117183, 6.0 - 2.0 * 1.7984414117183, 6, 180, 1.297938442681571e-09),
+             5, 150, (6, 3), 0.009368389220188952),
+            (5, 1.7984414117183, 6.0 - 2.0 * 1.7984414117183, 2, 90, (4, 4),
+             1.297938442681571e-09),
         ],
     )
-    def test_pinned_bubble_moment_inputs(self, monkeypatch, n, s, a, calls, nodes, value):
-        # the two inputs of TestRadialPower.test_pinned_bubble_moments, both halves
+    def test_pinned_bubble_moment_inputs(self, monkeypatch, n, s, a, calls, nodes, panels, value):
+        # the two inputs of TestRadialPower.test_pinned_bubble_moments: one
+        # run whose two rows are the lower and upper Beta halves
         seen = []
         plain = quadrature.adaptive_gauss_kronrod
 
@@ -224,11 +228,91 @@ class TestEvaluationPath:
             return result
 
         monkeypatch.setattr(quadrature, "adaptive_gauss_kronrod", counting)
-        got = integrate_radial_power(RadialPowerIntegrand(a, 2.0 * (n - s) / (2.0 - s), s))
+        b = 2.0 * (n - s) / (2.0 - s)
+        got = integrate_radial_power(RadialPowerIntegrand(a, b, s))
         assert (len(seen), sum(seen)) == (calls, nodes)
         # numpy's float64 power has CPU-specific SIMD kernels that can differ
         # from libm in the last bit, so the value is held to a few ulps
         assert abs(got - value) <= 8 * math.ulp(value)
+        # a half alone evaluates its two first panels and two children per
+        # split, so it ends with nodes/30 + 1 panels: as many as when each
+        # half had a run of its own on [0, 2**(-1/m)]
+        x = (a + 1.0) / (2.0 - s)
+        for half, count in zip([(x, b - x), (b - x, x)], panels):
+            seen.clear()
+            quadrature._beta_halves([half], QuadratureSettings())
+            assert sum(seen) // 30 + 1 == count
+
+
+# moments of mixed (N, s, beta): a recurrence pair and the grad and mass
+# moments, and a head exponent x = (a+1)/(2-s) of 0.25 (m = 8) beside ones
+# above 2 (m = 1); the last moment's halves (m = 2) get other bits alone
+# than in a stack when their exponents are broadcast (rows, 1) columns
+MIXED_MOMENTS = [
+    RadialPowerIntegrand(3.2 - 0.7, 2.0 * (4 - 0.7) / 1.3, 0.7),
+    RadialPowerIntegrand(3.2 - 2.0, 2.0 * (4 - 0.7) / 1.3, 0.7),
+    RadialPowerIntegrand(5 + 1.0 - 2.0 * 1.3, 2.0 * (5 - 1.3) / 0.7, 1.3),
+    RadialPowerIntegrand(5 - 1.0 - 1.3, 2.0 * (5 - 1.3) / 0.7, 1.3),
+    RadialPowerIntegrand(-0.5, 3.0, 0.0),
+    RadialPowerIntegrand(2.0, 4.0, 1.0),
+    RadialPowerIntegrand(3 - 1.0 - 0.2, 2.0 * (3 - 0.2) / 1.8, 0.2),
+    RadialPowerIntegrand(2.0 - 0.1, 2.0 * (3 - 0.1) / 1.9, 0.1),
+]
+
+
+class TestStackedMoments:
+    @pytest.mark.parametrize("count", [2, 3, 8])
+    def test_each_moment_equals_its_integral_alone(self, count):
+        moments = MIXED_MOMENTS[:count]
+        alone = [integrate_radial_power(f) for f in moments]
+        for order in (1, -1):
+            assert integrate_radial_powers(moments[::order]) == alone[::order]
+        for f, value in zip(moments, alone):
+            assert value == pytest.approx(beta_closed_form(f.a, f.b, f.s), rel=1e-12, abs=0.0)
+
+    def test_each_half_equals_its_one_row_run(self):
+        cfg = QuadratureSettings()
+        halves = []
+        for f in MIXED_MOMENTS:
+            x = (f.a + 1.0) / (2.0 - f.s)
+            halves += [(x, f.b - x), (f.b - x, x)]
+        assert {max(1, math.ceil(2.0 / x)) for x, _ in halves} == {1, 2, 8}
+        alone = [quadrature._beta_halves([half], cfg)[0] for half in halves]
+        assert quadrature._beta_halves(halves, cfg).tolist() == alone
+
+    def test_one_moment_is_one_run(self, monkeypatch):
+        runs = []
+        plain = quadrature.adaptive_gauss_kronrod
+
+        def recording(f, *args, **kwargs):
+            runs.append(f)
+            return plain(f, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "adaptive_gauss_kronrod", recording)
+        integrate_radial_powers(MIXED_MOMENTS)
+        assert len(runs) == 1
+        assert runs[0](np.array([0.25, 0.75])).shape == (2 * len(MIXED_MOMENTS), 2)
+
+    def test_divergent_member_raises_before_any_integrand_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quadrature, "adaptive_gauss_kronrod", lambda *a, **k: calls.append(a))
+        divergent = RadialPowerIntegrand(a=1.0, b=1.0, s=0.0)
+        for place in (0, 2, len(MIXED_MOMENTS)):
+            moments = MIXED_MOMENTS[:place] + [divergent] + MIXED_MOMENTS[place:]
+            with pytest.raises(Divergent):
+                integrate_radial_powers(moments)
+        assert calls == []
+
+    def test_starved_row_raises_tolerance_not_met(self):
+        # the rows need 0, 0, 4 and 1 splits: a budget of four serves them
+        # all, and one of three starves the third row alone
+        s = 1.3937620379065336
+        pinned = RadialPowerIntegrand(2.4424951848373864 - s, 2.0 * (4 - s) / (2.0 - s), s)
+        moments = [MIXED_MOMENTS[5], pinned]
+        alone = [integrate_radial_power(f) for f in moments]
+        assert integrate_radial_powers(moments, QuadratureSettings(max_subdivisions=4)) == alone
+        with pytest.raises(ToleranceNotMet):
+            integrate_radial_powers(moments, QuadratureSettings(max_subdivisions=3))
 
 
 class TestImproper:
