@@ -93,6 +93,11 @@ def _convert(node: Any, schema: Any, path: str, problems: list[str]) -> Any:
     return schema(node)
 
 
+# libyaml's parser where PyYAML was built with it, else the pure-Python one;
+# both build the same objects and give the same line and column marks
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str) -> dict:
     """Parse a YAML config file, check it against the schema and convert it."""
     try:
@@ -101,7 +106,7 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -220,15 +225,28 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 # ---------------------------------------------------------------------------
 
 
+def _stacked(batch: Callable, items: Sequence, *args) -> list:
+    """``batch(items, *args)``, one result per item from one stacked run, or
+    None for every item if the run raises: the caller then redoes each item
+    alone, so each failure is itemised on its own."""
+    try:
+        return batch(items, *args)
+    except Exception:
+        return [None] * len(items)
+
+
 def _run_constants(cfg: dict, tol: float | None, seed: int, out_path: str):
     settings = _quad_settings(cfg, tol)
     params = _params(cfg)
     header = ["n", "s", "grad_energy", "weighted_mass", "best_constant",
               "interior_threshold", "boundary_threshold"]
     rows, failures = [], []
-    for p in params:
+    # the stacked run also fills the constants cache that ps_threshold reads
+    for p, consts in zip(params, _stacked(extremals.whole_space_constants_batch,
+                                          params, settings)):
         try:
-            consts = extremals.whole_space_constants(p, settings)
+            if consts is None:
+                consts = extremals.whole_space_constants(p, settings)
             interior, boundary = (
                 identities.ps_threshold(p.N, [identities.SingularitySite(theta, p.s)],
                                         settings).overall
@@ -246,15 +264,19 @@ def _run_identities(cfg: dict, tol: float | None, seed: int, out_path: str):
     header = ["kind", "n", "s", "beta", "lhs", "rhs", "rel_diff",
               "sliver_ratio_limit", "moment_ratio", "strict_gap"]
     rows, failures = [], []
+    # fills the constants cache that bubble_moment_ratio reads
+    _stacked(extremals.whole_space_constants_batch, params, settings)
     for p in params:
         n, s = p.N, p.s
         if "beta_list" in cfg:
             betas = cfg["beta_list"]
         else:
             betas = np.linspace(2.0, 2.0 * (n - s) - 1.0, 6)
-        for beta in betas:
+        for beta, chk in zip(betas, _stacked(identities.beta_recurrence_checks,
+                                             betas, p, settings)):
             try:
-                chk = identities.beta_recurrence_check(beta, p, settings)
+                if chk is None:
+                    chk = identities.beta_recurrence_check(beta, p, settings)
                 rows.append(["recurrence", n, s, beta, chk.lhs, chk.rhs,
                              chk.rel_diff, None, None, None])
             except Exception as exc:

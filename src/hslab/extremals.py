@@ -14,13 +14,20 @@ whose Dirichlet energy and weighted critical mass are eps-independent and
 give the best constant
 
     S = grad_energy / weighted_mass^((N-2)/(N-s)).
+
+Both moments of every (N, s) a call asks for are rows of one stacked
+Gauss-Kronrod run (``whole_space_constants_batch``; ``whole_space_constants``
+is its one-pair case), and the results are kept in one least-recently-used
+cache of ``CONSTANTS_CACHE_SIZE`` entries.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -32,11 +39,13 @@ from .quadrature import (
 )
 
 __all__ = [
+    "CONSTANTS_CACHE_SIZE",
     "HSParams",
     "NonPositiveEps",
     "WholeSpaceConstants",
     "bubble_radial",
     "whole_space_constants",
+    "whole_space_constants_batch",
 ]
 
 
@@ -92,22 +101,67 @@ def bubble_radial(r, eps: float, p: HSParams):
     return pref * (eps + r ** (2.0 - s)) ** ((2.0 - n) / (2.0 - s))
 
 
-@lru_cache(maxsize=None)
-def _constants_cached(p: HSParams, cfg: QuadratureSettings) -> WholeSpaceConstants:
-    n, s = p.N, p.s
-    b = p.profile_decay
-    omega = sphere_surface_area(n)
-    grad_moment, mass_moment = integrate_radial_powers(
-        [RadialPowerIntegrand(n + 1.0 - 2.0 * s, b, s), RadialPowerIntegrand(n - 1.0 - s, b, s)],
+# Whole-space constants already computed, keyed by (HSParams,
+# QuadratureSettings) and ordered from least to most recently used; the
+# least recently used entry goes once more than CONSTANTS_CACHE_SIZE are held,
+# so a long-lived process that sweeps s stays bounded.
+CONSTANTS_CACHE_SIZE = 128
+_CONSTANTS: OrderedDict[tuple[HSParams, QuadratureSettings], WholeSpaceConstants] = OrderedDict()
+_CONSTANTS_LOCK = threading.Lock()
+
+
+def whole_space_constants_batch(
+    ps: Sequence[HSParams], cfg: QuadratureSettings | None = None
+) -> list[WholeSpaceConstants]:
+    """:func:`whole_space_constants` of every pair in ``ps``, in order.
+
+    The grad and mass moments of every distinct pair not in the cache are
+    the members of one :func:`integrate_radial_powers` call, so a list of
+    pairs takes one stacked Gauss-Kronrod run.  A member's value does not
+    depend on the members stacked with it, so each result is bit-identical
+    to computing its pair alone.  The new results fill the cache, which
+    keeps the ``CONSTANTS_CACHE_SIZE`` most recently used pairs.
+
+    Raises
+    ------
+    ToleranceNotMet, NonFinite
+        From the stacked run; no result of the call is cached then.
+    """
+    cfg = cfg or QuadratureSettings()
+    found = {}
+    with _CONSTANTS_LOCK:
+        for p in ps:
+            if (p, cfg) in _CONSTANTS:
+                _CONSTANTS.move_to_end((p, cfg))
+                found[p] = _CONSTANTS[p, cfg]
+    misses = [p for p in dict.fromkeys(ps) if p not in found]
+    if not misses:
+        return [found[p] for p in ps]
+    moments = integrate_radial_powers(
+        [
+            RadialPowerIntegrand(a, p.profile_decay, p.s)
+            for p in misses
+            for a in (p.N + 1.0 - 2.0 * p.s, p.N - 1.0 - p.s)
+        ],
         cfg,
     )
-    grad = (n - 2.0) ** 2 * omega * grad_moment
-    mass = omega * mass_moment
-    return WholeSpaceConstants(
-        grad_energy=grad,
-        weighted_mass=mass,
-        best_constant=grad / mass ** ((n - 2.0) / (n - s)),
-    )
+    for p, grad_moment, mass_moment in zip(misses, moments[::2], moments[1::2]):
+        n, s = p.N, p.s
+        omega = sphere_surface_area(n)
+        grad = (n - 2.0) ** 2 * omega * grad_moment
+        mass = omega * mass_moment
+        found[p] = WholeSpaceConstants(
+            grad_energy=grad,
+            weighted_mass=mass,
+            best_constant=grad / mass ** ((n - 2.0) / (n - s)),
+        )
+    with _CONSTANTS_LOCK:
+        for p in misses:
+            _CONSTANTS[p, cfg] = found[p]
+            _CONSTANTS.move_to_end((p, cfg))
+        while len(_CONSTANTS) > CONSTANTS_CACHE_SIZE:
+            _CONSTANTS.popitem(last=False)
+    return [found[p] for p in ps]
 
 
 def whole_space_constants(p: HSParams, cfg: QuadratureSettings | None = None) -> WholeSpaceConstants:
@@ -117,6 +171,7 @@ def whole_space_constants(p: HSParams, cfg: QuadratureSettings | None = None) ->
     weighted_mass = omega * int r^(N-1-s) (1+r^(2-s))^(-2(N-s)/(2-s)) dr,
     with omega the surface area of the unit sphere in R^N.  For
     (N, s) = (3, 1) the radial integrals close to 1/3 and 1/6, giving
-    4 pi/3, 2 pi/3 and best constant sqrt(8 pi / 3).
+    4 pi/3, 2 pi/3 and best constant sqrt(8 pi / 3).  The one-pair case of
+    :func:`whole_space_constants_batch`, so results are cached.
     """
-    return _constants_cached(p, cfg or QuadratureSettings())
+    return whole_space_constants_batch([p], cfg)[0]

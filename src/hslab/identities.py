@@ -9,7 +9,8 @@ off against each other:
 
       int r^(beta-s) W dr = (beta-1)/(2N - beta - 1 - s) * int r^(beta-2) W dr,
 
-  with W = (1 + r^(2-s))^(-2(N-s)/(2-s));
+  with W = (1 + r^(2-s))^(-2(N-s)/(2-s)), checked at a list of beta by
+  ``beta_recurrence_checks`` from one stacked quadrature run;
 
 * the vanishing-concentration limit of the boundary sliver mass/energy
   ratio, (N-3)/((N+1-s)(N-2)^2), together with the bubble moment ratio
@@ -49,6 +50,7 @@ __all__ = [
     "SingularitySite",
     "ThresholdReport",
     "beta_recurrence_check",
+    "beta_recurrence_checks",
     "bubble_moment_ratio",
     "lambda_existence_bound",
     "ps_threshold",
@@ -107,26 +109,54 @@ class MomentRatio(NamedTuple):
     quadrature: float
 
 
-def beta_recurrence_check(
-    beta: float, p: HSParams, cfg: QuadratureSettings | None = None
-) -> RecurrenceCheck:
-    """Evaluate both sides of the bubble moment recurrence at a given beta.
+def beta_recurrence_checks(
+    betas: Sequence[float], p: HSParams, cfg: QuadratureSettings | None = None
+) -> list[RecurrenceCheck]:
+    """Both sides of the bubble moment recurrence at each beta of ``betas``.
 
     lhs = int r^(beta-s) W dr and
     rhs = (beta-1)/(2N-beta-1-s) * int r^(beta-2) W dr, both by quadrature.
+    Every beta is range-checked first; then the 2*len(betas) moments are the
+    members of one :func:`integrate_radial_powers` call, so the list takes
+    one stacked Gauss-Kronrod run.  A member's value does not depend on the
+    members stacked with it, so each check is bit-identical to
+    :func:`beta_recurrence_check` at its beta.
+
+    Raises
+    ------
+    OutOfRangeBeta
+        For the first beta outside [2, 2(N-s)-1], before any integrand is
+        evaluated.
+    ToleranceNotMet, NonFinite
+        From the stacked run.
     """
     n, s = p.N, p.s
     hi = 2.0 * (n - s) - 1.0
-    if not (2.0 <= beta <= hi + 1e-12):
-        raise OutOfRangeBeta(f"beta={beta} outside [2, {hi}]")
-    cfg = cfg or QuadratureSettings()
+    for beta in betas:
+        if not (2.0 <= beta <= hi + 1e-12):
+            raise OutOfRangeBeta(f"beta={beta} outside [2, {hi}]")
     b = p.profile_decay
-    lhs, base = integrate_radial_powers(
-        [RadialPowerIntegrand(beta - s, b, s), RadialPowerIntegrand(beta - 2.0, b, s)], cfg
+    moments = integrate_radial_powers(
+        [
+            RadialPowerIntegrand(a, b, s)
+            for beta in betas
+            for a in (beta - s, beta - 2.0)
+        ],
+        cfg,
     )
-    rhs = (beta - 1.0) / (2.0 * n - beta - 1.0 - s) * base
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return RecurrenceCheck(lhs=lhs, rhs=rhs, rel_diff=rel)
+    checks = []
+    for beta, lhs, base in zip(betas, moments[::2], moments[1::2]):
+        rhs = (beta - 1.0) / (2.0 * n - beta - 1.0 - s) * base
+        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        checks.append(RecurrenceCheck(lhs=lhs, rhs=rhs, rel_diff=rel))
+    return checks
+
+
+def beta_recurrence_check(
+    beta: float, p: HSParams, cfg: QuadratureSettings | None = None
+) -> RecurrenceCheck:
+    """The one-beta case of :func:`beta_recurrence_checks`."""
+    return beta_recurrence_checks([beta], p, cfg)[0]
 
 
 def sliver_ratio_limit(p: HSParams) -> float:

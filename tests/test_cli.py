@@ -4,9 +4,12 @@ import csv
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
+from hslab import cli
 from hslab.boundary_energy import BoundaryGeometry, CutoffSpec
 from hslab.cli import ConfigError, load_config, main
 from hslab.extremals import HSParams
@@ -166,6 +169,19 @@ class TestIdentitiesCommand:
         assert float(ratios[0]["sliver_ratio_limit"]) == 0.0
         assert float(ratios[0]["moment_ratio"]) == pytest.approx(1.0, rel=1e-9)
         assert float(ratios[0]["strict_gap"]) > 0.0
+
+    def test_out_of_range_beta_fails_alone(self, tmp_path, capsys):
+        # the stacked run refuses the list; each beta is then redone alone
+        cfg = write_config(tmp_path, IDENTITIES_CFG.replace("[2.0, 3.0]", "[2.0, 99.0, 3.0]"))
+        out = str(tmp_path / "identities.csv")
+        assert main(["identities", "--config", cfg, "--out", out]) == 1
+        rows = read_csv(out)[1:]
+        assert [(r[0], r[3]) for r in rows] == [
+            ("recurrence", "2"), ("recurrence", "3"), ("ratios", "")]
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("failed: ")]
+        assert len(failed) == 1
+        assert failed[0].startswith("failed: identities(N=3, s=1.0, beta=99.0): ")
 
 
 class TestBoundaryCommand:
@@ -428,12 +444,20 @@ class TestConfigErrors:
         assert main(["constants", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert "config parse error at line" in err
+        # both YAML loaders give this mark; only their wording of the problem differs
+        assert "config parse error at line 3, column 5: " in err
 
     def test_missing_file(self, tmp_path):
         assert main(["constants", "--config",
                      str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")),
+        ids=lambda path: path.name)
+    def test_shipped_configs_parse_alike_with_the_pure_python_loader(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=cli._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_load_config_raises_for_non_mapping_root(self, tmp_path):
         path = tmp_path / "cfg.yaml"

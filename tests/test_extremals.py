@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from hslab import extremals
 from hslab.extremals import (
+    CONSTANTS_CACHE_SIZE,
     HSParams,
     NonPositiveEps,
     bubble_radial,
     whole_space_constants,
+    whole_space_constants_batch,
 )
-from hslab.quadrature import sphere_surface_area
+from hslab.quadrature import QuadratureSettings, sphere_surface_area
 
 from box_quadrature import integrate_box
 from oracles import NonPositiveScale, extremal_value, rayleigh_quotient_check
@@ -125,6 +128,30 @@ class TestWholeSpaceConstants:
         assert c.best_constant == pytest.approx(
             grad / mass ** ((n - 2.0) / (n - s)), rel=1e-12, abs=0.0
         )
+
+
+class TestConstantsBatch:
+    def test_cold_batch_matches_one_pair_at_a_time_bit_for_bit(self):
+        ps = [HSParams(N=n, s=s) for n in (3, 4, 5) for s in (0.2, 0.9, 1.45, 1.9)]
+        ps.append(ps[3])
+        for cfg in (None, QuadratureSettings(rel_tol=1e-12)):
+            extremals._CONSTANTS.clear()
+            batch = whole_space_constants_batch(ps, cfg)
+            singles = []
+            for p in ps:
+                extremals._CONSTANTS.clear()
+                singles.append(whole_space_constants(p, cfg))
+            assert batch == singles
+
+    def test_cache_keeps_the_most_recently_used_pairs(self):
+        extremals._CONSTANTS.clear()
+        ps = [HSParams(N=3, s=0.2 + k / 256.0) for k in range(CONSTANTS_CACHE_SIZE + 6)]
+        whole_space_constants_batch(ps[:-1])
+        whole_space_constants(ps[5])  # a hit: the oldest pair left becomes the newest
+        whole_space_constants(ps[-1])
+        cached = {p for p, _ in extremals._CONSTANTS}
+        assert len(cached) == CONSTANTS_CACHE_SIZE
+        assert cached == {ps[5], *ps[7:]}
 
 
 class TestRayleighQuotient:

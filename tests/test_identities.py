@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hslab.extremals import HSParams, whole_space_constants
@@ -11,6 +12,7 @@ from hslab.identities import (
     OutOfRangeBeta,
     SingularitySite,
     beta_recurrence_check,
+    beta_recurrence_checks,
     bubble_moment_ratio,
     lambda_existence_bound,
     ps_threshold,
@@ -56,6 +58,21 @@ class TestMomentRecurrence:
     def test_beta_at_divergence_edge(self):
         with pytest.raises(OutOfRangeBeta):
             beta_recurrence_check(2.0 * (3 - 1.0), P31)
+
+
+class TestStackedRecurrence:
+    @pytest.mark.parametrize("n, s", [(3, 0.2), (3, 1.0), (3, 1.5), (4, 0.5), (4, 1.3),
+                                      (4, 1.9), (5, 0.9), (5, 1.6), (5, 1.9)])
+    def test_matches_one_beta_at_a_time_bit_for_bit(self, n, s):
+        p = HSParams(N=n, s=s)
+        top = 2.0 * (n - s) - 1.0
+        drawn = np.random.default_rng(n + int(10 * s)).uniform(2.0, top, 5)
+        for betas in (np.linspace(2.0, top, 6), drawn):
+            assert beta_recurrence_checks(betas, p) == [beta_recurrence_check(b, p) for b in betas]
+
+    def test_out_of_range_beta_refuses_the_list(self):
+        with pytest.raises(OutOfRangeBeta):
+            beta_recurrence_checks([2.0, 99.0, 3.0], P31)
 
 
 class TestRatioLimits:
