@@ -50,7 +50,6 @@ from .quadrature import (
     QuadratureSettings,
     RadialPowerIntegrand,
     adaptive_gauss_kronrod,
-    integrate_improper,
     integrate_radial_power,
     sphere_surface_area,
 )
@@ -197,9 +196,9 @@ class MarginRow(NamedTuple):
 
 
 def _profile_pack(
-    p: HSParams, tau: float, cut: CutoffSpec | None, rows: Sequence[str | float]
+    p: HSParams, tau: float, cut: CutoffSpec, rows: Sequence[str | float]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Stacked radial densities of the (optionally cutoff) bubble in scaled coordinates.
+    """Stacked radial densities of the cutoff bubble in scaled coordinates.
 
     Returns dens(t) for t = |y|, an array with one leading entry per row:
       "grad" : |d/dt u|**2       (squared radial derivative)
@@ -207,9 +206,8 @@ def _profile_pack(
       "l2"   : u**2
       q'     : u**q'             for a number q'
     where u = eta~ * U1, U1(t) = (1 + t**(2-s))**kappa, kappa = (2-N)/(2-s),
-    and eta~(t) = eta(tau * t) is the cutoff seen at scale tau (eta~ == 1
-    when ``cut`` is None, giving the pure whole-profile densities).  Every
-    row but grad is a power of u.  The powers t**(1-s), 1 + t**(2-s), U1
+    and eta~(t) = eta(tau * t) is the cutoff seen at scale tau.  Every row
+    but grad is a power of u.  The powers t**(1-s), 1 + t**(2-s), U1
     and U1' are computed once for all rows, and eta~ enters only where
     tau * t > delta (elsewhere it is exactly 1, its slope exactly 0).  A
     row's values do not depend on the other rows.
@@ -222,7 +220,7 @@ def _profile_pack(
         x = 1.0 + t ** (2.0 - s)
         u = x**kappa
         du = (2.0 - n) * t ** (1.0 - s) * x ** (kappa - 1.0)
-        if cut is not None and (ramp := tau * t > cut.delta).any():
+        if (ramp := tau * t > cut.delta).any():
             r = tau * t[ramp]
             eta = cut.value(r)
             du[ramp] = tau * cut.slope(r) * u[ramp] + eta * du[ramp]
@@ -343,11 +341,10 @@ def check_dimension(geom: BoundaryGeometry, p: HSParams) -> None:
 def _slivers(
     p: HSParams,
     tau: float,
-    cut: CutoffSpec | None,
+    cut: CutoffSpec,
     rows: Sequence[str | float],
     geom: BoundaryGeometry,
     cfg: QuadratureSettings,
-    cap: float | None,
 ) -> list[float]:
     """Sliver integral of every row, from one stacked radial integral.
 
@@ -364,17 +361,15 @@ def _slivers(
     ``_curvature_rule`` takes the mean, and every row at every node is a row
     of one adaptive radial integral, each node's knee 1 / (tau |gamma|),
     where its inner integral saturates, an initial panel edge.  Equal
-    curvatures give one node and the exact sliver.  Where the cutoff bounds
-    rho (``cap`` = 2 delta / tau), F is smooth in gamma: the inner integrand
-    is singular only at gamma = +-i / (tau rho), on the imaginary axis at
-    least 1 / (2 delta) from 0.  So the rule is accurate while the range of
-    g is small against its distance from those points: against a converged
+    curvatures give one node and the exact sliver.  The cutoff bounds rho by
+    2 delta / tau, so F is smooth in gamma: the inner integrand is singular
+    only at gamma = +-i / (tau rho), on the imaginary axis at least
+    1 / (2 delta) from 0.  So the rule is accurate while the range of g is
+    small against its distance from those points: against a converged
     direction rule the ledger rows agree to 1.5e-11 on walls with curvatures
     of order 1 (N = 3-5) and to 3.3e-9 for (50, 20, 50) at eps = 9e-3, but
     only to 4.7e-7 for (0, 30), 8.8e-5 for (-10, 20) and 3.3e-2 for
-    (-50, 40) at N = 3, eps = 9e-3.  With ``cap`` None the uncut profile is
-    integrated over (0, inf); there the singularities reach gamma = 0, and a
-    floor that changes sign is only approximated.
+    (-50, 40) at N = 3, eps = 9e-3.
     """
     gammas, weights = _curvature_rule(tuple(sorted(geom.curvatures)))
     keep = gammas != 0.0  # no sliver under a flat direction
@@ -394,19 +389,11 @@ def _slivers(
             for sign, g in zip(signs, heights)
         ])
 
-    if cap is None:
-        # the tail map u = 1 / rho starts past the last node's knee
-        knee = knees.max()
-        split = 20.0 if knee <= 10.0 else min(8.0 * knee, 1e12)
-        value = integrate_improper(
-            integrand, lo=0.0, split=split, cfg=cfg, breakpoints=_POWER_SEEDS
-        )
-    else:
-        value = adaptive_gauss_kronrod(
-            integrand, 0.0, cap,
-            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, *knees],
-        )
+    value = adaptive_gauss_kronrod(
+        integrand, 0.0, 2.0 * cut.delta / tau,
+        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+        max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, *knees],
+    )
     return (weights @ value.reshape(len(gammas), len(rows))).tolist()
 
 # ---------------------------------------------------------------------------
@@ -511,7 +498,7 @@ def bubble_energies(
     kink = delta / tau
     # rows: grad, near mass, L2, then (eta~ * U1)**q_i for each far site's mass
     rows = ("grad", "mass", "l2", *(HSParams(p.N, si).two_star for _, si in sites))
-    slivers = _slivers(p, tau, cut, rows, geom, cfg, cap)
+    slivers = _slivers(p, tau, cut, rows, geom, cfg)
     half_space = _half_space_radial(_profile_pack(p, tau, cut, rows), p.N, cap, cfg, kink)
     whole = (half_space - slivers).tolist()
     return EnergyBreakdown(

@@ -13,14 +13,13 @@ every moment a call needs as the rows of one deterministic adaptive
 Gauss-Kronrod run.  The Beta function itself is never evaluated in closed
 form: the quadrature is what the package's identity checks test.
 
-Integrands outside the power family go through :func:`integrate_improper`,
-which splits at a finite radius and maps the tail with u = 1/r.  The panel
-rule is open (no endpoint is ever sampled), so integrable endpoint
-singularities are admissible.  Each integrand, or each row of a stacked one,
-bisects its panel of largest error estimate (ties by left endpoint) and sums
-its panels left to right, so results are bit-stable across runs and a row's
-value does not depend on the rows stacked with it.  The K15 and G7 estimates
-of every row and panel of an evaluation come from one pass of matrix products.
+The panel rule of :func:`adaptive_gauss_kronrod` is open (no endpoint is
+ever sampled), so integrable endpoint singularities are admissible.  Each
+integrand, or each row of a stacked one, bisects its panel of largest error
+estimate (ties by left endpoint) and sums its panels left to right, so
+results are bit-stable across runs and a row's value does not depend on the
+rows stacked with it.  The K15 and G7 estimates of every row and panel of an
+evaluation come from one pass of matrix products.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "RadialPowerIntegrand",
     "ToleranceNotMet",
     "adaptive_gauss_kronrod",
-    "integrate_improper",
     "integrate_radial_power",
     "integrate_radial_powers",
     "sphere_surface_area",
@@ -366,37 +364,6 @@ def integrate_radial_powers(
 def integrate_radial_power(f: RadialPowerIntegrand, cfg: QuadratureSettings | None = None) -> float:
     """The one-member case of :func:`integrate_radial_powers`: one run of two rows."""
     return integrate_radial_powers([f], cfg)[0]
-
-
-def integrate_improper(
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    lo: float = 0.0,
-    split: float = 1.0,
-    cfg: QuadratureSettings | None = None,
-    breakpoints: Sequence[float] = (),
-) -> float | np.ndarray:
-    """integral over (lo, inf) of a generic vectorized integrand, or of each row of a stack.
-
-    The caller is responsible for integrability (head singularities no worse
-    than the open panel rule can resolve, tail decay strictly faster than
-    1/r).  Used for profile integrals that do not reduce to the power
-    family; the tail beyond ``max(split, lo)`` is mapped with u = 1/r.  A
-    stacked ``f`` returns (rows, nodes), as for :func:`adaptive_gauss_kronrod`.
-    """
-    cfg = cfg or QuadratureSettings()
-    cut = max(split, lo)
-    tol = dict(rel_tol=cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol,
-               max_subdivisions=cfg.max_subdivisions)
-    total = 0.0
-    if cut > lo:
-        total += adaptive_gauss_kronrod(f, lo, cut, breakpoints=breakpoints, **tol)
-
-    def mapped(u: np.ndarray) -> np.ndarray:
-        r = 1.0 / u
-        return f(r) * r * r
-
-    return total + adaptive_gauss_kronrod(mapped, 0.0, 1.0 / cut, **tol)
 
 
 def sphere_surface_area(n: int) -> float:

@@ -1,5 +1,6 @@
 """Test oracles: an extremal family, its Rayleigh quotient, a two-basis fit,
-one-row slivers and a nonpositive-lambda sanity check.
+improper quadrature, the uncut bubble's slivers and a nonpositive-lambda
+sanity check.
 
 None of these is used by the library.  They cross-check it from outside:
 
@@ -9,21 +10,30 @@ None of these is used by the library.  They cross-check it from outside:
   power base is proportional to the bubble, hence attains the best
   constant S for every s.  Both families are closed under dilation, so the
   quotient of either does not depend on the scale parameter.
-* :func:`rayleigh_quotient_check` measures that quotient by quadrature.  It
-  is right where the tests use it: N = 3, 4, 5 with s <= 1.5 and scales
-  0.5-2.  Near s -> 2 it is wrong, because ``integrate_improper`` misses the
-  mass its integrands spread over many decades of r: with ``base="power"``
-  and scale 1e-3 it returns 0.8796 against the best constant 0.6384 at
-  N = 3, s = 1.8, and at N = 5, s = 1.95 it raises ``NonFinite``.
+* :func:`rayleigh_quotient_check` measures that quotient by quadrature.  Its
+  integrands spread their mass over many decades of r near s -> 2, so the
+  head (0, split) is seeded with the geometric edges split * 2**-k down to
+  2**-64 times the profile width: with ``base="power"`` and scale 1e-3 it
+  meets the best constant to 1e-14 at N = 3 and 4, s = 1.8.  At
+  N = 5, s = 1.95 and scale 1e-3 the profile itself overflows
+  ((1e-3)**-60 raised to q) and it raises ``NonFinite``.  The tail past
+  split has no such seeds, so at scales of order 1 and above near s -> 2
+  it is still off: by 3.5e-5 at N = 4, s = 1.9, scale 1.
+* :func:`integrate_improper` integrates over (lo, inf) with a split at a
+  finite radius and the tail mapped by u = 1/r.
+* :func:`uncut_density` is the stacked radial density of the bubble with no
+  cutoff, the cut-free formulas of the ledger's densities.
 * :func:`fit_power_log_basis` fits c1 * eps^p * ln(1/eps) + c2 * eps^p, the
   shape of the dimension-three sliver energy.
 * :func:`sliver_energy_integral` and :func:`sliver_mass_integral` are the
-  ledger's sliver of one row (grad or mass) of the uncut bubble, the only
-  slivers with no cutoff.  Without it the sliver of an isotropic floor is
-  not analytic in the floor's coefficient at 0, so on a floor that changes
-  sign the curvature rule is only approximate: it and a converged direction
-  rule differ by about 1.6e-6 at N = 4, curvatures (1, -0.5, 2), and by
-  2e-3 at N = 3, curvatures (1, -0.5), both at eps = 1e-3.
+  sliver of one row (grad or mass) of the uncut bubble: the ledger's
+  curvature rule and inner rule applied to :func:`uncut_density`, with the
+  radial integral taken over (0, inf) by :func:`integrate_improper`.
+  Without the cutoff the sliver of an isotropic floor is not analytic in
+  the floor's coefficient at 0, so on a floor that changes sign the
+  curvature rule is only approximate: it and a converged direction rule
+  differ by about 1.6e-6 at N = 4, curvatures (1, -0.5, 2), and by 2e-3 at
+  N = 3, curvatures (1, -0.5), both at eps = 1e-3.
 * :func:`negative_lambda_sanity` checks that with lambda <= 0 every positive
   constant has negative discrete energy.
 * :func:`threshold_inequality_check` audits the ledger's ray peaks against
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,15 +53,17 @@ from hslab.boundary_energy import (
     BoundaryGeometry,
     CutoffSpec,
     MarginRow,
+    _POWER_SEEDS,
     _as_positive_arrays,
-    _slivers,
+    _curvature_rule,
+    _inner_stack,
     boundary_threshold,
     bubble_energies,
     check_dimension,
     margin_row,
 )
 from hslab.extremals import HSParams, bubble_radial
-from hslab.quadrature import QuadratureSettings, integrate_improper, sphere_surface_area
+from hslab.quadrature import QuadratureSettings, adaptive_gauss_kronrod, sphere_surface_area
 from hslab.variational import DomainGrid, ProblemConfig, energy
 
 
@@ -132,12 +144,79 @@ def rayleigh_quotient_check(
         prof = _extremal_profile(r, scale, p, base)
         return prof**q * r ** (n - 1.0 - s)
 
-    # profile features live at radius ~ scale**(1/kappa); seed panels there
+    # profile features live at radius ~ scale**(1/kappa); seed panels there,
+    # and at split / 2**k down to 2**-64 times that width: below a radius
+    # r << width the integrands hold a share of about (r / width)**(N-2+2 kappa)
+    # and (r / width)**(N-s) of their mass, both exponents above 1
     width = scale ** (1.0 / kappa)
-    seeds = (0.25 * width, width, 4.0 * width)
-    num = omega * integrate_improper(grad_sq, split=max(1.0, 8.0 * width), cfg=cfg, breakpoints=seeds)
-    den = omega * integrate_improper(weighted_mass, split=max(1.0, 8.0 * width), cfg=cfg, breakpoints=seeds)
+    split = max(1.0, 8.0 * width)
+    depth = math.ceil(math.log2(split / width)) + 64
+    seeds = (0.25 * width, width, 4.0 * width, *(split * 2.0**-j for j in range(1, depth + 1)))
+    num = omega * integrate_improper(grad_sq, split=split, cfg=cfg, breakpoints=seeds)
+    den = omega * integrate_improper(weighted_mass, split=split, cfg=cfg, breakpoints=seeds)
     return num / den ** (2.0 / q)
+
+
+def integrate_improper(
+    f: Callable[[np.ndarray], np.ndarray],
+    *,
+    lo: float = 0.0,
+    split: float = 1.0,
+    cfg: QuadratureSettings | None = None,
+    breakpoints: Sequence[float] = (),
+) -> float | np.ndarray:
+    """integral over (lo, inf) of a generic vectorized integrand, or of each row of a stack.
+
+    The caller is responsible for integrability (head singularities no worse
+    than the open panel rule can resolve, tail decay strictly faster than
+    1/r).  Used for profile integrals that do not reduce to the power
+    family; the tail beyond ``max(split, lo)`` is mapped with u = 1/r.  A
+    stacked ``f`` returns (rows, nodes), as for :func:`adaptive_gauss_kronrod`.
+    """
+    cfg = cfg or QuadratureSettings()
+    cut = max(split, lo)
+    tol = dict(rel_tol=cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol,
+               max_subdivisions=cfg.max_subdivisions)
+    total = 0.0
+    if cut > lo:
+        total += adaptive_gauss_kronrod(f, lo, cut, breakpoints=breakpoints, **tol)
+
+    def mapped(u: np.ndarray) -> np.ndarray:
+        r = 1.0 / u
+        return f(r) * r * r
+
+    return total + adaptive_gauss_kronrod(mapped, 0.0, 1.0 / cut, **tol)
+
+
+def uncut_density(p: HSParams, rows: Sequence[str | float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Stacked radial densities of the uncut bubble in scaled coordinates.
+
+    The densities of ``hslab.boundary_energy._profile_pack`` with the cutoff
+    identically 1: dens(t) for t = |y| has one leading entry per row,
+    "grad" |d/dt U1|**2, "mass" U1**q * t**(-s), "l2" U1**2 and a number q'
+    U1**q', where U1(t) = (1 + t**(2-s))**kappa, kappa = (2-N)/(2-s).
+    """
+    n, s = p.N, p.s
+    kappa = (2.0 - n) / (2.0 - s)
+    q = p.two_star
+
+    def dens(t: np.ndarray) -> np.ndarray:
+        x = 1.0 + t ** (2.0 - s)
+        u = x**kappa
+        du = (2.0 - n) * t ** (1.0 - s) * x ** (kappa - 1.0)
+        out = np.empty((len(rows), *t.shape))
+        for v, row in zip(out, rows):
+            if row == "grad":
+                np.square(du, out=v)
+            elif row == "mass":
+                np.multiply(u**q, t ** (-s), out=v)
+            elif row == "l2":
+                np.square(u, out=v)
+            else:
+                np.power(u, row, out=v)
+        return out
+
+    return dens
 
 
 def fit_power_log_basis(
@@ -158,13 +237,39 @@ def fit_power_log_basis(
 
 def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
                  cfg: QuadratureSettings | None) -> float:
-    """Sliver integral of one row of the uncut bubble at scale eps."""
+    """Sliver integral of one row of the uncut bubble at scale eps.
+
+    The sliver of ``hslab.boundary_energy._slivers`` with no cutoff: the
+    radial integral runs over (0, inf), its tail map u = 1/rho starting
+    past the last curvature node's knee 1 / (tau |gamma|).  There the
+    singularities of the isotropic sliver in gamma reach gamma = 0, so a
+    floor that changes sign is only approximated.
+    """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     check_dimension(geom, p)
     cfg = cfg or QuadratureSettings()
     tau = eps ** (1.0 / (2.0 - p.s))
-    return _slivers(p, tau, None, (row,), geom, cfg, None)[0]
+    gammas, weights = _curvature_rule(tuple(sorted(geom.curvatures)))
+    keep = gammas != 0.0  # no sliver under a flat direction
+    if not keep.any():
+        return 0.0
+    gammas, weights = gammas[keep], weights[keep]
+    n = p.N
+    dens = uncut_density(p, (row,))
+    omega = sphere_surface_area(n - 1)
+
+    def integrand(rho: np.ndarray) -> np.ndarray:
+        radial = omega * rho ** (n - 2.0)
+        return np.concatenate([
+            np.sign(g) * radial * (_inner_stack(dens, rho, tau * abs(g) * rho) * rho)
+            for g in gammas
+        ])
+
+    knee = (1.0 / (tau * np.abs(gammas))).max()
+    split = 20.0 if knee <= 10.0 else min(8.0 * knee, 1e12)
+    value = integrate_improper(integrand, lo=0.0, split=split, cfg=cfg, breakpoints=_POWER_SEEDS)
+    return float((weights @ value.reshape(len(gammas), 1))[0])
 
 
 def sliver_energy_integral(

@@ -32,6 +32,7 @@ from oracles import (
     sliver_energy_integral,
     sliver_mass_integral,
     threshold_inequality_check,
+    uncut_density,
 )
 
 P31 = HSParams(N=3, s=1.0)
@@ -396,7 +397,7 @@ class TestFusedLedger:
             for j in range(0, rho.size, 8192)
         )
         got = _slivers(p, tau, cut, rows, BoundaryGeometry((1.0, 3.0), 0.1),
-                       QuadratureSettings(), 200.0)
+                       QuadratureSettings())
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -467,7 +468,7 @@ class TestInnerRule:
         # eight times finer panels: one call per cap (all caps below 1/64 is
         # the case at small radii) and one call mixing every cap
         p = HSParams(n, s)
-        dens = _profile_pack(p, 1e-3, None, ("grad", "mass", "l2", HSParams(n, 0.7).two_star))
+        dens = uncut_density(p, ("grad", "mass", "l2", HSParams(n, 0.7).two_star))
         rho = np.array(INNER_RADII)
         per_cap = [_inner_stack(dens, rho, np.full(rho.size, c)) for c in INNER_CAPS]
         rho_all, cap_all = np.tile(rho, len(INNER_CAPS)), np.repeat(INNER_CAPS, rho.size)

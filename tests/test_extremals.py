@@ -166,6 +166,14 @@ class TestRayleighQuotient:
             q = rayleigh_quotient_check(1.0, p, base="power")
             assert q == pytest.approx(c.best_constant, rel=1e-8)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_power_base_keeps_the_head_mass_near_s_two(self, n):
+        # at scale 1e-3 and s = 1.8 the profile width is 1e-15 and the
+        # integrands spread their mass over the fifteen decades below r = 1
+        p = HSParams(N=n, s=1.8)
+        q = rayleigh_quotient_check(1e-3, p, base="power")
+        assert q == pytest.approx(whole_space_constants(p).best_constant, rel=1e-12)
+
     def test_linear_base_optimal_only_when_s_is_one(self):
         # the linear radial profile is the true optimizer at s=1 ...
         c = whole_space_constants(P31)

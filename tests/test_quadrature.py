@@ -18,13 +18,13 @@ from hslab.quadrature import (
     RadialPowerIntegrand,
     ToleranceNotMet,
     adaptive_gauss_kronrod,
-    integrate_improper,
     integrate_radial_power,
     integrate_radial_powers,
     sphere_surface_area,
 )
 
 from box_quadrature import integrate_box
+from oracles import integrate_improper
 
 
 def beta_closed_form(a: float, b: float, s: float) -> float:
