@@ -16,8 +16,8 @@ give the best constant
     S = grad_energy / weighted_mass^((N-2)/(N-s)).
 
 Both moments of every (N, s) a call asks for are rows of one stacked
-Gauss-Kronrod run (``whole_space_constants_batch``; ``whole_space_constants``
-is its one-pair case), and the results are kept in one least-recently-used
+tanh-sinh run (``whole_space_constants_batch``; ``whole_space_constants`` is
+its one-pair case), and the results are kept in one least-recently-used
 cache of ``CONSTANTS_CACHE_SIZE`` entries.
 """
 
@@ -117,14 +117,14 @@ def whole_space_constants_batch(
 
     The grad and mass moments of every distinct pair not in the cache are
     the members of one :func:`integrate_radial_powers` call, so a list of
-    pairs takes one stacked Gauss-Kronrod run.  A member's value does not
+    pairs takes one stacked tanh-sinh run.  A member's value does not
     depend on the members stacked with it, so each result is bit-identical
     to computing its pair alone.  The new results fill the cache, which
     keeps the ``CONSTANTS_CACHE_SIZE`` most recently used pairs.
 
     Raises
     ------
-    ToleranceNotMet, NonFinite
+    ToleranceNotMet
         From the stacked run; no result of the call is cached then.
     """
     cfg = cfg or QuadratureSettings()

@@ -118,7 +118,7 @@ def beta_recurrence_checks(
     rhs = (beta-1)/(2N-beta-1-s) * int r^(beta-2) W dr, both by quadrature.
     Every beta is range-checked first; then the 2*len(betas) moments are the
     members of one :func:`integrate_radial_powers` call, so the list takes
-    one stacked Gauss-Kronrod run.  A member's value does not depend on the
+    one stacked tanh-sinh run.  A member's value does not depend on the
     members stacked with it, so each check is bit-identical to
     :func:`beta_recurrence_check` at its beta.
 
@@ -127,7 +127,7 @@ def beta_recurrence_checks(
     OutOfRangeBeta
         For the first beta outside [2, 2(N-s)-1], before any integrand is
         evaluated.
-    ToleranceNotMet, NonFinite
+    ToleranceNotMet
         From the stacked run.
     """
     n, s = p.N, p.s

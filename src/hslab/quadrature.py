@@ -8,22 +8,27 @@ members of a single family of improper radial integrals,
 together with unit-sphere surface areas.  The substitution
 u = r**(2-s) / (1 + r**(2-s)) turns each member into a Beta integral
 (DLMF 5.12.3), split at u = 1/2 into two halves.  Each half is mapped onto
-tau in [0, 1], so :func:`integrate_radial_powers` integrates both halves of
-every moment a call needs as the rows of one deterministic adaptive
-Gauss-Kronrod run.  The Beta function itself is never evaluated in closed
-form: the quadrature is what the package's identity checks test.
+tau in [0, 1], whose only difficulty is an algebraic singularity at one
+end, so :func:`integrate_radial_powers` integrates both halves of every
+moment a call needs as the rows of one tanh-sinh (double-exponential) run
+(Takahasi & Mori, Publ. RIMS 9, 1974): one vectorised pass over the rows per
+level, each level halving the step.  The Beta function itself is never
+evaluated in closed form: the quadrature is what the package's identity
+checks test.
 
-The panel rule of :func:`adaptive_gauss_kronrod` is open (no endpoint is
-ever sampled), so integrable endpoint singularities are admissible.  Each
-integrand, or each row of a stacked one, bisects its panel of largest error
-estimate (ties by left endpoint) and sums its panels left to right, so
-results are bit-stable across runs and a row's value does not depend on the
-rows stacked with it.  The K15 and G7 estimates of every row and panel of an
-evaluation come from one pass of matrix products.
+:func:`adaptive_gauss_kronrod` integrates every other integrand of the
+package.  Its panel rule is open (no endpoint is ever sampled), so
+integrable endpoint singularities are admissible.  Each integrand, or each
+row of a stacked one, bisects its panel of largest error estimate (ties by
+left endpoint) and sums its panels left to right, so results are bit-stable
+across runs and a row's value does not depend on the rows stacked with it.
+The K15 and G7 estimates of every row and panel of an evaluation come from
+one pass of matrix products.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -51,7 +56,7 @@ class Divergent(ValueError):
 
 
 class ToleranceNotMet(RuntimeError):
-    """Adaptive subdivision was exhausted before reaching the tolerance."""
+    """A quadrature ran out of subdivisions or levels before reaching the tolerance."""
 
 
 class NonFinite(ValueError):
@@ -113,17 +118,19 @@ _ERROR_FLOOR = 50.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and panel budget for the adaptive scheme.
+    """Tolerances and panel budget for the package's quadratures.
 
     Parameters
     ----------
     rel_tol, abs_tol : float
-        Convergence targets; a run stops once the summed panel error drops
-        below ``max(abs_tol, rel_tol * |integral|)``.  Radial moments
-        (:func:`integrate_radial_power`) stop on ``rel_tol`` alone, so
-        ``abs_tol`` does not apply to them.
+        Convergence targets; an :func:`adaptive_gauss_kronrod` run stops once
+        the summed panel error drops below ``max(abs_tol, rel_tol * |integral|)``.
+        Radial moments (:func:`integrate_radial_powers`) stop on ``rel_tol``
+        alone, so ``abs_tol`` does not apply to them.
     max_subdivisions : int
-        Hard cap on panel bisections before :class:`ToleranceNotMet`.
+        Hard cap on panel bisections before :class:`ToleranceNotMet`, for
+        :func:`adaptive_gauss_kronrod` only; the radial moments' tanh-sinh
+        rule has a fixed cap of levels.
     """
 
     rel_tol: float = 1e-10
@@ -284,42 +291,85 @@ def adaptive_gauss_kronrod(
     return np.array(values) if y.ndim == 2 else values[0]
 
 
+# Tanh-sinh rule for the Beta halves (Takahasi & Mori, Publ. RIMS 9, 1974):
+# tau = sigma(pi sinh v), sigma the logistic function, and trapezoid sums in v
+# over |v| <= _TS_REACH, whose level k has the step _TS_STEP / 2**k and adds the
+# odd multiples of it.  A row settles at the first level k >= 2 whose sum moved
+# by at most rel_tol relative; _TS_MAX_LEVEL caps the levels.
+_TS_STEP = 0.5
+_TS_REACH = 3.5
+_TS_MAX_LEVEL = 8
+
+
+@functools.cache
+def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """log tau and log(step * dtau/dv) at the nodes level ``k`` adds (read-only)."""
+    step = _TS_STEP / 2**k
+    span = round(_TS_REACH / step)
+    v = step * (np.arange(-span, span + 1.0) if k == 0 else np.arange(1.0 - span, span, 2.0))
+    z = math.pi * np.sinh(v)
+    # log sigma(z) and log sigma(-z), without rounding 1 - tau near tau = 1
+    log_tau = -np.logaddexp(0.0, -z)
+    log_weight = np.log(step * math.pi * np.cosh(v)) + log_tau - np.logaddexp(0.0, z)
+    for table in (log_tau, log_weight):
+        table.flags.writeable = False
+    return log_tau, log_weight
+
+
 def _beta_halves(pairs: Sequence[tuple[float, float]], cfg: QuadratureSettings) -> np.ndarray:
     """integral over (0, 1/2] of u**(x-1) * (1-u)**(y-1) for each (x, y) of
-    ``pairs`` (x, y > 0), every pair a row of one stacked run on [0, 1].
+    ``pairs`` (x, y > 0), every pair a row of one tanh-sinh run on [0, 1].
 
     The head is regularised by u = t**m, m = max(1, ceil(2/x)), so the mapped
     integrand m * t**(m*x-1) * (1-t**m)**(y-1) vanishes at least linearly at
     t = 0.  With h = 2**(-1/m) the upper end t = h is moved to tau = 1 by
     t = h * tau, so every row integrates h * m * t**(m*x-1) * (1-t**m)**(y-1)
-    over tau in [0, 1], with its h*m, h, m*x-1, m and y-1 held as (rows, 1)
-    columns.  The head t**(m*x-1) is not smooth at 0 unless m*x-1 is an
-    integer, and on one panel K15 and G7 can agree far more closely than
-    either matches the integral: at x = 0.273, y = 4.273 (m = 8, head
-    t**1.186) they differ by 2e-10 while K15 is 5e-7 off, and the error
-    estimate passes the panel unsplit.  The range therefore starts as two
-    panels, split at tau = 1/2.
+    over tau in [0, 1], where t**m = tau**m / 2.  Without the head map
+    (m = 1) the rule does not settle within its levels at x = 0.26 and below.
+
+    Each term of a level's sum is the ``exp`` of its log, from the level's
+    cached log tau and log weight and each row's log(h*m), log h, m*x-1, m
+    and y-1 held as (rows, 1) columns.  Every level is one pass over the rows
+    still unsettled; ``exp`` and ``log1p`` only see full (rows, nodes)
+    arrays, and each row is summed along a C-contiguous line, so a row's
+    value is bit-identical to integrating it alone.
+
+    Raises
+    ------
+    ToleranceNotMet
+        Naming each (x, y) still unsettled after ``_TS_MAX_LEVEL`` levels and
+        the difference of its last two level sums.
     """
     cols = []
     for x, y in pairs:
         m = max(1, math.ceil(2.0 / x))
-        h = 0.5 ** (1.0 / m)
-        cols.append((h * m, h, m * x - 1.0, m, y - 1.0))
-    table = np.array(cols).T[:, :, None]
-    scale, hi, powers = table[0], table[1], table[2:]
-
-    def g(tau: np.ndarray) -> np.ndarray:
-        t = hi * tau
-        # exponents as full (rows, nodes) arrays: numpy takes another power
-        # kernel for a broadcast column of one row than for one of several,
-        # which would give a row other bits alone than in a stack
-        head, m, tail = np.repeat(powers, tau.size, axis=2)
-        return scale * np.power(t, head) * np.power(1.0 - np.power(t, m), tail)
-
-    return adaptive_gauss_kronrod(
-        g, 0.0, 1.0, breakpoints=[0.5],
-        rel_tol=cfg.rel_tol, abs_tol=0.0,
-        max_subdivisions=cfg.max_subdivisions,
+        log_hi = -math.log(2.0) / m
+        cols.append((math.log(m) + log_hi, log_hi, m * x - 1.0, m, y - 1.0))
+    log_scale, log_hi, head, m, tail = np.array(cols).reshape(-1, 5).T[:, :, None]
+    sums = np.zeros(len(cols))
+    moved = np.zeros(len(cols))
+    rows = np.arange(len(cols))
+    for k in range(_TS_MAX_LEVEL + 1):
+        log_tau, log_weight = _tanh_sinh_level(k)
+        # log(h * tau) and log(1 - t**m), full (rows, nodes) arrays
+        log_t = log_hi[rows] + log_tau
+        log_rest = np.log1p(-0.5 * np.exp(m[rows] * log_tau))
+        terms = np.exp(log_scale[rows] + head[rows] * log_t + tail[rows] * log_rest + log_weight)
+        prev = sums[rows]
+        sums[rows] = level = 0.5 * prev + terms.sum(axis=1)
+        moved[rows] = np.abs(level - prev)
+        if k >= 2:
+            # written so that a NaN sum never settles
+            rows = rows[~(moved[rows] <= cfg.rel_tol * np.abs(level))]
+            if not rows.size:
+                return sums
+    unsettled = ", ".join(
+        f"(x={pairs[i][0]!r}, y={pairs[i][1]!r}) moved by {moved[i]:.3e} of {sums[i]:.6e}"
+        for i in rows
+    )
+    raise ToleranceNotMet(
+        f"tanh-sinh sums unsettled after level {_TS_MAX_LEVEL} at rel_tol {cfg.rel_tol:g}: "
+        + unsettled
     )
 
 
@@ -335,9 +385,18 @@ def integrate_radial_powers(
     and y swapped), and the halves of every integral are the rows of one
     :func:`_beta_halves` run.  A row's value does not depend on the rows
     stacked with it, so each result is bit-identical to integrating that
-    member alone.  Each half stops on ``cfg.rel_tol`` alone, so a moment is
-    accurate to about ``cfg.rel_tol`` relative however small it is;
-    ``cfg.abs_tol`` does not apply here.
+    member alone.
+
+    Each half stops at the first level k >= 2 of its tanh-sinh sums whose
+    sum moved by at most ``cfg.rel_tol`` times its size, so a moment is held
+    to a relative tolerance however small it is; ``cfg.abs_tol`` and
+    ``cfg.max_subdivisions`` do not apply here.  That last level difference
+    is the half's error estimate: it estimates the error of the level before,
+    and the rule's error falls about quadratically per level, so the
+    returned sum lies well inside it.  Measured against mpmath's incomplete
+    Beta function on a 15 x 15 grid of x, y in [1e-3, 200], every half is
+    within 1.1e-14 at the default ``rel_tol`` of 1e-10 (2.5e-10 at 1e-8,
+    2.9e-9 at 1e-6).
 
     Raises
     ------
@@ -345,7 +404,8 @@ def integrate_radial_powers(
         If a member fails the convergence test a > -1 and (2-s)*b - a > 1;
         checked for every member before any integrand is evaluated.
     ToleranceNotMet
-        If ``cfg.max_subdivisions`` is exhausted on any half.
+        If a half is still unsettled after the rule's last level; the
+        message names each such (x, y) and its last level difference.
     """
     cfg = cfg or QuadratureSettings()
     pairs = []

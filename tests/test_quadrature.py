@@ -38,6 +38,39 @@ def beta_closed_form(a: float, b: float, s: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(b - x) - math.lgamma(b)) / (2.0 - s)
 
 
+def _recorded_levels(monkeypatch):
+    """A list that grows by k each time a radial run takes level k of the
+    tanh-sinh rule, that is once per kernel pass."""
+    seen = []
+    plain = quadrature._tanh_sinh_level
+
+    def recording(k):
+        seen.append(k)
+        return plain(k)
+
+    monkeypatch.setattr(quadrature, "_tanh_sinh_level", recording)
+    return seen
+
+
+def _halves(moments):
+    """The lower and upper Beta halves (x, y) of each moment, in order."""
+    halves = []
+    for f in moments:
+        x = (f.a + 1.0) / (2.0 - f.s)
+        halves += [(x, f.b - x), (f.b - x, x)]
+    return halves
+
+
+def _unsettled(halves, cfg):
+    """The halves a ToleranceNotMet of their stacked run names, or [] if it settles."""
+    try:
+        quadrature._beta_halves(halves, cfg)
+    except ToleranceNotMet as err:
+        assert "moved by" in str(err)
+        return [half for half in halves if f"(x={half[0]!r}, y={half[1]!r})" in str(err)]
+    return []
+
+
 class TestAdaptiveGaussKronrod:
     def test_polynomial_exact(self):
         value = adaptive_gauss_kronrod(lambda x: x * x, 0.0, 1.0)
@@ -187,8 +220,9 @@ class TestStackedRows:
 
 class TestEvaluationPath:
     """Integrand calls and nodes of fixed inputs, as recorded when each row and
-    panel still had its own K15/G7 dot products: a moved subdivision decision
-    changes them."""
+    panel still had its own K15/G7 dot products, and the tanh-sinh levels at
+    which the pinned radial moments settle: a moved subdivision or stopping
+    decision changes them."""
 
     @pytest.mark.parametrize(
         "seeds, counts",
@@ -207,47 +241,32 @@ class TestEvaluationPath:
         assert seen == counts
 
     @pytest.mark.parametrize(
-        "n, s, a, calls, nodes, panels, value",
+        "n, s, a, levels",
         [
-            (4, 1.3937620379065336, 2.4424951848373864 - 1.3937620379065336,
-             5, 150, (6, 3), 0.009368389220188952),
-            (5, 1.7984414117183, 6.0 - 2.0 * 1.7984414117183, 2, 90, (4, 4),
-             1.297938442681571e-09),
+            (4, 1.3937620379065336, 2.4424951848373864 - 1.3937620379065336, (3, 3)),
+            (5, 1.7984414117183, 6.0 - 2.0 * 1.7984414117183, (3, 3)),
         ],
     )
-    def test_pinned_bubble_moment_inputs(self, monkeypatch, n, s, a, calls, nodes, panels, value):
+    def test_pinned_bubble_moment_inputs(self, monkeypatch, n, s, a, levels):
         # the two inputs of TestRadialPower.test_pinned_bubble_moments: one
-        # run whose two rows are the lower and upper Beta halves
-        seen = []
-        plain = quadrature.adaptive_gauss_kronrod
-
-        def counting(f, *args, **kwargs):
-            counted, made = _counted(f)
-            result = plain(counted, *args, **kwargs)
-            seen.extend(made)
-            return result
-
-        monkeypatch.setattr(quadrature, "adaptive_gauss_kronrod", counting)
+        # run whose two rows are the lower and upper Beta halves, each
+        # settling at its pinned level of the tanh-sinh rule
+        seen = _recorded_levels(monkeypatch)
         b = 2.0 * (n - s) / (2.0 - s)
         got = integrate_radial_power(RadialPowerIntegrand(a, b, s))
-        assert (len(seen), sum(seen)) == (calls, nodes)
-        # numpy's float64 power has CPU-specific SIMD kernels that can differ
-        # from libm in the last bit, so the value is held to a few ulps
-        assert abs(got - value) <= 8 * math.ulp(value)
-        # a half alone evaluates its two first panels and two children per
-        # split, so it ends with nodes/30 + 1 panels: as many as when each
-        # half had a run of its own on [0, 2**(-1/m)]
+        assert seen == list(range(max(levels) + 1))
+        assert got == pytest.approx(beta_closed_form(a, b, s), rel=1e-14, abs=0.0)
         x = (a + 1.0) / (2.0 - s)
-        for half, count in zip([(x, b - x), (b - x, x)], panels):
+        for half, level in zip([(x, b - x), (b - x, x)], levels):
             seen.clear()
             quadrature._beta_halves([half], QuadratureSettings())
-            assert sum(seen) // 30 + 1 == count
+            assert seen == list(range(level + 1))
 
 
 # moments of mixed (N, s, beta): a recurrence pair and the grad and mass
 # moments, and a head exponent x = (a+1)/(2-s) of 0.25 (m = 8) beside ones
-# above 2 (m = 1); the last moment's halves (m = 2) get other bits alone
-# than in a stack when their exponents are broadcast (rows, 1) columns
+# above 2 (m = 1); the last moment's halves (m = 2) got other bits alone
+# than in a stack when numpy's power took broadcast (rows, 1) exponents
 MIXED_MOMENTS = [
     RadialPowerIntegrand(3.2 - 0.7, 2.0 * (4 - 0.7) / 1.3, 0.7),
     RadialPowerIntegrand(3.2 - 2.0, 2.0 * (4 - 0.7) / 1.3, 0.7),
@@ -272,30 +291,33 @@ class TestStackedMoments:
 
     def test_each_half_equals_its_one_row_run(self):
         cfg = QuadratureSettings()
-        halves = []
-        for f in MIXED_MOMENTS:
-            x = (f.a + 1.0) / (2.0 - f.s)
-            halves += [(x, f.b - x), (f.b - x, x)]
+        halves = _halves(MIXED_MOMENTS)
         assert {max(1, math.ceil(2.0 / x)) for x, _ in halves} == {1, 2, 8}
         alone = [quadrature._beta_halves([half], cfg)[0] for half in halves]
         assert quadrature._beta_halves(halves, cfg).tolist() == alone
 
     def test_one_moment_is_one_run(self, monkeypatch):
+        # no Gauss-Kronrod run, and one kernel pass per level up to the level
+        # at which the last of the rows settles alone
         runs = []
-        plain = quadrature.adaptive_gauss_kronrod
-
-        def recording(f, *args, **kwargs):
-            runs.append(f)
-            return plain(f, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "adaptive_gauss_kronrod", recording)
+        monkeypatch.setattr(quadrature, "adaptive_gauss_kronrod", lambda *a, **k: runs.append(a))
+        seen = _recorded_levels(monkeypatch)
+        last = 0
+        for f in MIXED_MOMENTS:
+            seen.clear()
+            integrate_radial_power(f)
+            last = max(last, *seen)
+        seen.clear()
         integrate_radial_powers(MIXED_MOMENTS)
-        assert len(runs) == 1
-        assert runs[0](np.array([0.25, 0.75])).shape == (2 * len(MIXED_MOMENTS), 2)
+        assert runs == []
+        assert seen == list(range(last + 1))
+
+    def test_no_moments_give_an_empty_list(self):
+        assert integrate_radial_powers([]) == []
 
     def test_divergent_member_raises_before_any_integrand_call(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(quadrature, "adaptive_gauss_kronrod", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(quadrature, "_beta_halves", lambda *a, **k: calls.append(a))
         divergent = RadialPowerIntegrand(a=1.0, b=1.0, s=0.0)
         for place in (0, 2, len(MIXED_MOMENTS)):
             moments = MIXED_MOMENTS[:place] + [divergent] + MIXED_MOMENTS[place:]
@@ -303,16 +325,66 @@ class TestStackedMoments:
                 integrate_radial_powers(moments)
         assert calls == []
 
-    def test_starved_row_raises_tolerance_not_met(self):
-        # the rows need 0, 0, 4 and 1 splits: a budget of four serves them
-        # all, and one of three starves the third row alone
-        s = 1.3937620379065336
-        pinned = RadialPowerIntegrand(2.4424951848373864 - s, 2.0 * (4 - s) / (2.0 - s), s)
-        moments = [MIXED_MOMENTS[5], pinned]
-        alone = [integrate_radial_power(f) for f in moments]
-        assert integrate_radial_powers(moments, QuadratureSettings(max_subdivisions=4)) == alone
-        with pytest.raises(ToleranceNotMet):
-            integrate_radial_powers(moments, QuadratureSettings(max_subdivisions=3))
+    def test_starved_row_raises_tolerance_not_met(self, monkeypatch):
+        # at the default rel_tol the halves of these two moments settle at
+        # levels (3, 2) and (2, 3): a cap of two levels starves one half of
+        # each, and the message names those two alone
+        cfg = QuadratureSettings()
+        halves = _halves(MIXED_MOMENTS[4:6])
+        monkeypatch.setattr(quadrature, "_TS_MAX_LEVEL", 2)
+        starved = [halves[0], halves[3]]
+        assert _unsettled(halves, cfg) == starved
+        for half in halves:
+            assert _unsettled([half], cfg) == ([half] if half in starved else [])
+        monkeypatch.undo()
+        # a rel_tol below rounding settles a half only where two of its level
+        # sums happen to be equal: the stack names exactly the halves that
+        # stay unsettled alone, and its other rows still settle
+        cfg = QuadratureSettings(rel_tol=1e-17)
+        halves = _halves(MIXED_MOMENTS)
+        alone = [half for half in halves if _unsettled([half], cfg)]
+        assert _unsettled(halves, cfg) == alone
+        assert len(alone) < len(halves)
+
+
+# Beta exponents from x = 1e-3, where the head map takes m = 2000, to 200
+EXTREME_EXPONENTS = [1e-3, 0.01, 0.11, 0.26, 1.0, 10.0, 200.0]
+
+
+def beta_function(x: float, y: float) -> float:
+    """Oracle: B(x, y) by log-gamma.  An argument above 20 is first lowered by
+    B(x, y) = B(x, y - 1) * (y - 1) / (x + y - 1), since lgamma(y) - lgamma(x + y)
+    alone loses 2.2e-13 to cancellation at x = 0.01, y = 200."""
+    scale = 1.0
+    while y > 20.0:
+        y -= 1.0
+        scale *= y / (x + y)
+    while x > 20.0:
+        x -= 1.0
+        scale *= x / (x + y)
+    return scale * math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+class TestExtremeExponents:
+    def test_symmetric_half_is_half_the_beta_function(self):
+        cfg = QuadratureSettings()
+        for x in EXTREME_EXPONENTS:
+            (half,) = quadrature._beta_halves([(x, x)], cfg)
+            assert half == pytest.approx(beta_function(x, x) / 2.0, rel=1e-13, abs=0.0)
+
+    def test_lower_and_upper_halves_sum_to_the_beta_function(self):
+        cfg = QuadratureSettings()
+        for x in EXTREME_EXPONENTS:
+            for y in EXTREME_EXPONENTS:
+                lower, upper = quadrature._beta_halves([(x, y), (y, x)], cfg)
+                assert lower + upper == pytest.approx(beta_function(x, y), rel=1e-13, abs=0.0)
+
+    def test_stacked_rows_equal_their_one_row_runs(self):
+        cfg = QuadratureSettings()
+        pairs = [(x, y) for x in EXTREME_EXPONENTS for y in EXTREME_EXPONENTS]
+        alone = [quadrature._beta_halves([pair], cfg)[0] for pair in pairs]
+        for order in (1, -1):
+            assert quadrature._beta_halves(pairs[::order], cfg).tolist() == alone[::order]
 
 
 class TestImproper:
