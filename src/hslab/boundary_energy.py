@@ -45,11 +45,12 @@ import numpy as np
 from .extremals import HSParams
 from .identities import SingularitySite, ps_threshold, ray_peak
 from .quadrature import (
+    DEFAULT_REL_TOL,
     KRONROD15_NODES,
     KRONROD15_WEIGHTS,
-    QuadratureSettings,
     RadialPowerIntegrand,
     adaptive_gauss_kronrod,
+    check_rel_tol,
     integrate_radial_power,
     sphere_surface_area,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "boundary_threshold",
     "bubble_energies",
     "check_dimension",
+    "check_far_site",
     "fit_log_slope",
     "margin_row",
     "ray_peak_energy",
@@ -338,13 +340,32 @@ def check_dimension(geom: BoundaryGeometry, p: HSParams) -> None:
         )
 
 
+def check_far_site(distance: float, s: float, delta: float) -> tuple[float, float]:
+    """(distance, s) as floats; ValueError unless distance >= 3*delta, so that
+    |x - x_i| >= delta on the cutoff support, and 0 < s < 2 (NaN fails both)."""
+    distance, s = float(distance), float(s)
+    if not distance >= 3.0 * delta - 1e-12 * delta:
+        raise ValueError(f"far site at distance {distance!r}, not >= 3*delta = {3 * delta:g}")
+    if not 0.0 < s < 2.0:
+        raise ValueError(f"far-site exponent {s!r} outside (0, 2)")
+    return distance, s
+
+
+def _ledger_integral(f: Callable, hi: float, rel_tol: float, breakpoints: Sequence[float]):
+    """Every row of ``f`` over (0, hi) at ``rel_tol``, with the absolute floor
+    1e-14, or ``rel_tol`` where that is smaller."""
+    return adaptive_gauss_kronrod(
+        f, 0.0, hi, rel_tol=rel_tol, abs_tol=min(1e-14, rel_tol), breakpoints=breakpoints
+    )
+
+
 def _slivers(
     p: HSParams,
     tau: float,
     cut: CutoffSpec,
     rows: Sequence[str | float],
     geom: BoundaryGeometry,
-    cfg: QuadratureSettings,
+    rel_tol: float,
 ) -> list[float]:
     """Sliver integral of every row, from one stacked radial integral.
 
@@ -389,11 +410,7 @@ def _slivers(
             for sign, g in zip(signs, heights)
         ])
 
-    value = adaptive_gauss_kronrod(
-        integrand, 0.0, 2.0 * cut.delta / tau,
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, *knees],
-    )
+    value = _ledger_integral(integrand, 2.0 * cut.delta / tau, rel_tol, [*_POWER_SEEDS, *knees])
     return (weights @ value.reshape(len(gammas), len(rows))).tolist()
 
 # ---------------------------------------------------------------------------
@@ -402,7 +419,7 @@ def _slivers(
 
 
 def sliver_energy_leading_coefficient(
-    geom: BoundaryGeometry, p: HSParams, cfg: QuadratureSettings | None = None
+    geom: BoundaryGeometry, p: HSParams, rel_tol: float = DEFAULT_REL_TOL
 ) -> float:
     """Limit of the uncut bubble's gradient-energy sliver over eps**(1/(2-s))
     as eps -> 0 (N >= 4).
@@ -415,7 +432,7 @@ def sliver_energy_leading_coefficient(
     check_dimension(geom, p)
     n, s = p.N, p.s
     b = p.profile_decay
-    moment = integrate_radial_power(RadialPowerIntegrand(n + 2.0 - 2.0 * s, b, s), cfg)
+    moment = integrate_radial_power(RadialPowerIntegrand(n + 2.0 - 2.0 * s, b, s), rel_tol)
     return (
         geom.mean_curvature * (n - 2.0) ** 2 / (2.0 * (n - 1.0))
         * sphere_surface_area(n - 1) * moment
@@ -423,14 +440,14 @@ def sliver_energy_leading_coefficient(
 
 
 def sliver_mass_leading_coefficient(
-    geom: BoundaryGeometry, p: HSParams, cfg: QuadratureSettings | None = None
+    geom: BoundaryGeometry, p: HSParams, rel_tol: float = DEFAULT_REL_TOL
 ) -> float:
     """Limit of the uncut bubble's weighted-mass sliver over eps**(1/(2-s)) as
     eps -> 0 (all N >= 3)."""
     check_dimension(geom, p)
     n, s = p.N, p.s
     b = p.profile_decay
-    moment = integrate_radial_power(RadialPowerIntegrand(n - s, b, s), cfg)
+    moment = integrate_radial_power(RadialPowerIntegrand(n - s, b, s), rel_tol)
     return geom.mean_curvature / (2.0 * (n - 1.0)) * sphere_surface_area(n - 1) * moment
 
 
@@ -438,14 +455,12 @@ def _half_space_radial(
     dens: Callable,
     n: int,
     cap: float,
-    cfg: QuadratureSettings,
+    rel_tol: float,
     kink: float,
 ) -> np.ndarray:
     """(1/2) * omega_{N-1} * integral over (0, cap) of dens(rho) * rho**(N-1), every row."""
-    value = adaptive_gauss_kronrod(
-        lambda rho: dens(rho) * rho ** (n - 1.0), 0.0, cap,
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        max_subdivisions=cfg.max_subdivisions, breakpoints=[*_POWER_SEEDS, kink],
+    value = _ledger_integral(
+        lambda rho: dens(rho) * rho ** (n - 1.0), cap, rel_tol, [*_POWER_SEEDS, kink]
     )
     return 0.5 * sphere_surface_area(n) * value
 
@@ -456,7 +471,7 @@ def bubble_energies(
     cut: CutoffSpec,
     far_sites: Sequence[tuple[float, float]],
     p: HSParams,
-    cfg: QuadratureSettings | None = None,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> EnergyBreakdown:
     """Direct quadrature of every energy piece over the curved model domain.
 
@@ -469,9 +484,11 @@ def bubble_energies(
     slivers of every entry come from one stacked radial integral over the
     nodes of the curvature rule (see ``_slivers``).
 
-    Raises ValueError outside N = 3-5, the dimensions the ledger is tested
-    in, and EpsTooLarge when tau = eps**(1/(2-s)) exceeds delta/10, where
-    the concentration scale is no longer separated from the patch scale.
+    Before any integrand is evaluated, raises ValueError outside N = 3-5,
+    the dimensions the ledger is tested in, for ``rel_tol`` outside (0, 1)
+    or a site failing :func:`check_far_site`, and EpsTooLarge when tau =
+    eps**(1/(2-s)) exceeds delta/10, where the concentration scale is no
+    longer separated from the patch scale.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -480,26 +497,21 @@ def bubble_energies(
         raise ValueError(f"the boundary ledger is tested for N = 3-5 only, got N = {p.N}")
     if not math.isclose(cut.delta, geom.delta, rel_tol=1e-12):
         raise ValueError("cutoff radius and geometry patch radius must agree")
-    cfg = cfg or QuadratureSettings()
+    check_rel_tol(rel_tol)
     delta = geom.delta
     tau = eps ** (1.0 / (2.0 - p.s))
     if tau > delta / 10.0:
         raise EpsTooLarge(
             f"eps**(1/(2-s)) = {tau:.3e} exceeds delta/10 = {delta / 10.0:.3e}"
         )
-    sites = [(float(d), float(si)) for d, si in far_sites]
-    for dist, si in sites:
-        if dist < 3.0 * delta - 1e-12 * delta:
-            raise ValueError(f"far site at distance {dist} closer than 3*delta")
-        if not (0.0 < si < 2.0):
-            raise ValueError("far-site exponent must lie in (0, 2)")
+    sites = [check_far_site(d, si, delta) for d, si in far_sites]
 
     cap = 2.0 * delta / tau
     kink = delta / tau
     # rows: grad, near mass, L2, then (eta~ * U1)**q_i for each far site's mass
     rows = ("grad", "mass", "l2", *(HSParams(p.N, si).two_star for _, si in sites))
-    slivers = _slivers(p, tau, cut, rows, geom, cfg)
-    half_space = _half_space_radial(_profile_pack(p, tau, cut, rows), p.N, cap, cfg, kink)
+    slivers = _slivers(p, tau, cut, rows, geom, rel_tol)
+    half_space = _half_space_radial(_profile_pack(p, tau, cut, rows), p.N, cap, rel_tol, kink)
     whole = (half_space - slivers).tolist()
     return EnergyBreakdown(
         eps=eps,
@@ -532,9 +544,9 @@ def ray_peak_energy(b: EnergyBreakdown, lam: float, p: HSParams) -> RayPeak:
     return RayPeak(*ray_peak(a, [b.near_mass + sum(b.far_masses)], [p.two_star]))
 
 
-def boundary_threshold(p: HSParams, cfg: QuadratureSettings | None = None) -> float:
+def boundary_threshold(p: HSParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Level of a boundary site (theta = 1/2) with the concentration exponent."""
-    return ps_threshold(p.N, [SingularitySite(0.5, p.s)], cfg).overall
+    return ps_threshold(p.N, [SingularitySite(0.5, p.s)], rel_tol).overall
 
 
 def margin_row(b: EnergyBreakdown, lam: float, p: HSParams, threshold: float) -> MarginRow:

@@ -4,8 +4,9 @@ Subcommands: constants | identities | boundary | solve | sweep-lambda.
 Each takes --config PATH (a YAML document checked against a typed schema:
 unknown keys and wrong types are rejected with their full dotted paths,
 parse errors carry line and column marks), plus --out PATH, --seed INT
-(randomised initial fields), and --tol REAL (quadrature relative tolerance,
-or the solver's gradient tolerance for solve/sweep-lambda).
+(randomised initial fields), and --tol REAL.  --tol is the quadratures'
+relative tolerance for constants, identities and boundary, the solver's
+gradient tolerance for solve, and both for sweep-lambda.
 
 Each command builds all of its library objects before its first
 computation, so a config error, out-of-range values included, stops it
@@ -27,8 +28,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 import yaml
 
-from . import boundary_energy, extremals, identities, variational
-from .quadrature import QuadratureSettings
+from . import boundary_energy, extremals, identities, quadrature, variational
 
 __all__ = ["ConfigError", "main"]
 
@@ -150,11 +150,10 @@ def _params(cfg: dict) -> list[extremals.HSParams]:
     return [_make("params", extremals.HSParams, n, s) for n in ns for s in ss]
 
 
-def _quad_settings(cfg: dict, tol_flag: float | None) -> QuadratureSettings | None:
-    tol = tol_flag if tol_flag is not None else cfg.get("tol")
-    if tol is None:
-        return None
-    return _make("tol", QuadratureSettings, rel_tol=tol, abs_tol=min(1e-14, tol))
+def _quad_tol(cfg: dict, tol_flag: float | None) -> float:
+    """--tol, else the config's tol, else the default: the quadratures' rel_tol."""
+    tol = tol_flag if tol_flag is not None else cfg.get("tol", quadrature.DEFAULT_REL_TOL)
+    return _make("tol", quadrature.check_rel_tol, tol)
 
 
 def _grid_and_sites(cfg: dict) -> tuple[variational.DomainGrid,
@@ -236,20 +235,20 @@ def _stacked(batch: Callable, items: Sequence, *args) -> list:
 
 
 def _run_constants(cfg: dict, tol: float | None, seed: int, out_path: str):
-    settings = _quad_settings(cfg, tol)
+    rel_tol = _quad_tol(cfg, tol)
     params = _params(cfg)
     header = ["n", "s", "grad_energy", "weighted_mass", "best_constant",
               "interior_threshold", "boundary_threshold"]
     rows, failures = [], []
     # the stacked run also fills the constants cache that ps_threshold reads
     for p, consts in zip(params, _stacked(extremals.whole_space_constants_batch,
-                                          params, settings)):
+                                          params, rel_tol)):
         try:
             if consts is None:
-                consts = extremals.whole_space_constants(p, settings)
+                consts = extremals.whole_space_constants(p, rel_tol)
             interior, boundary = (
                 identities.ps_threshold(p.N, [identities.SingularitySite(theta, p.s)],
-                                        settings).overall
+                                        rel_tol).overall
                 for theta in (1.0, 0.5))
             rows.append([p.N, p.s, consts.grad_energy, consts.weighted_mass,
                          consts.best_constant, interior, boundary])
@@ -259,13 +258,13 @@ def _run_constants(cfg: dict, tol: float | None, seed: int, out_path: str):
 
 
 def _run_identities(cfg: dict, tol: float | None, seed: int, out_path: str):
-    settings = _quad_settings(cfg, tol)
+    rel_tol = _quad_tol(cfg, tol)
     params = _params(cfg)
     header = ["kind", "n", "s", "beta", "lhs", "rhs", "rel_diff",
               "sliver_ratio_limit", "moment_ratio", "strict_gap"]
     rows, failures = [], []
     # fills the constants cache that bubble_moment_ratio reads
-    _stacked(extremals.whole_space_constants_batch, params, settings)
+    _stacked(extremals.whole_space_constants_batch, params, rel_tol)
     for p in params:
         n, s = p.N, p.s
         if "beta_list" in cfg:
@@ -273,16 +272,16 @@ def _run_identities(cfg: dict, tol: float | None, seed: int, out_path: str):
         else:
             betas = np.linspace(2.0, 2.0 * (n - s) - 1.0, 6)
         for beta, chk in zip(betas, _stacked(identities.beta_recurrence_checks,
-                                             betas, p, settings)):
+                                             betas, p, rel_tol)):
             try:
                 if chk is None:
-                    chk = identities.beta_recurrence_check(beta, p, settings)
+                    chk = identities.beta_recurrence_check(beta, p, rel_tol)
                 rows.append(["recurrence", n, s, beta, chk.lhs, chk.rhs,
                              chk.rel_diff, None, None, None])
             except Exception as exc:
                 failures.append(f"identities(N={n}, s={s}, beta={beta}): {exc}")
         try:
-            ratio = identities.bubble_moment_ratio(p, settings)
+            ratio = identities.bubble_moment_ratio(p, rel_tol)
             rows.append(["ratios", n, s, None, None, None, None,
                          identities.sliver_ratio_limit(p), ratio.quadrature,
                          identities.strict_gap(p)])
@@ -292,7 +291,7 @@ def _run_identities(cfg: dict, tol: float | None, seed: int, out_path: str):
 
 
 def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
-    settings = _quad_settings(cfg, tol)
+    rel_tol = _quad_tol(cfg, tol)
     params = _params(cfg)
     if len(params) != 1:
         raise ConfigError("params: boundary takes a single (N, s) pair")
@@ -302,14 +301,13 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
                  _require(geo, "geometry.curvatures"), _require(geo, "geometry.delta"))
     _make("geometry.curvatures", boundary_energy.check_dimension, geom, p)
     cut = boundary_energy.CutoffSpec(delta=geom.delta)
-    # each far site's exponent is checked as the s of its own (N, s) pair
-    far = [(_require(site, f"far_sites[{i}].distance"),
-            _make(f"far_sites[{i}]", extremals.HSParams,
-                  p.N, _require(site, f"far_sites[{i}].s")).s)
+    far = [_make(f"far_sites[{i}]", boundary_energy.check_far_site,
+                 _require(site, f"far_sites[{i}].distance"),
+                 _require(site, f"far_sites[{i}].s"), geom.delta)
            for i, site in enumerate(cfg.get("far_sites", []))]
     lam = cfg.get("lambda", 0.0)
     eps_list = _require(cfg, "eps_list")
-    threshold = boundary_energy.boundary_threshold(p, settings)
+    threshold = boundary_energy.boundary_threshold(p, rel_tol)
 
     header = ["kind", "eps", "grad_energy", "near_mass", "l2_mass",
               "far_mass_total", "sliver_energy", "sliver_mass",
@@ -318,7 +316,7 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
     good: list[boundary_energy.EnergyBreakdown] = []
     for eps in eps_list:
         try:
-            res = boundary_energy.bubble_energies(eps, geom, cut, far, p, settings)
+            res = boundary_energy.bubble_energies(eps, geom, cut, far, p, rel_tol)
             row = boundary_energy.margin_row(res, lam, p, threshold)
         except Exception as exc:
             failures.append(f"boundary(eps={eps}): {exc}")
@@ -370,7 +368,7 @@ def _run_solve(cfg: dict, tol: float | None, seed: int, out_path: str):
 
 
 def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int, out_path: str):
-    settings = _quad_settings(cfg, tol)
+    rel_tol = _quad_tol(cfg, tol)
     grid, sites = _grid_and_sites(cfg)
     problems = [_make("grid, lambda_list, singularities", variational.ProblemConfig,
                       grid, lam, sites)
@@ -385,7 +383,7 @@ def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int, out_path: str):
               for site in sites]
     placed = [identities.SingularitySite(variational.placement_of(grid, site), site.s)
               for site in sites]
-    threshold = identities.ps_threshold(grid.N, placed, settings).overall
+    threshold = identities.ps_threshold(grid.N, placed, rel_tol).overall
     lam_bound = identities.lambda_existence_bound(volume, masses, qs, threshold)
 
     header = ["lam", "constant_path_max", "threshold", "lambda_bound",
@@ -434,8 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="seed for randomised initial fields (default 0)")
         cmd.add_argument("--tol", type=float, default=None,
-                         help="quadrature rel. tolerance, or solver gradient "
-                              "tolerance for solve/sweep-lambda")
+                         help="quadrature rel. tolerance; solver gradient tolerance "
+                              "for solve; both for sweep-lambda")
     return parser
 
 

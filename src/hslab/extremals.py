@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .quadrature import (
-    QuadratureSettings,
+    DEFAULT_REL_TOL,
     RadialPowerIntegrand,
     integrate_radial_powers,
     sphere_surface_area,
@@ -101,17 +101,17 @@ def bubble_radial(r, eps: float, p: HSParams):
     return pref * (eps + r ** (2.0 - s)) ** ((2.0 - n) / (2.0 - s))
 
 
-# Whole-space constants already computed, keyed by (HSParams,
-# QuadratureSettings) and ordered from least to most recently used; the
-# least recently used entry goes once more than CONSTANTS_CACHE_SIZE are held,
-# so a long-lived process that sweeps s stays bounded.
+# Whole-space constants already computed, keyed by (HSParams, rel_tol) and
+# ordered from least to most recently used; the least recently used entry
+# goes once more than CONSTANTS_CACHE_SIZE are held, so a long-lived process
+# that sweeps s stays bounded.
 CONSTANTS_CACHE_SIZE = 128
-_CONSTANTS: OrderedDict[tuple[HSParams, QuadratureSettings], WholeSpaceConstants] = OrderedDict()
+_CONSTANTS: OrderedDict[tuple[HSParams, float], WholeSpaceConstants] = OrderedDict()
 _CONSTANTS_LOCK = threading.Lock()
 
 
 def whole_space_constants_batch(
-    ps: Sequence[HSParams], cfg: QuadratureSettings | None = None
+    ps: Sequence[HSParams], rel_tol: float = DEFAULT_REL_TOL
 ) -> list[WholeSpaceConstants]:
     """:func:`whole_space_constants` of every pair in ``ps``, in order.
 
@@ -127,13 +127,12 @@ def whole_space_constants_batch(
     ToleranceNotMet
         From the stacked run; no result of the call is cached then.
     """
-    cfg = cfg or QuadratureSettings()
     found = {}
     with _CONSTANTS_LOCK:
         for p in ps:
-            if (p, cfg) in _CONSTANTS:
-                _CONSTANTS.move_to_end((p, cfg))
-                found[p] = _CONSTANTS[p, cfg]
+            if (p, rel_tol) in _CONSTANTS:
+                _CONSTANTS.move_to_end((p, rel_tol))
+                found[p] = _CONSTANTS[p, rel_tol]
     misses = [p for p in dict.fromkeys(ps) if p not in found]
     if not misses:
         return [found[p] for p in ps]
@@ -143,7 +142,7 @@ def whole_space_constants_batch(
             for p in misses
             for a in (p.N + 1.0 - 2.0 * p.s, p.N - 1.0 - p.s)
         ],
-        cfg,
+        rel_tol,
     )
     for p, grad_moment, mass_moment in zip(misses, moments[::2], moments[1::2]):
         n, s = p.N, p.s
@@ -157,14 +156,14 @@ def whole_space_constants_batch(
         )
     with _CONSTANTS_LOCK:
         for p in misses:
-            _CONSTANTS[p, cfg] = found[p]
-            _CONSTANTS.move_to_end((p, cfg))
+            _CONSTANTS[p, rel_tol] = found[p]
+            _CONSTANTS.move_to_end((p, rel_tol))
         while len(_CONSTANTS) > CONSTANTS_CACHE_SIZE:
             _CONSTANTS.popitem(last=False)
     return [found[p] for p in ps]
 
 
-def whole_space_constants(p: HSParams, cfg: QuadratureSettings | None = None) -> WholeSpaceConstants:
+def whole_space_constants(p: HSParams, rel_tol: float = DEFAULT_REL_TOL) -> WholeSpaceConstants:
     """Dirichlet energy and weighted mass of the unit bubble, best constant.
 
     grad_energy = (N-2)^2 * omega * int r^(N+1-2s) (1+r^(2-s))^(-2(N-s)/(2-s)) dr,
@@ -174,4 +173,4 @@ def whole_space_constants(p: HSParams, cfg: QuadratureSettings | None = None) ->
     4 pi/3, 2 pi/3 and best constant sqrt(8 pi / 3).  The one-pair case of
     :func:`whole_space_constants_batch`, so results are cached.
     """
-    return whole_space_constants_batch([p], cfg)[0]
+    return whole_space_constants_batch([p], rel_tol)[0]

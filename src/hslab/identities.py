@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .extremals import HSParams, whole_space_constants
-from .quadrature import QuadratureSettings, RadialPowerIntegrand, integrate_radial_powers
+from .quadrature import DEFAULT_REL_TOL, RadialPowerIntegrand, integrate_radial_powers
 
 __all__ = [
     "EmptySiteList",
@@ -110,7 +110,7 @@ class MomentRatio(NamedTuple):
 
 
 def beta_recurrence_checks(
-    betas: Sequence[float], p: HSParams, cfg: QuadratureSettings | None = None
+    betas: Sequence[float], p: HSParams, rel_tol: float = DEFAULT_REL_TOL
 ) -> list[RecurrenceCheck]:
     """Both sides of the bubble moment recurrence at each beta of ``betas``.
 
@@ -142,7 +142,7 @@ def beta_recurrence_checks(
             for beta in betas
             for a in (beta - s, beta - 2.0)
         ],
-        cfg,
+        rel_tol,
     )
     checks = []
     for beta, lhs, base in zip(betas, moments[::2], moments[1::2]):
@@ -153,10 +153,10 @@ def beta_recurrence_checks(
 
 
 def beta_recurrence_check(
-    beta: float, p: HSParams, cfg: QuadratureSettings | None = None
+    beta: float, p: HSParams, rel_tol: float = DEFAULT_REL_TOL
 ) -> RecurrenceCheck:
     """The one-beta case of :func:`beta_recurrence_checks`."""
-    return beta_recurrence_checks([beta], p, cfg)[0]
+    return beta_recurrence_checks([beta], p, rel_tol)[0]
 
 
 def sliver_ratio_limit(p: HSParams) -> float:
@@ -169,14 +169,14 @@ def sliver_ratio_limit(p: HSParams) -> float:
     return (n - 3.0) / ((n + 1.0 - s) * (n - 2.0) ** 2)
 
 
-def bubble_moment_ratio(p: HSParams, cfg: QuadratureSettings | None = None) -> MomentRatio:
+def bubble_moment_ratio(p: HSParams, rel_tol: float = DEFAULT_REL_TOL) -> MomentRatio:
     """(N-s) * weighted_mass / ((N-2) * grad_energy).
 
     Closed form (N-2)^(-2) (a beta = N+1-s instance of the moment
     recurrence), returned alongside the quadrature value.
     """
     n = p.N
-    consts = whole_space_constants(p, cfg)
+    consts = whole_space_constants(p, rel_tol)
     quad = (n - p.s) * consts.weighted_mass / ((n - 2.0) * consts.grad_energy)
     return MomentRatio(closed=(n - 2.0) ** (-2.0), quadrature=quad)
 
@@ -186,15 +186,15 @@ def strict_gap(p: HSParams) -> float:
     return (p.N - 2.0) ** (-2.0) - sliver_ratio_limit(p)
 
 
-def _threshold_level(n: int, site: SingularitySite, cfg: QuadratureSettings | None) -> float:
+def _threshold_level(n: int, site: SingularitySite, rel_tol: float) -> float:
     p = HSParams(n, site.s)
-    best = whole_space_constants(p, cfg).best_constant
+    best = whole_space_constants(p, rel_tol).best_constant
     power = (n - site.s) / (2.0 - site.s)  # = q/(q-2) for the critical q
     return site.theta * (2.0 - site.s) / (2.0 * (n - site.s)) * best**power
 
 
 def ps_threshold(
-    n: int, sites: Sequence[SingularitySite], cfg: QuadratureSettings | None = None
+    n: int, sites: Sequence[SingularitySite], rel_tol: float = DEFAULT_REL_TOL
 ) -> ThresholdReport:
     """Palais-Smale compactness threshold for a configuration of sites.
 
@@ -208,7 +208,7 @@ def ps_threshold(
     sites = tuple(sites)
     if not sites:
         raise EmptySiteList("at least one singularity site is required")
-    per = tuple((site, _threshold_level(n, site, cfg)) for site in sites)
+    per = tuple((site, _threshold_level(n, site, rel_tol)) for site in sites)
     return ThresholdReport(per_site=per, overall=min(level for _, level in per))
 
 

@@ -37,14 +37,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "DEFAULT_REL_TOL",
     "Divergent",
     "KRONROD15_NODES",
     "KRONROD15_WEIGHTS",
     "NonFinite",
-    "QuadratureSettings",
     "RadialPowerIntegrand",
     "ToleranceNotMet",
     "adaptive_gauss_kronrod",
+    "check_rel_tol",
     "integrate_radial_power",
     "integrate_radial_powers",
     "sphere_surface_area",
@@ -116,32 +117,16 @@ KRONROD15_NODES, KRONROD15_WEIGHTS, _RULES = _build_rule()
 _ERROR_FLOOR = 50.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and panel budget for the package's quadratures.
+# The relative tolerance every quadrature of the package runs at unless its
+# caller passes another.
+DEFAULT_REL_TOL = 1e-10
 
-    Parameters
-    ----------
-    rel_tol, abs_tol : float
-        Convergence targets; an :func:`adaptive_gauss_kronrod` run stops once
-        the summed panel error drops below ``max(abs_tol, rel_tol * |integral|)``.
-        Radial moments (:func:`integrate_radial_powers`) stop on ``rel_tol``
-        alone, so ``abs_tol`` does not apply to them.
-    max_subdivisions : int
-        Hard cap on panel bisections before :class:`ToleranceNotMet`, for
-        :func:`adaptive_gauss_kronrod` only; the radial moments' tanh-sinh
-        rule has a fixed cap of levels.
-    """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 4000
-
-    def __post_init__(self) -> None:
-        if not (0 < self.rel_tol < 1 and self.abs_tol >= 0):
-            raise ValueError("rel_tol must lie in (0, 1) and abs_tol be >= 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be a positive integer")
+def check_rel_tol(rel_tol: float) -> float:
+    """``rel_tol`` itself; ValueError unless it lies in (0, 1), which NaN does not."""
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+    return rel_tol
 
 
 @dataclass(frozen=True)
@@ -172,7 +157,7 @@ def adaptive_gauss_kronrod(
     lo: float,
     hi: float,
     *,
-    rel_tol: float = 1e-10,
+    rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = 1e-14,
     max_subdivisions: int = 4000,
     breakpoints: Sequence[float] = (),
@@ -183,12 +168,13 @@ def adaptive_gauss_kronrod(
     to shape (rows, nodes) (giving one integral per row).  ``breakpoints``
     seeds extra initial panel edges.  Each row bisects its own worst panel
     (largest error estimate, ties by left endpoint) until its summed error
-    meets the tolerance, within its own ``max_subdivisions``, then fsums its
-    panels left to right.  Rows share only the evaluation: each step calls
-    ``f`` once, on the children of the panels unfinished rows bisect, and
-    takes the estimates of every row and panel from that call in one pass.
-    A panel evaluated once serves every row, so each row's result is
-    bit-identical to integrating it alone.
+    is at most ``max(abs_tol, rel_tol * |integral|)``, within its own
+    ``max_subdivisions`` bisections, then fsums its panels left to right.
+    Rows share only the evaluation: each step calls ``f`` once, on the
+    children of the panels unfinished rows bisect, and takes the estimates
+    of every row and panel from that call in one pass.  A panel evaluated
+    once serves every row, so each row's result is bit-identical to
+    integrating it alone.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError("need finite bounds with hi > lo")
@@ -316,7 +302,7 @@ def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
     return log_tau, log_weight
 
 
-def _beta_halves(pairs: Sequence[tuple[float, float]], cfg: QuadratureSettings) -> np.ndarray:
+def _beta_halves(pairs: Sequence[tuple[float, float]], rel_tol: float) -> np.ndarray:
     """integral over (0, 1/2] of u**(x-1) * (1-u)**(y-1) for each (x, y) of
     ``pairs`` (x, y > 0), every pair a row of one tanh-sinh run on [0, 1].
 
@@ -360,7 +346,7 @@ def _beta_halves(pairs: Sequence[tuple[float, float]], cfg: QuadratureSettings) 
         moved[rows] = np.abs(level - prev)
         if k >= 2:
             # written so that a NaN sum never settles
-            rows = rows[~(moved[rows] <= cfg.rel_tol * np.abs(level))]
+            rows = rows[~(moved[rows] <= rel_tol * np.abs(level))]
             if not rows.size:
                 return sums
     unsettled = ", ".join(
@@ -368,13 +354,13 @@ def _beta_halves(pairs: Sequence[tuple[float, float]], cfg: QuadratureSettings) 
         for i in rows
     )
     raise ToleranceNotMet(
-        f"tanh-sinh sums unsettled after level {_TS_MAX_LEVEL} at rel_tol {cfg.rel_tol:g}: "
+        f"tanh-sinh sums unsettled after level {_TS_MAX_LEVEL} at rel_tol {rel_tol:g}: "
         + unsettled
     )
 
 
 def integrate_radial_powers(
-    fs: Sequence[RadialPowerIntegrand], cfg: QuadratureSettings | None = None
+    fs: Sequence[RadialPowerIntegrand], rel_tol: float = DEFAULT_REL_TOL
 ) -> list[float]:
     """Evaluate the improper integral of each :class:`RadialPowerIntegrand`.
 
@@ -388,9 +374,8 @@ def integrate_radial_powers(
     member alone.
 
     Each half stops at the first level k >= 2 of its tanh-sinh sums whose
-    sum moved by at most ``cfg.rel_tol`` times its size, so a moment is held
-    to a relative tolerance however small it is; ``cfg.abs_tol`` and
-    ``cfg.max_subdivisions`` do not apply here.  That last level difference
+    sum moved by at most ``rel_tol`` times its size, so a moment is held to
+    a relative tolerance however small it is.  That last level difference
     is the half's error estimate: it estimates the error of the level before,
     and the rule's error falls about quadratically per level, so the
     returned sum lies well inside it.  Measured against mpmath's incomplete
@@ -400,14 +385,15 @@ def integrate_radial_powers(
 
     Raises
     ------
-    Divergent
-        If a member fails the convergence test a > -1 and (2-s)*b - a > 1;
-        checked for every member before any integrand is evaluated.
+    ValueError, Divergent
+        Before any integrand is evaluated: ValueError for ``rel_tol`` outside
+        (0, 1), Divergent for a member that fails the convergence test
+        a > -1 and (2-s)*b - a > 1.
     ToleranceNotMet
         If a half is still unsettled after the rule's last level; the
         message names each such (x, y) and its last level difference.
     """
-    cfg = cfg or QuadratureSettings()
+    check_rel_tol(rel_tol)
     pairs = []
     for f in fs:
         if not f.is_convergent:
@@ -417,13 +403,13 @@ def integrate_radial_powers(
             )
         x = (f.a + 1.0) / (2.0 - f.s)
         pairs += [(x, f.b - x), (f.b - x, x)]
-    halves = _beta_halves(pairs, cfg).tolist()
+    halves = _beta_halves(pairs, rel_tol).tolist()
     return [(lo + hi) / (2.0 - f.s) for lo, hi, f in zip(halves[::2], halves[1::2], fs)]
 
 
-def integrate_radial_power(f: RadialPowerIntegrand, cfg: QuadratureSettings | None = None) -> float:
+def integrate_radial_power(f: RadialPowerIntegrand, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """The one-member case of :func:`integrate_radial_powers`: one run of two rows."""
-    return integrate_radial_powers([f], cfg)[0]
+    return integrate_radial_powers([f], rel_tol)[0]
 
 
 def sphere_surface_area(n: int) -> float:

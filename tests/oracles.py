@@ -63,7 +63,7 @@ from hslab.boundary_energy import (
     margin_row,
 )
 from hslab.extremals import HSParams, bubble_radial
-from hslab.quadrature import QuadratureSettings, adaptive_gauss_kronrod, sphere_surface_area
+from hslab.quadrature import DEFAULT_REL_TOL, adaptive_gauss_kronrod, sphere_surface_area
 from hslab.variational import DomainGrid, ProblemConfig, energy
 
 
@@ -111,7 +111,7 @@ def _extremal_profile(r: np.ndarray, scale: float, p: HSParams, base: str) -> np
 def rayleigh_quotient_check(
     scale: float,
     p: HSParams,
-    cfg: QuadratureSettings | None = None,
+    rel_tol: float = DEFAULT_REL_TOL,
     base: str = "linear",
 ) -> float:
     """Hardy-Sobolev quotient of the extremal candidate, by quadrature.
@@ -126,7 +126,6 @@ def rayleigh_quotient_check(
         raise NonPositiveScale("scale parameter must be a positive real")
     if base not in ("linear", "power"):
         raise ValueError(f"unknown base {base!r} (expected 'linear' or 'power')")
-    cfg = cfg or QuadratureSettings()
     n, s = p.N, p.s
     q = p.two_star
     kappa = 1.0 if base == "linear" else (2.0 - s)
@@ -152,8 +151,9 @@ def rayleigh_quotient_check(
     split = max(1.0, 8.0 * width)
     depth = math.ceil(math.log2(split / width)) + 64
     seeds = (0.25 * width, width, 4.0 * width, *(split * 2.0**-j for j in range(1, depth + 1)))
-    num = omega * integrate_improper(grad_sq, split=split, cfg=cfg, breakpoints=seeds)
-    den = omega * integrate_improper(weighted_mass, split=split, cfg=cfg, breakpoints=seeds)
+    opts = dict(split=split, rel_tol=rel_tol, breakpoints=seeds)
+    num = omega * integrate_improper(grad_sq, **opts)
+    den = omega * integrate_improper(weighted_mass, **opts)
     return num / den ** (2.0 / q)
 
 
@@ -162,7 +162,7 @@ def integrate_improper(
     *,
     lo: float = 0.0,
     split: float = 1.0,
-    cfg: QuadratureSettings | None = None,
+    rel_tol: float = DEFAULT_REL_TOL,
     breakpoints: Sequence[float] = (),
 ) -> float | np.ndarray:
     """integral over (lo, inf) of a generic vectorized integrand, or of each row of a stack.
@@ -173,10 +173,8 @@ def integrate_improper(
     family; the tail beyond ``max(split, lo)`` is mapped with u = 1/r.  A
     stacked ``f`` returns (rows, nodes), as for :func:`adaptive_gauss_kronrod`.
     """
-    cfg = cfg or QuadratureSettings()
     cut = max(split, lo)
-    tol = dict(rel_tol=cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol,
-               max_subdivisions=cfg.max_subdivisions)
+    tol = dict(rel_tol=rel_tol, abs_tol=0.5 * min(1e-14, rel_tol))
     total = 0.0
     if cut > lo:
         total += adaptive_gauss_kronrod(f, lo, cut, breakpoints=breakpoints, **tol)
@@ -236,7 +234,7 @@ def fit_power_log_basis(
 
 
 def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
-                 cfg: QuadratureSettings | None) -> float:
+                 rel_tol: float) -> float:
     """Sliver integral of one row of the uncut bubble at scale eps.
 
     The sliver of ``hslab.boundary_energy._slivers`` with no cutoff: the
@@ -248,7 +246,6 @@ def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     check_dimension(geom, p)
-    cfg = cfg or QuadratureSettings()
     tau = eps ** (1.0 / (2.0 - p.s))
     gammas, weights = _curvature_rule(tuple(sorted(geom.curvatures)))
     keep = gammas != 0.0  # no sliver under a flat direction
@@ -268,7 +265,8 @@ def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
 
     knee = (1.0 / (tau * np.abs(gammas))).max()
     split = 20.0 if knee <= 10.0 else min(8.0 * knee, 1e12)
-    value = integrate_improper(integrand, lo=0.0, split=split, cfg=cfg, breakpoints=_POWER_SEEDS)
+    value = integrate_improper(integrand, lo=0.0, split=split, rel_tol=rel_tol,
+                               breakpoints=_POWER_SEEDS)
     return float((weights @ value.reshape(len(gammas), 1))[0])
 
 
@@ -276,7 +274,7 @@ def sliver_energy_integral(
     eps: float,
     geom: BoundaryGeometry,
     p: HSParams,
-    cfg: QuadratureSettings | None = None,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Gradient energy of the pure bubble over the boundary-layer sliver.
 
@@ -287,21 +285,21 @@ def sliver_energy_integral(
     and like eps**(1/(2-s)) * |ln eps| in dimension three, and vanishes
     identically for a flat patch.
     """
-    return _pure_sliver("grad", eps, geom, p, cfg)
+    return _pure_sliver("grad", eps, geom, p, rel_tol)
 
 
 def sliver_mass_integral(
     eps: float,
     geom: BoundaryGeometry,
     p: HSParams,
-    cfg: QuadratureSettings | None = None,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Weighted critical mass of the pure bubble over the same sliver region.
 
     Integrand |y|**(-s) (1+|y|**(2-s))**(-2(N-s)/(2-s)); scales like
     eps**(1/(2-s)) in every dimension N >= 3.
     """
-    return _pure_sliver("mass", eps, geom, p, cfg)
+    return _pure_sliver("mass", eps, geom, p, rel_tol)
 
 
 def negative_lambda_sanity(cfg: ProblemConfig, c_samples: Sequence[float]) -> bool:
@@ -347,7 +345,7 @@ def threshold_inequality_check(
     far_sites: Sequence[tuple[float, float]],
     lam: float,
     p: HSParams,
-    cfg: QuadratureSettings | None = None,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> MarginReport:
     """Audit the mountain-pass ray against the boundary compactness threshold.
 
@@ -364,9 +362,9 @@ def threshold_inequality_check(
     eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
     if not eps_sorted:
         raise ValueError("eps_list must be nonempty")
-    threshold = boundary_threshold(p, cfg)
+    threshold = boundary_threshold(p, rel_tol)
     rows = tuple(
-        margin_row(bubble_energies(eps, geom, cut, far_sites, p, cfg), lam, p, threshold)
+        margin_row(bubble_energies(eps, geom, cut, far_sites, p, rel_tol), lam, p, threshold)
         for eps in eps_sorted
     )
     scaled = [r.scaled_margin for r in rows]

@@ -24,7 +24,6 @@ from hslab.identities import (
     ps_threshold,
     ray_peak,
 )
-from hslab.quadrature import QuadratureSettings
 from hslab.variational import (
     DomainGrid,
     ProblemConfig,
@@ -51,9 +50,8 @@ P55 = HSParams(N=5, s=0.5)
 
 def test_criterion_01_best_constant():
     # fresh, uncached tolerance so the timing covers the real computation
-    cfg = QuadratureSettings(rel_tol=3e-11)
     start = time.perf_counter()
-    consts = whole_space_constants(P31, cfg)
+    consts = whole_space_constants(P31, rel_tol=3e-11)
     elapsed = time.perf_counter() - start
     target = math.sqrt(8.0 * math.pi / 3.0)
     assert consts.best_constant == pytest.approx(target, rel=1e-6)

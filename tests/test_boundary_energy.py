@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hslab import boundary_energy
 from hslab.boundary_energy import (
     _W_EDGES,
     _direction_moments,
@@ -17,6 +18,7 @@ from hslab.boundary_energy import (
     EnergyBreakdown,
     EpsTooLarge,
     bubble_energies,
+    check_far_site,
     fit_log_slope,
     ray_peak_energy,
     sliver_energy_leading_coefficient,
@@ -24,7 +26,7 @@ from hslab.boundary_energy import (
 )
 from hslab.extremals import HSParams, whole_space_constants
 from hslab.identities import NonpositivePart, sliver_ratio_limit
-from hslab.quadrature import KRONROD15_NODES, KRONROD15_WEIGHTS, Divergent, QuadratureSettings
+from hslab.quadrature import DEFAULT_REL_TOL, KRONROD15_NODES, KRONROD15_WEIGHTS, Divergent
 
 from box_quadrature import integrate_box
 from oracles import (
@@ -41,6 +43,19 @@ P55 = HSParams(N=5, s=0.5)
 
 GEOM41 = BoundaryGeometry(curvatures=(1.0, 1.0, 1.0), delta=0.1)
 FLAT3 = BoundaryGeometry(curvatures=(0.0, 0.0), delta=0.1)
+
+
+def _ledger_runs(monkeypatch):
+    """A list that grows by one entry per Gauss-Kronrod run of the ledger."""
+    runs = []
+    plain = boundary_energy.adaptive_gauss_kronrod
+
+    def recording(*args, **kwargs):
+        runs.append(args[1:3])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(boundary_energy, "adaptive_gauss_kronrod", recording)
+    return runs
 
 
 def make_breakdown(**kw) -> EnergyBreakdown:
@@ -268,6 +283,31 @@ class TestBubbleEnergies:
         with pytest.raises(ValueError):
             bubble_energies(1e-4, FLAT3, cut, [(0.2, 1.0)], P31)
 
+    @pytest.mark.parametrize("distance", [0.1, math.nan])
+    def test_far_site_too_close_or_nan_rejected_before_any_run(self, monkeypatch, distance):
+        # NaN compares false with 3*delta: it must fail, not pass, the check
+        runs = _ledger_runs(monkeypatch)
+        sites = [(0.5, 1.0), (distance, 1.0)]
+        with pytest.raises(ValueError, match="far site at distance"):
+            bubble_energies(1e-4, GEOM41, CutoffSpec(0.1), sites, P41)
+        with pytest.raises(ValueError, match="far site at distance"):
+            check_far_site(distance, 1.0, 0.1)
+        assert runs == []
+
+    def test_far_site_at_three_delta_accepted(self, monkeypatch):
+        runs = _ledger_runs(monkeypatch)
+        assert check_far_site(0.3, 1.0, 0.1) == (0.3, 1.0)
+        b = bubble_energies(1e-4, GEOM41, CutoffSpec(0.1), [(0.3, 1.0)], P41)
+        assert len(b.far_masses) == 1 and b.far_masses[0] > 0.0
+        assert len(runs) == 2  # the sliver and the half-space radial integrals
+
+    @pytest.mark.parametrize("rel_tol", [1.0, 0.0, math.nan])
+    def test_bad_rel_tol_raises_before_any_run(self, monkeypatch, rel_tol):
+        runs = _ledger_runs(monkeypatch)
+        with pytest.raises(ValueError, match="rel_tol must lie in"):
+            bubble_energies(1e-4, GEOM41, CutoffSpec(0.1), [], P41, rel_tol=rel_tol)
+        assert runs == []
+
     def test_far_site_exponent_out_of_range(self):
         cut = CutoffSpec(0.1)
         with pytest.raises(ValueError):
@@ -396,8 +436,7 @@ class TestFusedLedger:
              * rho[j : j + 8192]) @ wt[j : j + 8192]
             for j in range(0, rho.size, 8192)
         )
-        got = _slivers(p, tau, cut, rows, BoundaryGeometry((1.0, 3.0), 0.1),
-                       QuadratureSettings())
+        got = _slivers(p, tau, cut, rows, BoundaryGeometry((1.0, 3.0), 0.1), DEFAULT_REL_TOL)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -353,6 +353,12 @@ PLANE_SOLVE_CFG = PLANE_SWEEP_CFG.replace("lambda_list: [0.01]", "lambda: 0.01")
 
 CONSTANT_INIT = "  type: constant\n  value: 1.0\n"
 
+
+def far_sites(*distances):
+    """A far_sites block with one s = 1 site at each distance (YAML scalars)."""
+    return "far_sites:\n" + "".join(f"  - distance: {d}\n    s: 1.0\n" for d in distances)
+
+
 # (command, config, a key the message must name)
 FAULTY_CONFIGS = {
     "scalar_N_list": ("constants", "params:\n  N_list: 3\n  s: 1.0\n", "params.N_list"),
@@ -363,6 +369,11 @@ FAULTY_CONFIGS = {
     "bogus_init": ("sweep-lambda", SWEEP_CFG.replace("type: constant", "type: bogus"),
                    "init.type"),
     "empty_far_sites": ("boundary", BOUNDARY_CFG + "far_sites: []\n", "far_sites"),
+    # delta is 0.1, so a far site needs distance >= 0.3
+    "far_site_too_close": ("boundary", BOUNDARY_CFG + far_sites("0.5", "0.1"), "far_sites[1]"),
+    "far_site_nan": ("boundary", BOUNDARY_CFG + far_sites(".nan"), "far_sites[0]"),
+    "tol_nan": ("constants", CONSTANTS_CFG + "tol: .nan\n", "tol"),
+    "tol_one": ("boundary", BOUNDARY_CFG + "tol: 1.0\n", "tol"),
     "infinite_lambda": ("sweep-lambda", SWEEP_CFG.replace("[0.005, 0.02]", "[0.005, .inf]"),
                         "lambda_list"),
     "plane_solve": ("solve", PLANE_SOLVE_CFG, "grid"),
@@ -393,6 +404,24 @@ class TestConfigErrors:
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["0", "1.5", "-1e-3"])
+    @pytest.mark.parametrize("command", ["constants", "identities", "boundary", "sweep-lambda"])
+    def test_quadrature_tol_flag_out_of_range_exits_2(self, tmp_path, capsys, command, tol):
+        text = {"constants": CONSTANTS_CFG, "identities": IDENTITIES_CFG,
+                "boundary": BOUNDARY_CFG, "sweep-lambda": SWEEP_CFG}[command]
+        out = tmp_path / "x.csv"
+        code = main([command, "--config", write_config(tmp_path, text), "--out", str(out),
+                     f"--tol={tol}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: tol: rel_tol must lie in (0, 1)")
+        assert not out.exists()
+
+    def test_far_site_at_three_delta_is_accepted(self, tmp_path):
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path, BOUNDARY_CFG + far_sites("0.3"))
+        assert main(["boundary", "--config", cfg, "--out", str(out)]) == 0
+        assert all(float(row[5]) > 0.0 for row in read_csv(out)[1:] if row[0] == "energy")
 
     def test_wrong_types_report_every_dotted_path(self, tmp_path, capsys):
         text = SWEEP_CFG.replace("s: 1.0", "s: one").replace("[10, 10, 10]", "[10, ten, 10]")

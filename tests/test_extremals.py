@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hslab import extremals
+from hslab import extremals, quadrature
 from hslab.extremals import (
     CONSTANTS_CACHE_SIZE,
     HSParams,
@@ -14,7 +14,7 @@ from hslab.extremals import (
     whole_space_constants,
     whole_space_constants_batch,
 )
-from hslab.quadrature import QuadratureSettings, sphere_surface_area
+from hslab.quadrature import DEFAULT_REL_TOL, sphere_surface_area
 
 from box_quadrature import integrate_box
 from oracles import NonPositiveScale, extremal_value, rayleigh_quotient_check
@@ -134,14 +134,36 @@ class TestConstantsBatch:
     def test_cold_batch_matches_one_pair_at_a_time_bit_for_bit(self):
         ps = [HSParams(N=n, s=s) for n in (3, 4, 5) for s in (0.2, 0.9, 1.45, 1.9)]
         ps.append(ps[3])
-        for cfg in (None, QuadratureSettings(rel_tol=1e-12)):
+        for rel_tol in (DEFAULT_REL_TOL, 1e-12):
             extremals._CONSTANTS.clear()
-            batch = whole_space_constants_batch(ps, cfg)
+            batch = whole_space_constants_batch(ps, rel_tol)
             singles = []
             for p in ps:
                 extremals._CONSTANTS.clear()
-                singles.append(whole_space_constants(p, cfg))
+                singles.append(whole_space_constants(p, rel_tol))
             assert batch == singles
+
+    def test_cache_keys_on_the_pair_and_rel_tol(self, monkeypatch):
+        # one _beta_halves run fills the cache for a pair at one rel_tol; only
+        # another rel_tol makes a second run
+        runs = []
+        plain = quadrature._beta_halves
+
+        def recording(pairs, rel_tol):
+            runs.append(rel_tol)
+            return plain(pairs, rel_tol)
+
+        monkeypatch.setattr(quadrature, "_beta_halves", recording)
+        extremals._CONSTANTS.clear()
+        p = HSParams(N=3, s=0.77)
+        (batch,) = whole_space_constants_batch([p], 3e-12)
+        assert whole_space_constants(p, rel_tol=3e-12) is batch
+        assert runs == [3e-12]
+        other = whole_space_constants(p, rel_tol=1e-11)
+        assert other.best_constant == pytest.approx(batch.best_constant, rel=1e-10)
+        assert runs == [3e-12, 1e-11]
+        whole_space_constants(p, rel_tol=1e-11)
+        assert runs == [3e-12, 1e-11]
 
     def test_cache_keeps_the_most_recently_used_pairs(self):
         extremals._CONSTANTS.clear()

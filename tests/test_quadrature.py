@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from hslab import quadrature
 from hslab.quadrature import (
+    DEFAULT_REL_TOL,
     KRONROD15_NODES,
     KRONROD15_WEIGHTS,
     Divergent,
     NonFinite,
-    QuadratureSettings,
     RadialPowerIntegrand,
     ToleranceNotMet,
     adaptive_gauss_kronrod,
+    check_rel_tol,
     integrate_radial_power,
     integrate_radial_powers,
     sphere_surface_area,
@@ -61,10 +62,10 @@ def _halves(moments):
     return halves
 
 
-def _unsettled(halves, cfg):
+def _unsettled(halves, rel_tol):
     """The halves a ToleranceNotMet of their stacked run names, or [] if it settles."""
     try:
-        quadrature._beta_halves(halves, cfg)
+        quadrature._beta_halves(halves, rel_tol)
     except ToleranceNotMet as err:
         assert "moved by" in str(err)
         return [half for half in halves if f"(x={half[0]!r}, y={half[1]!r})" in str(err)]
@@ -259,7 +260,7 @@ class TestEvaluationPath:
         x = (a + 1.0) / (2.0 - s)
         for half, level in zip([(x, b - x), (b - x, x)], levels):
             seen.clear()
-            quadrature._beta_halves([half], QuadratureSettings())
+            quadrature._beta_halves([half], DEFAULT_REL_TOL)
             assert seen == list(range(level + 1))
 
 
@@ -290,11 +291,10 @@ class TestStackedMoments:
             assert value == pytest.approx(beta_closed_form(f.a, f.b, f.s), rel=1e-12, abs=0.0)
 
     def test_each_half_equals_its_one_row_run(self):
-        cfg = QuadratureSettings()
         halves = _halves(MIXED_MOMENTS)
         assert {max(1, math.ceil(2.0 / x)) for x, _ in halves} == {1, 2, 8}
-        alone = [quadrature._beta_halves([half], cfg)[0] for half in halves]
-        assert quadrature._beta_halves(halves, cfg).tolist() == alone
+        alone = [quadrature._beta_halves([half], DEFAULT_REL_TOL)[0] for half in halves]
+        assert quadrature._beta_halves(halves, DEFAULT_REL_TOL).tolist() == alone
 
     def test_one_moment_is_one_run(self, monkeypatch):
         # no Gauss-Kronrod run, and one kernel pass per level up to the level
@@ -325,25 +325,35 @@ class TestStackedMoments:
                 integrate_radial_powers(moments)
         assert calls == []
 
+    @pytest.mark.parametrize("rel_tol", [0.0, 1.0, -1e-3, math.nan])
+    def test_bad_rel_tol_raises_before_any_integrand_call(self, monkeypatch, rel_tol):
+        calls = []
+        monkeypatch.setattr(quadrature, "_beta_halves", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="rel_tol must lie in"):
+            integrate_radial_powers(MIXED_MOMENTS, rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol must lie in"):
+            check_rel_tol(rel_tol)
+        assert calls == []
+
     def test_starved_row_raises_tolerance_not_met(self, monkeypatch):
         # at the default rel_tol the halves of these two moments settle at
         # levels (3, 2) and (2, 3): a cap of two levels starves one half of
         # each, and the message names those two alone
-        cfg = QuadratureSettings()
+        rel_tol = DEFAULT_REL_TOL
         halves = _halves(MIXED_MOMENTS[4:6])
         monkeypatch.setattr(quadrature, "_TS_MAX_LEVEL", 2)
         starved = [halves[0], halves[3]]
-        assert _unsettled(halves, cfg) == starved
+        assert _unsettled(halves, rel_tol) == starved
         for half in halves:
-            assert _unsettled([half], cfg) == ([half] if half in starved else [])
+            assert _unsettled([half], rel_tol) == ([half] if half in starved else [])
         monkeypatch.undo()
         # a rel_tol below rounding settles a half only where two of its level
         # sums happen to be equal: the stack names exactly the halves that
         # stay unsettled alone, and its other rows still settle
-        cfg = QuadratureSettings(rel_tol=1e-17)
+        rel_tol = 1e-17
         halves = _halves(MIXED_MOMENTS)
-        alone = [half for half in halves if _unsettled([half], cfg)]
-        assert _unsettled(halves, cfg) == alone
+        alone = [half for half in halves if _unsettled([half], rel_tol)]
+        assert _unsettled(halves, rel_tol) == alone
         assert len(alone) < len(halves)
 
 
@@ -367,24 +377,22 @@ def beta_function(x: float, y: float) -> float:
 
 class TestExtremeExponents:
     def test_symmetric_half_is_half_the_beta_function(self):
-        cfg = QuadratureSettings()
         for x in EXTREME_EXPONENTS:
-            (half,) = quadrature._beta_halves([(x, x)], cfg)
+            (half,) = quadrature._beta_halves([(x, x)], DEFAULT_REL_TOL)
             assert half == pytest.approx(beta_function(x, x) / 2.0, rel=1e-13, abs=0.0)
 
     def test_lower_and_upper_halves_sum_to_the_beta_function(self):
-        cfg = QuadratureSettings()
         for x in EXTREME_EXPONENTS:
             for y in EXTREME_EXPONENTS:
-                lower, upper = quadrature._beta_halves([(x, y), (y, x)], cfg)
+                lower, upper = quadrature._beta_halves([(x, y), (y, x)], DEFAULT_REL_TOL)
                 assert lower + upper == pytest.approx(beta_function(x, y), rel=1e-13, abs=0.0)
 
     def test_stacked_rows_equal_their_one_row_runs(self):
-        cfg = QuadratureSettings()
         pairs = [(x, y) for x in EXTREME_EXPONENTS for y in EXTREME_EXPONENTS]
-        alone = [quadrature._beta_halves([pair], cfg)[0] for pair in pairs]
+        alone = [quadrature._beta_halves([pair], DEFAULT_REL_TOL)[0] for pair in pairs]
         for order in (1, -1):
-            assert quadrature._beta_halves(pairs[::order], cfg).tolist() == alone[::order]
+            stacked = quadrature._beta_halves(pairs[::order], DEFAULT_REL_TOL)
+            assert stacked.tolist() == alone[::order]
 
 
 class TestImproper:
