@@ -12,20 +12,22 @@ becomes y_N = tau * g(y') and each energy piece reduces to
   - (sliver integral between y_N = 0 and y_N = tau * g(y')).
 
 The ledger integrands (gradient, critical mass, plain L2 mass, one mass per
-far site) are rows of one stacked radial density, and each piece handles
-all rows in one pass.  In polar coordinates y' = rho * theta the floor is
-tau * g(theta) * rho**2, so the sliver is the mean over directions of the
-sliver of an isotropic floor.  That mean is a weighted sum over eight
-Chebyshev nodes of g whose weights match the closed-form moments of g over
-the sphere (one node, exact, when every principal curvature is equal), and
-every row at every node is a row of one stacked adaptive radial integral
-over 0 < |y'| < 2 delta / tau.  The inner integral saturates instead of
-being linearised, which keeps it integrable in every dimension, including
-the logarithmically divergent linearisation in dimension three.  At each
-radial node the integral across the sliver runs over w = y_N / |y'| from 0
-to the floor's cap on fixed geometric panels: a 4-point Gauss-Legendre rule
-on the first panel [0, min(cap, 1/64)], relative error about
-cap**8 * 2.3e-5, and K15 past it.
+far site) are rows of one stacked radial density.  In polar coordinates
+y' = rho * theta the floor is tau * g(theta) * rho**2, so the sliver is the
+mean over directions of the sliver of an isotropic floor.  That mean is a
+weighted sum over eight Chebyshev nodes of g whose weights match the
+closed-form moments of g over the sphere (one node, exact, when every
+principal curvature is equal).  The half-space rows and every row at every
+node are the rows of one stacked adaptive Gauss-Kronrod integral over
+0 < rho < 2 delta / tau, broken where the cutoff ramp starts (rho =
+delta / tau), and each of its subdivision steps makes one density call.
+The inner integral saturates instead of being linearised, which keeps it
+integrable in every dimension, including the logarithmically divergent
+linearisation in dimension three.  At each radial node the integral across
+the sliver runs over w = y_N / |y'| from 0 to the floor's cap on the fixed
+geometric panels below that cap: a 4-point Gauss-Legendre rule on the first
+panel [0, min(cap, 1/64)], relative error about cap**8 * 2.3e-5, and K15
+past it.
 
 Scaling prefactors: the gradient energy and the critical mass at the
 concentration site are scale-free, the plain L2 mass carries tau**2, and
@@ -256,17 +258,19 @@ _G4_NODES = np.array([-_G4_OUTER, -_G4_INNER, _G4_INNER, _G4_OUTER])
 _G4_WEIGHTS = np.array([18.0 - math.sqrt(30.0), 18.0 + math.sqrt(30.0),
                         18.0 + math.sqrt(30.0), 18.0 - math.sqrt(30.0)]) / 36.0
 _CURVATURE_NODES = 8  # Chebyshev nodes of the curvature rule
-# Initial panel edges of the radial GK integrals: the powers of two 1/64 ..
-# 2**64, of which each integral keeps those strictly inside its range.
+# Initial panel edges of the ledger's radial GK integral: the powers of two
+# 1/64 .. 2**64, of which it keeps those strictly inside its range.
 _POWER_SEEDS = [2.0**k for k in range(-6, 65)]
 
 
-def _inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarray:
-    """integral over w in [0, w_cap] of dens(rho * sqrt(1 + w**2)), per row and point.
+def _inner_rule(rho: np.ndarray, w_cap: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The radii t of the inner rule's nodes, and the fold that maps dens(t)
+    to the integral over w in [0, w_cap] of dens(rho * sqrt(1 + w**2)), per
+    row and point.
 
-    Fixed geometric panel edges (0, 1/64, ..., 128) clipped to each point's
-    cap keep the arrays rectangular; panels entirely beyond every cap are
-    skipped.  The first panel [0, min(w_cap, 1/64)] takes the 4-point
+    The w-panels are the fixed geometric edges (0, 1/64, ..., 128), each
+    point taking only those that start below its own cap, the last clipped
+    to it.  The first panel [0, min(w_cap, 1/64)] takes the 4-point
     Gauss-Legendre rule and every later panel K15.  Away from the ends of
     the cutoff ramp the integrand is even in w and analytic on |w| < 1 (the
     profile is singular only where 1 + w**2 = 0 or |t| = 1 off the real
@@ -276,20 +280,30 @@ def _inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarr
     A radius whose cap stays below 1/64 takes 4 density evaluations
     instead of 15.  The hard stop at w = 128 truncates only integrands
     decaying at least like w**(3-2N), a relative error below 128**(3-2N).
+
+    Each panel's nodes are summed by einsum along their own axis and a
+    point's panels are added in order by bincount, so a point's integral
+    does not depend on the other points or rows it is stacked with.
     """
+    n = rho.size
     first = 0.5 * np.minimum(w_cap, _W_EDGES[1])  # half the first panel
-    active = int(np.count_nonzero(_W_EDGES[1:-1] < w_cap.max()))  # K15 panels
-    lo = np.minimum(_W_EDGES[1 : active + 1][None, :], w_cap[:, None])
-    hi = np.minimum(_W_EDGES[2 : active + 2][None, :], w_cap[:, None])
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    k15 = mid[:, :, None] + half[:, :, None] * KRONROD15_NODES
-    # one density call: the 4 first-panel nodes, then 15 per K15 panel
-    pts = np.concatenate([first[:, None] * (1.0 + _G4_NODES), k15.reshape(rho.size, -1)], axis=1)
-    vals = dens(rho[:, None] * np.sqrt(1.0 + pts * pts))
-    return (vals[..., :4] @ _G4_WEIGHTS * first
-            + np.einsum("impk,k,mp->im", vals[..., 4:].reshape(*vals.shape[:2], active, 15),
-                        KRONROD15_WEIGHTS, half))
+    point, panel = np.nonzero(_W_EDGES[1:-1] < w_cap[:, None])  # the K15 panels in use
+    lo = _W_EDGES[1:-1][panel]
+    half = 0.5 * (np.minimum(_W_EDGES[2:][panel], w_cap[point]) - lo)
+    w = np.concatenate([(first[:, None] * (1.0 + _G4_NODES)).ravel(),
+                        ((lo + half)[:, None] + half[:, None] * KRONROD15_NODES).ravel()])
+    t = np.concatenate([np.repeat(rho, 4), np.repeat(rho[point], 15)]) * np.sqrt(1.0 + w * w)
+
+    def fold(vals: np.ndarray) -> np.ndarray:
+        rows = len(vals)
+        heads = np.einsum("rik,k->ri", vals[:, : 4 * n].reshape(rows, n, 4), _G4_WEIGHTS)
+        panels = np.einsum("rpk,k->rp", vals[:, 4 * n :].reshape(rows, -1, 15),
+                           KRONROD15_WEIGHTS) * half
+        owner = (np.arange(rows)[:, None] * n + point).ravel()
+        tails = np.bincount(owner, panels.ravel(), minlength=rows * n).reshape(rows, n)
+        return heads * first + tails
+
+    return t, fold
 
 
 def _direction_moments(b: np.ndarray, count: int) -> np.ndarray:
@@ -351,40 +365,31 @@ def check_far_site(distance: float, s: float, delta: float) -> tuple[float, floa
     return distance, s
 
 
-def _ledger_integral(f: Callable, hi: float, rel_tol: float, breakpoints: Sequence[float]):
-    """Every row of ``f`` over (0, hi) at ``rel_tol``, with the absolute floor
-    1e-14, or ``rel_tol`` where that is smaller."""
-    return adaptive_gauss_kronrod(
-        f, 0.0, hi, rel_tol=rel_tol, abs_tol=min(1e-14, rel_tol), breakpoints=breakpoints
-    )
+def _ledger(p: HSParams, tau: float, cut: CutoffSpec, rows: Sequence[str | float],
+            geom: BoundaryGeometry, rel_tol: float) -> tuple[np.ndarray, list[float]]:
+    """Half-space and sliver integrals of every row, from one stacked
+    adaptive radial integral over (0, 2 delta / tau).
 
+    The half-space piece is (1/2) omega_{N-1} times the integral of
+    rho**(N-1) dens(rho).  The sliver F(gamma) of the isotropic floor
+    tau * gamma * rho**2 is sign(gamma) omega_{N-2} times the integral of
+    rho**(N-1) times the inner integral across w = y_N / rho up to the cap
+    tau |gamma| rho (where the floor dips below the flat one the sliver
+    counts negatively), and ``_curvature_rule`` takes its mean over the
+    directions.  The half-space rows and every row at every node of that
+    rule are the rows of one Gauss-Kronrod run whose initial panel edges
+    are the powers of two, each node's knee 1 / (tau |gamma|), where its
+    inner integral saturates, and delta / tau, where the cutoff ramp starts
+    and the densities lose their third derivative; each step makes one
+    density call.  The rows are held to ``rel_tol`` alone: every row's
+    integrand keeps one sign, so QUADPACK's floor rel_tol * resabs (the
+    integral of |f|) would be the same test.  The weighted sum over the
+    nodes is an fsum per row, so a row's sliver does not depend on the rows
+    stacked with it.
 
-def _slivers(
-    p: HSParams,
-    tau: float,
-    cut: CutoffSpec,
-    rows: Sequence[str | float],
-    geom: BoundaryGeometry,
-    rel_tol: float,
-) -> list[float]:
-    """Sliver integral of every row, from one stacked radial integral.
-
-    In polar coordinates y' = rho * theta the floor is tau * g(theta) *
-    rho**2, so the sliver is the mean over directions theta of F(g(theta)),
-    F(gamma) the sliver of the isotropic floor tau * gamma * rho**2:
-    omega_{N-2} times the integral over rho of rho**(N-1) times the inner
-    integral across w = y_N / rho up to the cap tau * |gamma| * rho, with
-    the sign of gamma (where the floor dips below the flat one the sliver
-    counts negatively).  The inner integral saturates instead of being
-    linearised, which keeps F integrable in every dimension, including the
-    logarithmically divergent linearisation in dimension three.
-
-    ``_curvature_rule`` takes the mean, and every row at every node is a row
-    of one adaptive radial integral, each node's knee 1 / (tau |gamma|),
-    where its inner integral saturates, an initial panel edge.  Equal
-    curvatures give one node and the exact sliver.  The cutoff bounds rho by
-    2 delta / tau, so F is smooth in gamma: the inner integrand is singular
-    only at gamma = +-i / (tau rho), on the imaginary axis at least
+    Equal curvatures give one node and the exact sliver.  The cutoff bounds
+    rho by 2 delta / tau, so F is smooth in gamma: the inner integrand is
+    singular only at gamma = +-i / (tau rho), on the imaginary axis at least
     1 / (2 delta) from 0.  So the rule is accurate while the range of g is
     small against its distance from those points: against a converged
     direction rule the ledger rows agree to 1.5e-11 on walls with curvatures
@@ -394,24 +399,28 @@ def _slivers(
     """
     gammas, weights = _curvature_rule(tuple(sorted(geom.curvatures)))
     keep = gammas != 0.0  # no sliver under a flat direction
-    if not keep.any():
-        return [0.0] * len(rows)
     gammas, weights = gammas[keep], weights[keep]
-    n = p.N
+    n, count = p.N, len(rows)
     dens = _profile_pack(p, tau, cut, rows)
     omega = sphere_surface_area(n - 1)
     signs, heights = np.sign(gammas), np.abs(gammas)
-    knees = 1.0 / (tau * heights)
 
     def integrand(rho: np.ndarray) -> np.ndarray:
-        radial = omega * rho ** (n - 2.0)
-        return np.concatenate([
-            sign * radial * (_inner_stack(dens, rho, tau * g * rho) * rho)
-            for sign, g in zip(signs, heights)
-        ])
+        t, fold = _inner_rule(np.tile(rho, gammas.size), (tau * heights[:, None] * rho).ravel())
+        vals = dens(np.concatenate([rho, t]))
+        radial = rho ** (n - 1.0)
+        inner = fold(vals[:, rho.size :]).reshape(count, gammas.size, rho.size)
+        slivers = (omega * signs[:, None] * radial) * inner
+        return np.concatenate([vals[:, : rho.size] * radial,
+                               slivers.transpose(1, 0, 2).reshape(-1, rho.size)])
 
-    value = _ledger_integral(integrand, 2.0 * cut.delta / tau, rel_tol, [*_POWER_SEEDS, *knees])
-    return (weights @ value.reshape(len(gammas), len(rows))).tolist()
+    value = adaptive_gauss_kronrod(
+        integrand, 0.0, 2.0 * cut.delta / tau, rel_tol=rel_tol, abs_tol=0.0,
+        breakpoints=[*_POWER_SEEDS, *(1.0 / (tau * heights)), cut.delta / tau],
+    )
+    node_rows = value[count:].reshape(gammas.size, count).T.tolist()
+    return (0.5 * sphere_surface_area(n) * value[:count],
+            [math.fsum(w * v for w, v in zip(weights.tolist(), row)) for row in node_rows])
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -451,20 +460,6 @@ def sliver_mass_leading_coefficient(
     return geom.mean_curvature / (2.0 * (n - 1.0)) * sphere_surface_area(n - 1) * moment
 
 
-def _half_space_radial(
-    dens: Callable,
-    n: int,
-    cap: float,
-    rel_tol: float,
-    kink: float,
-) -> np.ndarray:
-    """(1/2) * omega_{N-1} * integral over (0, cap) of dens(rho) * rho**(N-1), every row."""
-    value = _ledger_integral(
-        lambda rho: dens(rho) * rho ** (n - 1.0), cap, rel_tol, [*_POWER_SEEDS, kink]
-    )
-    return 0.5 * sphere_surface_area(n) * value
-
-
 def bubble_energies(
     eps: float,
     geom: BoundaryGeometry,
@@ -480,9 +475,9 @@ def bubble_energies(
     holds on the cutoff support, and its mass is computed under that proxy
     weight delta**(-s_i).  Every entry (including the plain L2 mass and the
     far masses) is the half-space radial integral minus the corresponding
-    sliver, i.e. an integral over the region above the quadratic floor; the
-    slivers of every entry come from one stacked radial integral over the
-    nodes of the curvature rule (see ``_slivers``).
+    sliver, i.e. an integral over the region above the quadratic floor;
+    both pieces of every entry come from one stacked radial integral (see
+    ``_ledger``).
 
     Before any integrand is evaluated, raises ValueError outside N = 3-5,
     the dimensions the ledger is tested in, for ``rel_tol`` outside (0, 1)
@@ -506,12 +501,9 @@ def bubble_energies(
         )
     sites = [check_far_site(d, si, delta) for d, si in far_sites]
 
-    cap = 2.0 * delta / tau
-    kink = delta / tau
     # rows: grad, near mass, L2, then (eta~ * U1)**q_i for each far site's mass
     rows = ("grad", "mass", "l2", *(HSParams(p.N, si).two_star for _, si in sites))
-    slivers = _slivers(p, tau, cut, rows, geom, rel_tol)
-    half_space = _half_space_radial(_profile_pack(p, tau, cut, rows), p.N, cap, rel_tol, kink)
+    half_space, slivers = _ledger(p, tau, cut, rows, geom, rel_tol)
     whole = (half_space - slivers).tolist()
     return EnergyBreakdown(
         eps=eps,

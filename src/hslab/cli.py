@@ -346,6 +346,8 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
 
 
 def _run_solve(cfg: dict, tol: float | None, seed: int, out_path: str):
+    if "tol" in cfg:
+        raise ConfigError("tol: solve runs no quadrature; its tolerance is solver.grad_tol")
     grid, sites = _grid_and_sites(cfg)
     problem = _make("grid, lambda, singularities", variational.ProblemConfig,
                     grid, _require(cfg, "lambda"), sites)
@@ -438,7 +440,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads -1e-3 (unlike -1 or -0.001) as an option, not a value
+    for i in range(len(words) - 2, -1, -1):
+        if words[i] == "--tol":
+            words[i : i + 2] = [f"--tol={words[i + 1]}"]
+    args = _build_parser().parse_args(words)
     run = _COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config)

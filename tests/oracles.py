@@ -1,6 +1,6 @@
 """Test oracles: an extremal family, its Rayleigh quotient, a two-basis fit,
-improper quadrature, the uncut bubble's slivers and a nonpositive-lambda
-sanity check.
+improper quadrature, the uncut bubble's slivers, a tight reference ledger and a
+nonpositive-lambda sanity check.
 
 None of these is used by the library.  They cross-check it from outside:
 
@@ -23,6 +23,11 @@ None of these is used by the library.  They cross-check it from outside:
   finite radius and the tail mapped by u = 1/r.
 * :func:`uncut_density` is the stacked radial density of the bubble with no
   cutoff, the cut-free formulas of the ledger's densities.
+* :func:`inner_stack` applies the ledger's inner rule across the sliver to
+  a density.
+* :func:`reference_ledger` is ``bubble_energies`` computed tighter, for
+  checking its quadrature: K15 on inner panels 2**-12 to 2**8 in steps of
+  2**(1/4), and radial runs at rel_tol 1e-13 with no absolute floor.
 * :func:`fit_power_log_basis` fits c1 * eps^p * ln(1/eps) + c2 * eps^p, the
   shape of the dimension-three sliver energy.
 * :func:`sliver_energy_integral` and :func:`sliver_mass_integral` are the
@@ -56,14 +61,21 @@ from hslab.boundary_energy import (
     _POWER_SEEDS,
     _as_positive_arrays,
     _curvature_rule,
-    _inner_stack,
+    _inner_rule,
+    _profile_pack,
     boundary_threshold,
     bubble_energies,
     check_dimension,
     margin_row,
 )
 from hslab.extremals import HSParams, bubble_radial
-from hslab.quadrature import DEFAULT_REL_TOL, adaptive_gauss_kronrod, sphere_surface_area
+from hslab.quadrature import (
+    DEFAULT_REL_TOL,
+    KRONROD15_NODES,
+    KRONROD15_WEIGHTS,
+    adaptive_gauss_kronrod,
+    sphere_surface_area,
+)
 from hslab.variational import DomainGrid, ProblemConfig, energy
 
 
@@ -217,6 +229,68 @@ def uncut_density(p: HSParams, rows: Sequence[str | float]) -> Callable[[np.ndar
     return dens
 
 
+def inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarray:
+    """integral over w in [0, w_cap] of dens(rho * sqrt(1 + w**2)), per row and
+    point, by the ledger's inner rule (``hslab.boundary_energy._inner_rule``)."""
+    t, fold = _inner_rule(rho, w_cap)
+    return fold(dens(t))
+
+
+# Edges of the reference ledger's inner panels: 0, then 2**-12 to 2**8 in
+# steps of 2**(1/4).
+_FINE_W_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-12.0, 8.125, 0.25)])
+
+
+def _fine_inner_stack(dens: Callable, rho: np.ndarray, w_cap: np.ndarray) -> np.ndarray:
+    """The inner integral of ``inner_stack`` by K15 on every panel of
+    ``_FINE_W_EDGES`` clipped to each point's cap (zero-width past it)."""
+    lo = np.minimum(_FINE_W_EDGES[:-1], w_cap[:, None])
+    half = 0.5 * (np.minimum(_FINE_W_EDGES[1:], w_cap[:, None]) - lo)
+    w = (lo + half)[:, :, None] + half[:, :, None] * KRONROD15_NODES
+    vals = dens(rho[:, None, None] * np.sqrt(1.0 + w * w))
+    return np.einsum("rpjk,k,pj->rp", vals, KRONROD15_WEIGHTS, half)
+
+
+def reference_ledger(eps: float, geom: BoundaryGeometry, cut: CutoffSpec,
+                     far_sites: Sequence[tuple[float, float]], p: HSParams) -> tuple:
+    """(grad_energy, near_mass, l2_mass, sliver_energy, sliver_mass,
+    *far_masses) of ``bubble_energies`` computed tighter: the same rows,
+    curvature rule and radial breakpoints (the cutoff onset delta / tau
+    among them), with the inner integral of ``_fine_inner_stack`` and the
+    radial integrals at rel_tol 1e-13 with no absolute floor, one
+    Gauss-Kronrod run per curvature node and one for the half-space rows.
+    """
+    tau = eps ** (1.0 / (2.0 - p.s))
+    rows = ("grad", "mass", "l2", *(HSParams(p.N, s).two_star for _, s in far_sites))
+    dens = _profile_pack(p, tau, cut, rows)
+    n = p.N
+    gammas, weights = _curvature_rule(tuple(sorted(geom.curvatures)))
+    seeds = [*_POWER_SEEDS, cut.delta / tau]
+    opts = dict(rel_tol=1e-13, abs_tol=0.0)
+    hi = 2.0 * cut.delta / tau
+
+    def chunked(f: Callable) -> Callable:
+        # a few hundred radii per density call keep the fine inner arrays small
+        return lambda rho: np.concatenate(
+            [f(rho[j : j + 240]) for j in range(0, rho.size, 240)], axis=1)
+
+    def sliver_of(g: float) -> np.ndarray:
+        def integrand(rho: np.ndarray) -> np.ndarray:
+            inner = _fine_inner_stack(dens, rho, tau * abs(g) * rho)
+            return math.copysign(sphere_surface_area(n - 1), g) * rho ** (n - 1.0) * inner
+
+        return adaptive_gauss_kronrod(chunked(integrand), 0.0, hi,
+                                      breakpoints=[*seeds, 1.0 / (tau * abs(g))], **opts)
+
+    half = 0.5 * sphere_surface_area(n) * adaptive_gauss_kronrod(
+        lambda rho: dens(rho) * rho ** (n - 1.0), 0.0, hi, breakpoints=seeds, **opts)
+    slivers = sum((w * sliver_of(g) for g, w in zip(gammas, weights) if g != 0.0),
+                  np.zeros(len(rows)))
+    whole = half - slivers
+    far = [tau**s * cut.delta ** (-s) * v for (_, s), v in zip(far_sites, whole[3:])]
+    return (whole[0], whole[1], tau**2 * whole[2], slivers[0], slivers[1], *far)
+
+
 def fit_power_log_basis(
     eps_values: Sequence[float], values: Sequence[float], power: float
 ) -> tuple[float, float]:
@@ -237,7 +311,7 @@ def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
                  rel_tol: float) -> float:
     """Sliver integral of one row of the uncut bubble at scale eps.
 
-    The sliver of ``hslab.boundary_energy._slivers`` with no cutoff: the
+    The sliver of ``hslab.boundary_energy._ledger`` with no cutoff: the
     radial integral runs over (0, inf), its tail map u = 1/rho starting
     past the last curvature node's knee 1 / (tau |gamma|).  There the
     singularities of the isotropic sliver in gamma reach gamma = 0, so a
@@ -259,7 +333,7 @@ def _pure_sliver(row: str, eps: float, geom: BoundaryGeometry, p: HSParams,
     def integrand(rho: np.ndarray) -> np.ndarray:
         radial = omega * rho ** (n - 2.0)
         return np.concatenate([
-            np.sign(g) * radial * (_inner_stack(dens, rho, tau * abs(g) * rho) * rho)
+            np.sign(g) * radial * (inner_stack(dens, rho, tau * abs(g) * rho) * rho)
             for g in gammas
         ])
 

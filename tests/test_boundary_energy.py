@@ -10,9 +10,8 @@ from hslab import boundary_energy
 from hslab.boundary_energy import (
     _W_EDGES,
     _direction_moments,
-    _inner_stack,
     _profile_pack,
-    _slivers,
+    _ledger,
     BoundaryGeometry,
     CutoffSpec,
     EnergyBreakdown,
@@ -31,6 +30,8 @@ from hslab.quadrature import DEFAULT_REL_TOL, KRONROD15_NODES, KRONROD15_WEIGHTS
 from box_quadrature import integrate_box
 from oracles import (
     fit_power_log_basis,
+    inner_stack,
+    reference_ledger,
     sliver_energy_integral,
     sliver_mass_integral,
     threshold_inequality_check,
@@ -270,6 +271,19 @@ class TestBubbleEnergies:
         assert curved.sliver_energy > 0.0
         assert curved.sliver_mass > 0.0
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_scale_free_entries_are_half_the_whole_space_ones_at_tiny_tau(self, n):
+        # s = 1.9, eps = 1e-3: tau = 1e-30, so the cutoff and the sliver move
+        # grad_energy and near_mass (about 1e-11 at N = 4) below rounding.  An
+        # absolute floor of 1e-14 on the radial rows stopped them up to
+        # 3.75e-5 short of half the whole-space constants
+        p = HSParams(n, 1.9)
+        b = bubble_energies(1e-3, BoundaryGeometry((1.0,) * (n - 1), 0.1), CutoffSpec(0.1),
+                            [], p)
+        consts = whole_space_constants(p)
+        assert b.grad_energy == pytest.approx(0.5 * consts.grad_energy, rel=1e-12, abs=0.0)
+        assert b.near_mass == pytest.approx(0.5 * consts.weighted_mass, rel=1e-12, abs=0.0)
+
     def test_eps_too_large(self):
         with pytest.raises(EpsTooLarge):
             bubble_energies(0.02, FLAT3, CutoffSpec(0.1), [], P31)
@@ -299,7 +313,7 @@ class TestBubbleEnergies:
         assert check_far_site(0.3, 1.0, 0.1) == (0.3, 1.0)
         b = bubble_energies(1e-4, GEOM41, CutoffSpec(0.1), [(0.3, 1.0)], P41)
         assert len(b.far_masses) == 1 and b.far_masses[0] > 0.0
-        assert len(runs) == 2  # the sliver and the half-space radial integrals
+        assert len(runs) == 1  # the half-space and sliver rows of one radial integral
 
     @pytest.mark.parametrize("rel_tol", [1.0, 0.0, math.nan])
     def test_bad_rel_tol_raises_before_any_run(self, monkeypatch, rel_tol):
@@ -339,27 +353,27 @@ class TestBubbleEnergies:
 LEDGER_REFERENCES = [
     # N = 3 with 0, 1 and 2 far sites
     (3, 1.0, (1.0, 1.0), 1e-3, [],
-     (2.1631532740132258, 1.045988593251228, 0.0007887825353879826,
-      0.01947454815669757, 0.0010231729967157392, ())),
+     (2.163153274030082, 1.045988593251228, 0.00078878253538794,
+      0.019474548139841195, 0.0010231729967158227, ())),
     (3, 1.0, (1.0, 1.0), 1e-3, [(0.5, 0.7)],
-     (2.1631532740132258, 1.045988593251228, 0.0007887825353879826,
-      0.01947454815669757, 0.0010231729967157392, (0.033267494606274026,))),
+     (2.163153274030082, 1.045988593251228, 0.00078878253538794,
+      0.019474548139841195, 0.0010231729967158227, (0.033267494606274,))),
     (3, 1.0, (1.0, 1.0), 1e-3, [(0.5, 0.7), (0.4, 0.9)],
-     (2.1631532740132258, 1.045988593251228, 0.0007887825353879826,
-      0.01947454815669757, 0.0010231729967157392,
-      (0.033267494606274026, 0.0232521993604888))),
+     (2.163153274030082, 1.045988593251228, 0.00078878253538794,
+      0.019474548139841195, 0.0010231729967158227,
+      (0.033267494606274, 0.023252199360488744))),
     # anisotropic curvatures with a negative entry
     (4, 1.0, (1.0, -0.5, 2.0), 5e-4, [(0.5, 0.7)],
-     (1.972061041964285, 0.328855754093021, 9.215988562129387e-06,
-      0.002093091339948041, 0.0001308799358101722, (0.006014743966689717,))),
+     (1.9720610419643334, 0.32885575409302154, 9.215988562127501e-06,
+      0.0020930913398994806, 0.00013087993580961717, (0.006014743966689745,))),
     (5, 0.5, (1.0, 1.0, 1.0, 1.0), 1e-4, [(0.5, 0.7)],
-     (3.9339595999039667, 0.2918683853038663, 2.4286866892044983e-05,
-      0.013967411172652718, 0.0005643097066810247, (0.02684480189726763,))),
+     (3.933959599904133, 0.291868385303866, 2.4286866892044657e-05,
+      0.013967411172486574, 0.0005643097066813371, (0.02684480189726763,))),
     # tau = 0.009 near delta/10 with curvature 50: the floor's cap passes 1
     # inside the cutoff ramp
     (3, 1.0, (50.0, 50.0), 9e-3, [(0.5, 0.7)],
-     (1.0226200027882921, 0.7591188477169302, 0.0014703944781228092,
-      1.7670282576732852, 0.2752665974536866, (0.08816180587015834,))),
+     (1.0226200024829715, 0.7591188480506726, 0.0014703944779980616,
+      1.7670282579786059, 0.27526659711994406, (0.08816180604850703,))),
 ]
 
 
@@ -376,9 +390,28 @@ class TestFusedLedger:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
-    # the last case is the benchmark's setting, where the rows refine different panels
+    @pytest.mark.parametrize("n, s, curv, eps, far, expected",
+                             [LEDGER_REFERENCES[k] for k in (1, 3, 5)],
+                             ids=["n3", "n4_anisotropic", "curvature50"])
+    def test_matches_a_tight_reference(self, n, s, curv, eps, far, expected):
+        # against reference_ledger (finer inner panels, radial rel_tol 1e-13):
+        # the radial breakpoint at the cutoff onset holds every entry to
+        # 2.5e-10; without it the N = 3 sliver energy was 9.9e-10 off and the
+        # curvature-50 far mass 2.0e-9
+        geom, cut, p = BoundaryGeometry(curv, 0.1), CutoffSpec(0.1), HSParams(n, s)
+        b = bubble_energies(eps, geom, cut, far, p)
+        got = (b.grad_energy, b.near_mass, b.l2_mass, b.sliver_energy, b.sliver_mass,
+               *b.far_masses)
+        np.testing.assert_allclose(got, reference_ledger(eps, geom, cut, far, p),
+                                   rtol=2.5e-10, atol=0.0)
+
+    # the third case is the benchmark's setting, where the rows refine different
+    # panels; the eight-node sum over the curvature rule is summed per row, so
+    # the number of rows stacked under it changes no bit at any eps
     @pytest.mark.parametrize("curv, eps", [((1.0, -0.5, 2.0), 5e-4), ((50.0, 50.0), 9e-3),
-                                           ((1.0, 1.0, 1.0, 1.0), 2.5e-4)])
+                                           ((1.0, 1.0, 1.0, 1.0), 2.5e-4),
+                                           *(((1.0, -0.5, 2.0), eps)
+                                             for eps in (2e-4, 6e-4, 9e-4, 1e-3))])
     def test_far_sites_leave_other_entries_bit_identical(self, curv, eps):
         p = HSParams(len(curv) + 1, 1.0)
         geom = BoundaryGeometry(curv, 0.1)
@@ -415,7 +448,7 @@ class TestFusedLedger:
         # sliver by a tensor Gauss-Legendre rule over the orthant of the
         # support |y'| < 2 delta / tau = 200 (four times), 8 nodes per panel,
         # geometric panels 0, 1/256, ..., 32 and then width 4 to 200, with
-        # _inner_stack across the sliver at each point
+        # the ledger's inner rule across the sliver at each point
         p, tau = HSParams(3, 1.0), 1e-3
         cut = CutoffSpec(0.1)
         rows = ("grad", "mass", "l2", HSParams(3, 0.7).two_star)
@@ -432,11 +465,11 @@ class TestFusedLedger:
         floor = tau * 0.5 * (y1[inside] ** 2 + 3.0 * y2[inside] ** 2)
         dens = _profile_pack(p, tau, cut, rows)
         want = 4.0 * sum(
-            (_inner_stack(dens, rho[j : j + 8192], floor[j : j + 8192] / rho[j : j + 8192])
+            (inner_stack(dens, rho[j : j + 8192], floor[j : j + 8192] / rho[j : j + 8192])
              * rho[j : j + 8192]) @ wt[j : j + 8192]
             for j in range(0, rho.size, 8192)
         )
-        got = _slivers(p, tau, cut, rows, BoundaryGeometry((1.0, 3.0), 0.1), DEFAULT_REL_TOL)
+        got = _ledger(p, tau, cut, rows, BoundaryGeometry((1.0, 3.0), 0.1), DEFAULT_REL_TOL)[1]
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -509,13 +542,25 @@ class TestInnerRule:
         p = HSParams(n, s)
         dens = uncut_density(p, ("grad", "mass", "l2", HSParams(n, 0.7).two_star))
         rho = np.array(INNER_RADII)
-        per_cap = [_inner_stack(dens, rho, np.full(rho.size, c)) for c in INNER_CAPS]
+        per_cap = [inner_stack(dens, rho, np.full(rho.size, c)) for c in INNER_CAPS]
         rho_all, cap_all = np.tile(rho, len(INNER_CAPS)), np.repeat(INNER_CAPS, rho.size)
         want = np.stack([composite_k15_inner(dens, r, c) for r, c in zip(rho_all, cap_all)],
                         axis=1)
         np.testing.assert_allclose(np.concatenate(per_cap, axis=1), want, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(_inner_stack(dens, rho_all, cap_all), want,
+        np.testing.assert_allclose(inner_stack(dens, rho_all, cap_all), want,
                                    rtol=1e-14, atol=0.0)
+
+    def test_points_and_rows_are_bit_identical_alone(self):
+        # each radius takes only the panels below its own cap, and its sums
+        # run over its own nodes: batching radii or rows changes no bit
+        p = HSParams(4, 1.0)
+        rows = ("grad", "mass", "l2", HSParams(4, 0.7).two_star)
+        rho = np.tile(INNER_RADII, len(INNER_CAPS))
+        cap = np.repeat(INNER_CAPS, len(INNER_RADII))
+        batch = inner_stack(uncut_density(p, rows), rho, cap)
+        alone = [inner_stack(uncut_density(p, rows[:2]), rho[k : k + 1], cap[k : k + 1])
+                 for k in range(rho.size)]
+        assert np.array_equal(batch[:2], np.concatenate(alone, axis=1))
 
 
 class TestRayPeak:

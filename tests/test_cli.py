@@ -374,6 +374,8 @@ FAULTY_CONFIGS = {
     "far_site_nan": ("boundary", BOUNDARY_CFG + far_sites(".nan"), "far_sites[0]"),
     "tol_nan": ("constants", CONSTANTS_CFG + "tol: .nan\n", "tol"),
     "tol_one": ("boundary", BOUNDARY_CFG + "tol: 1.0\n", "tol"),
+    # solve runs no quadrature, so a tol there is an error, not ignored
+    "tol_solve": ("solve", SOLVE_CFG + "tol: .nan\n", "tol"),
     "infinite_lambda": ("sweep-lambda", SWEEP_CFG.replace("[0.005, 0.02]", "[0.005, .inf]"),
                         "lambda_list"),
     "plane_solve": ("solve", PLANE_SOLVE_CFG, "grid"),
@@ -413,6 +415,17 @@ class TestConfigErrors:
         out = tmp_path / "x.csv"
         code = main([command, "--config", write_config(tmp_path, text), "--out", str(out),
                      f"--tol={tol}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: tol: rel_tol must lie in (0, 1)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1e-3", "-1.0e-3"])
+    def test_negative_tol_as_its_own_word_reaches_the_range_check(self, tmp_path, capsys, tol):
+        # argparse alone reads -1e-3 after --tol as an option and stops on
+        # "expected one argument"
+        out = tmp_path / "x.csv"
+        code = main(["boundary", "--config", write_config(tmp_path, BOUNDARY_CFG),
+                     "--tol", tol, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: tol: rel_tol must lie in (0, 1)")
         assert not out.exists()
