@@ -114,19 +114,10 @@ class BoundaryGeometry:
         return math.fsum(self.curvatures)
 
 
-def _smooth_fall(t: np.ndarray) -> np.ndarray:
-    """C^2 descent from 1 at t=0 to 0 at t=1: 1 - t**3 (10 - 15 t + 6 t**2)."""
-    # clamped: near t = 1 it rounds to -1e-15, whose fractional powers are NaN
-    return np.maximum(1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t), 0.0)
-
-
-def _smooth_fall_slope(t: np.ndarray) -> np.ndarray:
-    return -30.0 * t * t * (1.0 - t) ** 2
-
-
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Radial C^2 cutoff: 1 on [0, delta], polynomial descent, 0 beyond 2*delta."""
+    """Radial C^2 cutoff: 1 on [0, delta], the descent 1 - t**3 (10 - 15 t + 6 t**2)
+    in t = r / delta - 1, and 0 beyond 2*delta."""
 
     delta: float
 
@@ -135,15 +126,15 @@ class CutoffSpec:
             raise ValueError("delta must be a positive real")
 
     def value(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        t = np.clip(r / self.delta - 1.0, 0.0, 1.0)
-        return _smooth_fall(t)
+        t = np.clip(np.asarray(r, dtype=float) / self.delta - 1.0, 0.0, 1.0)
+        # clamped: near t = 1 it rounds to -1e-15, whose fractional powers are NaN
+        return np.maximum(1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t), 0.0)
 
     def slope(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        t = (r - self.delta) / self.delta
+        t = (np.asarray(r, dtype=float) - self.delta) / self.delta
         inside = (t > 0.0) & (t < 1.0)
-        return np.where(inside, _smooth_fall_slope(np.clip(t, 0.0, 1.0)) / self.delta, 0.0)
+        t = np.clip(t, 0.0, 1.0)
+        return np.where(inside, -30.0 * t * t * (1.0 - t) ** 2 / self.delta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -415,7 +406,7 @@ def _ledger(p: HSParams, tau: float, cut: CutoffSpec, rows: Sequence[str | float
                                slivers.transpose(1, 0, 2).reshape(-1, rho.size)])
 
     value = adaptive_gauss_kronrod(
-        integrand, 0.0, 2.0 * cut.delta / tau, rel_tol=rel_tol, abs_tol=0.0,
+        integrand, 0.0, 2.0 * cut.delta / tau, rel_tol=rel_tol,
         breakpoints=[*_POWER_SEEDS, *(1.0 / (tau * heights)), cut.delta / tau],
     )
     node_rows = value[count:].reshape(gammas.size, count).T.tolist()

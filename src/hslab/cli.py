@@ -4,9 +4,10 @@ Subcommands: constants | identities | boundary | solve | sweep-lambda.
 Each takes --config PATH (a YAML document checked against a typed schema:
 unknown keys and wrong types are rejected with their full dotted paths,
 parse errors carry line and column marks), plus --out PATH, --seed INT
-(randomised initial fields), and --tol REAL.  --tol is the quadratures'
-relative tolerance for constants, identities and boundary, the solver's
-gradient tolerance for solve, and both for sweep-lambda.
+(randomised initial fields), and --tol REAL: each is written over its config
+key (output, seed, tol).  tol is the quadratures' relative tolerance for
+constants, identities and boundary; solve and sweep-lambda reject it, their
+tolerance being solver.grad_tol.
 
 Each command builds all of its library objects before its first
 computation, so a config error, out-of-range values included, stops it
@@ -150,10 +151,9 @@ def _params(cfg: dict) -> list[extremals.HSParams]:
     return [_make("params", extremals.HSParams, n, s) for n in ns for s in ss]
 
 
-def _quad_tol(cfg: dict, tol_flag: float | None) -> float:
-    """--tol, else the config's tol, else the default: the quadratures' rel_tol."""
-    tol = tol_flag if tol_flag is not None else cfg.get("tol", quadrature.DEFAULT_REL_TOL)
-    return _make("tol", quadrature.check_rel_tol, tol)
+def _quad_tol(cfg: dict) -> float:
+    """The config's tol, else the default: the quadratures' rel_tol."""
+    return _make("tol", quadrature.check_rel_tol, cfg.get("tol", quadrature.DEFAULT_REL_TOL))
 
 
 def _grid_and_sites(cfg: dict) -> tuple[variational.DomainGrid,
@@ -169,14 +169,14 @@ def _grid_and_sites(cfg: dict) -> tuple[variational.DomainGrid,
     return domain, sites
 
 
-def _solve_options(cfg: dict, tol: float | None) -> variational.SolveOptions:
-    kwargs = dict(cfg.get("solver", {}))
-    if tol is not None:
-        kwargs["grad_tol"] = tol
-    return _make("solver", variational.SolveOptions, **kwargs)
+def _solve_options(cfg: dict) -> variational.SolveOptions:
+    if "tol" in cfg:
+        raise ConfigError("tol: solve and sweep-lambda take no tol; "
+                          "their tolerance is solver.grad_tol")
+    return _make("solver", variational.SolveOptions, **cfg.get("solver", {}))
 
 
-def _initial(cfg: dict, problem: variational.ProblemConfig, seed: int) -> np.ndarray | None:
+def _initial(cfg: dict, problem: variational.ProblemConfig) -> np.ndarray | None:
     """The solver's start field, or None for its default bubble start."""
     init = cfg.get("init")
     if init is None:
@@ -192,7 +192,7 @@ def _initial(cfg: dict, problem: variational.ProblemConfig, seed: int) -> np.nda
     shape = problem.grid.shape
     if kind == "constant":
         return np.full(shape, value)
-    return value * np.abs(np.random.default_rng(seed).standard_normal(shape))
+    return value * np.abs(np.random.default_rng(cfg.get("seed", 0)).standard_normal(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,8 @@ def _stacked(batch: Callable, items: Sequence, *args) -> list:
         return [None] * len(items)
 
 
-def _run_constants(cfg: dict, tol: float | None, seed: int, out_path: str):
-    rel_tol = _quad_tol(cfg, tol)
+def _run_constants(cfg: dict):
+    rel_tol = _quad_tol(cfg)
     params = _params(cfg)
     header = ["n", "s", "grad_energy", "weighted_mass", "best_constant",
               "interior_threshold", "boundary_threshold"]
@@ -257,8 +257,8 @@ def _run_constants(cfg: dict, tol: float | None, seed: int, out_path: str):
     return header, rows, failures
 
 
-def _run_identities(cfg: dict, tol: float | None, seed: int, out_path: str):
-    rel_tol = _quad_tol(cfg, tol)
+def _run_identities(cfg: dict):
+    rel_tol = _quad_tol(cfg)
     params = _params(cfg)
     header = ["kind", "n", "s", "beta", "lhs", "rhs", "rel_diff",
               "sliver_ratio_limit", "moment_ratio", "strict_gap"]
@@ -267,10 +267,8 @@ def _run_identities(cfg: dict, tol: float | None, seed: int, out_path: str):
     _stacked(extremals.whole_space_constants_batch, params, rel_tol)
     for p in params:
         n, s = p.N, p.s
-        if "beta_list" in cfg:
-            betas = cfg["beta_list"]
-        else:
-            betas = np.linspace(2.0, 2.0 * (n - s) - 1.0, 6)
+        hi = 2.0 * (n - s) - 1.0  # the recurrence's range [2, hi] is empty for N = 3, s > 1.5
+        betas = cfg.get("beta_list", np.linspace(2.0, hi, 6) if hi >= 2.0 else [])
         for beta, chk in zip(betas, _stacked(identities.beta_recurrence_checks,
                                              betas, p, rel_tol)):
             try:
@@ -290,8 +288,8 @@ def _run_identities(cfg: dict, tol: float | None, seed: int, out_path: str):
     return header, rows, failures
 
 
-def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
-    rel_tol = _quad_tol(cfg, tol)
+def _run_boundary(cfg: dict):
+    rel_tol = _quad_tol(cfg)
     params = _params(cfg)
     if len(params) != 1:
         raise ConfigError("params: boundary takes a single (N, s) pair")
@@ -313,7 +311,6 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
               "far_mass_total", "sliver_energy", "sliver_mass",
               "peak", "margin", "scaled_margin"]
     rows, failures = [], []
-    good: list[boundary_energy.EnergyBreakdown] = []
     for eps in eps_list:
         try:
             res = boundary_energy.bubble_energies(eps, geom, cut, far, p, rel_tol)
@@ -321,40 +318,32 @@ def _run_boundary(cfg: dict, tol: float | None, seed: int, out_path: str):
         except Exception as exc:
             failures.append(f"boundary(eps={eps}): {exc}")
             continue
-        good.append(res)
         rows.append(["energy", res.eps, res.grad_energy, res.near_mass,
                      res.l2_mass, sum(res.far_masses), res.sliver_energy,
                      res.sliver_mass, row.peak, row.margin, row.scaled_margin])
-    if len(good) >= 2:
-        eps_ok = [b.eps for b in good]
+    if len(rows) >= 2:
 
-        def slope_or_none(values: list[float]) -> float | None:
+        def slope_or_none(column: int) -> float | None:
             try:
-                return boundary_energy.fit_log_slope(eps_ok, values)
+                return boundary_energy.fit_log_slope([r[1] for r in rows],
+                                                     [r[column] for r in rows])
             except ValueError:
                 return None
 
-        rows.append([
-            "slope", None, None, None,
-            slope_or_none([b.l2_mass for b in good]),
-            slope_or_none([sum(b.far_masses) for b in good]),
-            slope_or_none([b.sliver_energy for b in good]),
-            slope_or_none([b.sliver_mass for b in good]),
-            None, None, None,
-        ])
+        # the log-log slopes of l2_mass, far_mass_total, sliver_energy, sliver_mass
+        rows.append(["slope", None, None, None, *map(slope_or_none, range(4, 8)),
+                     None, None, None])
     return header, rows, failures
 
 
-def _run_solve(cfg: dict, tol: float | None, seed: int, out_path: str):
-    if "tol" in cfg:
-        raise ConfigError("tol: solve runs no quadrature; its tolerance is solver.grad_tol")
+def _run_solve(cfg: dict):
     grid, sites = _grid_and_sites(cfg)
     problem = _make("grid, lambda, singularities", variational.ProblemConfig,
                     grid, _require(cfg, "lambda"), sites)
     _make("grid", problem.exponents)
-    opts = _solve_options(cfg, tol)
-    init = _initial(cfg, problem, seed)
-    snapshot = cfg.get("field_output", out_path + ".field")
+    opts = _solve_options(cfg)
+    init = _initial(cfg, problem)
+    snapshot = cfg.get("field_output", cfg["output"] + ".field")
     header = ["energy", "residual_sup", "min_value", "iterations",
               "threshold", "below_threshold", "converged"]
     rows, failures = [], []
@@ -369,23 +358,20 @@ def _run_solve(cfg: dict, tol: float | None, seed: int, out_path: str):
     return header, rows, failures
 
 
-def _run_sweep_lambda(cfg: dict, tol: float | None, seed: int, out_path: str):
-    rel_tol = _quad_tol(cfg, tol)
+def _run_sweep_lambda(cfg: dict):
     grid, sites = _grid_and_sites(cfg)
     problems = [_make("grid, lambda_list, singularities", variational.ProblemConfig,
                       grid, lam, sites)
                 for lam in _require(cfg, "lambda_list")]
     qs = _make("grid", problems[0].exponents)
-    opts = _solve_options(cfg, tol)
-    init = _initial(cfg, problems[0], seed)
+    opts = _solve_options(cfg)
+    init = _initial(cfg, problems[0])
 
     volume = grid.volume
     vol_nodes = variational.node_volumes(grid)
     masses = [float(np.sum(variational.singular_weight(grid, site) * vol_nodes))
               for site in sites]
-    placed = [identities.SingularitySite(variational.placement_of(grid, site), site.s)
-              for site in sites]
-    threshold = identities.ps_threshold(grid.N, placed, rel_tol).overall
+    threshold = variational.threshold_report(problems[0]).overall  # each solve's threshold
     lam_bound = identities.lambda_existence_bound(volume, masses, qs, threshold)
 
     header = ["lam", "constant_path_max", "threshold", "lambda_bound",
@@ -434,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="seed for randomised initial fields (default 0)")
         cmd.add_argument("--tol", type=float, default=None,
-                         help="quadrature rel. tolerance; solver gradient tolerance "
-                              "for solve; both for sweep-lambda")
+                         help="the config's tol: the quadratures' relative tolerance "
+                              "(constants, identities and boundary only)")
     return parser
 
 
@@ -449,9 +435,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     run = _COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        out_path = args.out or cfg.get("output") or f"{args.command}.csv"
-        header, rows, failures = run(cfg, args.tol, seed, out_path)
+        # each flag is written over its config key; an empty --out is no flag
+        for key, flag in (("tol", args.tol), ("seed", args.seed), ("output", args.out or None)):
+            if flag is not None:
+                cfg[key] = flag
+        out_path = cfg["output"] = cfg.get("output") or f"{args.command}.csv"
+        header, rows, failures = run(cfg)
         _write_csv(out_path, header, rows)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,9 @@ checks test.
 package.  Its panel rule is open (no endpoint is ever sampled), so
 integrable endpoint singularities are admissible.  Each integrand, or each
 row of a stacked one, bisects its panel of largest error estimate (ties by
-left endpoint) and sums its panels left to right, so results are bit-stable
-across runs and a row's value does not depend on the rows stacked with it.
+left endpoint) and sums its panels with ``math.fsum``, which rounds
+correctly in any order, so results are bit-stable across runs and a row's
+value does not depend on the rows stacked with it.
 The K15 and G7 estimates of every row and panel of an evaluation come from
 one pass of matrix products.
 """
@@ -44,6 +45,7 @@ __all__ = [
     "NonFinite",
     "RadialPowerIntegrand",
     "ToleranceNotMet",
+    "Underflow",
     "adaptive_gauss_kronrod",
     "check_rel_tol",
     "integrate_radial_power",
@@ -62,6 +64,10 @@ class ToleranceNotMet(RuntimeError):
 
 class NonFinite(ValueError):
     """An integrand returned NaN or infinity at a quadrature node."""
+
+
+class Underflow(ArithmeticError):
+    """A radial moment fell below the smallest normal float."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +127,9 @@ _ERROR_FLOOR = 50.0 * np.finfo(float).eps
 # caller passes another.
 DEFAULT_REL_TOL = 1e-10
 
+# Bisections one row of an adaptive Gauss-Kronrod run may make.
+MAX_SUBDIVISIONS = 4000
+
 
 def check_rel_tol(rel_tol: float) -> float:
     """``rel_tol`` itself; ValueError unless it lies in (0, 1), which NaN does not."""
@@ -158,8 +167,6 @@ def adaptive_gauss_kronrod(
     hi: float,
     *,
     rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = 1e-14,
-    max_subdivisions: int = 4000,
     breakpoints: Sequence[float] = (),
 ) -> float | np.ndarray:
     """Adaptive G7/K15 integration on [lo, hi] of one integrand or a stack of them.
@@ -168,8 +175,8 @@ def adaptive_gauss_kronrod(
     to shape (rows, nodes) (giving one integral per row).  ``breakpoints``
     seeds extra initial panel edges.  Each row bisects its own worst panel
     (largest error estimate, ties by left endpoint) until its summed error
-    is at most ``max(abs_tol, rel_tol * |integral|)``, within its own
-    ``max_subdivisions`` bisections, then fsums its panels left to right.
+    is at most ``rel_tol * |integral|``, within its own
+    ``MAX_SUBDIVISIONS`` bisections, then fsums its panels.
     Rows share only the evaluation: each step calls ``f`` once, on the
     children of the panels unfinished rows bisect, and takes the estimates
     of every row and panel from that call in one pass.  A panel evaluated
@@ -246,8 +253,8 @@ def adaptive_gauss_kronrod(
         wanted: dict[tuple[float, float], None] = {}
         waiting = []
         for row, heap, total, total_err, splits in runs:
-            while total_err > max(abs_tol, rel_tol * abs(total)):
-                if splits >= max_subdivisions:
+            while total_err > rel_tol * abs(total):
+                if splits >= MAX_SUBDIVISIONS:
                     raise ToleranceNotMet(
                         f"error {total_err:.3e} above tolerance after {splits} subdivisions"
                     )
@@ -270,7 +277,7 @@ def adaptive_gauss_kronrod(
                 heapq.heappush(heap, (-e2, mid, b, v2))
                 splits += 1
             else:
-                values[row] = math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
+                values[row] = math.fsum(item[3] for item in heap)
         runs = waiting
         if wanted:
             evaluate(list(wanted))
@@ -324,7 +331,8 @@ def _beta_halves(pairs: Sequence[tuple[float, float]], rel_tol: float) -> np.nda
     ------
     ToleranceNotMet
         Naming each (x, y) still unsettled after ``_TS_MAX_LEVEL`` levels and
-        the difference of its last two level sums.
+        the difference of its last two level sums, unless that sum is below
+        the smallest normal float.
     """
     cols = []
     for x, y in pairs:
@@ -349,14 +357,15 @@ def _beta_halves(pairs: Sequence[tuple[float, float]], rel_tol: float) -> np.nda
             rows = rows[~(moved[rows] <= rel_tol * np.abs(level))]
             if not rows.size:
                 return sums
-    unsettled = ", ".join(
-        f"(x={pairs[i][0]!r}, y={pairs[i][1]!r}) moved by {moved[i]:.3e} of {sums[i]:.6e}"
-        for i in rows
-    )
-    raise ToleranceNotMet(
-        f"tanh-sinh sums unsettled after level {_TS_MAX_LEVEL} at rel_tol {rel_tol:g}: "
-        + unsettled
-    )
+    # a sum below the smallest normal float moves by its rounding grain: it
+    # ends here, and integrate_radial_powers names its moment if that underflows
+    rows = rows[~(np.abs(sums[rows]) < np.finfo(float).tiny)]
+    if not rows.size:
+        return sums
+    unsettled = ", ".join(f"(x={pairs[i][0]!r}, y={pairs[i][1]!r}) moved by {moved[i]:.3e} "
+                          f"of {sums[i]:.6e}" for i in rows)
+    raise ToleranceNotMet(f"tanh-sinh sums unsettled after level {_TS_MAX_LEVEL} at rel_tol "
+                          f"{rel_tol:g}: {unsettled}")
 
 
 def integrate_radial_powers(
@@ -392,6 +401,10 @@ def integrate_radial_powers(
     ToleranceNotMet
         If a half is still unsettled after the rule's last level; the
         message names each such (x, y) and its last level difference.
+    Underflow
+        Naming each member (a, b, s) whose value is below the smallest normal
+        float, where it has lost its relative accuracy (the bubble's moments
+        from s = 1.9981, 1.9961 and 1.99415 on at N = 3, 4 and 5).
     """
     check_rel_tol(rel_tol)
     pairs = []
@@ -404,7 +417,12 @@ def integrate_radial_powers(
         x = (f.a + 1.0) / (2.0 - f.s)
         pairs += [(x, f.b - x), (f.b - x, x)]
     halves = _beta_halves(pairs, rel_tol).tolist()
-    return [(lo + hi) / (2.0 - f.s) for lo, hi, f in zip(halves[::2], halves[1::2], fs)]
+    values = [(lo + hi) / (2.0 - f.s) for lo, hi, f in zip(halves[::2], halves[1::2], fs)]
+    tiny = ["(a={!r}, b={!r}, s={!r})".format(*map(float, (f.a, f.b, f.s)))
+            for f, value in zip(fs, values) if value < np.finfo(float).tiny]
+    if tiny:
+        raise Underflow("radial moments below the smallest normal float: " + ", ".join(tiny))
+    return values
 
 
 def integrate_radial_power(f: RadialPowerIntegrand, rel_tol: float = DEFAULT_REL_TOL) -> float:

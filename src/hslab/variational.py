@@ -85,6 +85,7 @@ __all__ = [
     "placement_of",
     "save_field",
     "singular_weight",
+    "threshold_report",
 ]
 
 
@@ -692,7 +693,8 @@ class SolveReport:
             raise ValueError("below_threshold must equal energy < threshold")
 
 
-def _threshold_for(cfg: ProblemConfig) -> ThresholdReport:
+def threshold_report(cfg: ProblemConfig) -> ThresholdReport:
+    """The sites' compactness levels, each placed by ``placement_of``, and their minimum."""
     sites = [
         SingularitySite(placement_of(cfg.grid, sing), sing.s)
         for sing in cfg.singularities
@@ -710,7 +712,7 @@ def bubble_start(cfg: ProblemConfig, site: int | None = None,
     NonPositiveEps for an eps that is not a positive real.
     """
     if site is None:
-        per_site = _threshold_for(cfg).per_site
+        per_site = threshold_report(cfg).per_site
         site = min(range(len(per_site)), key=lambda i: per_site[i][1])
     elif not 0 <= site < len(cfg.singularities):
         raise ValueError(f"site index {site} out of range for {len(cfg.singularities)} sites")
@@ -770,7 +772,7 @@ def mountain_pass_solve(
     opts = opts or SolveOptions()
     grid = cfg.grid
     vol = _node_volumes(grid)
-    thresholds = _threshold_for(cfg)
+    thresholds = threshold_report(cfg)
     weights = _exponent_weights(cfg)
 
     v = bubble_start(cfg) if init is None else _check_field(grid, init).copy()

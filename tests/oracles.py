@@ -13,12 +13,11 @@ None of these is used by the library.  They cross-check it from outside:
 * :func:`rayleigh_quotient_check` measures that quotient by quadrature.  Its
   integrands spread their mass over many decades of r near s -> 2, so the
   head (0, split) is seeded with the geometric edges split * 2**-k down to
-  2**-64 times the profile width: with ``base="power"`` and scale 1e-3 it
-  meets the best constant to 1e-14 at N = 3 and 4, s = 1.8.  At
-  N = 5, s = 1.95 and scale 1e-3 the profile itself overflows
-  ((1e-3)**-60 raised to q) and it raises ``NonFinite``.  The tail past
-  split has no such seeds, so at scales of order 1 and above near s -> 2
-  it is still off: by 3.5e-5 at N = 4, s = 1.9, scale 1.
+  2**-64 times the profile width, and the tail with split * 2**k as far
+  out: with ``base="power"`` it meets the best constant to 1e-14 at
+  N = 3 and 4, s = 1.8, scale 1e-3, and at N = 3-5, s = 1.9-1.95,
+  scales 1 and 2.  At N = 5, s = 1.95 and scale 1e-3 the profile itself
+  overflows ((1e-3)**-60 raised to q) and it raises ``NonFinite``.
 * :func:`integrate_improper` integrates over (lo, inf) with a split at a
   finite radius and the tail mapped by u = 1/r.
 * :func:`uncut_density` is the stacked radial density of the bubble with no
@@ -27,7 +26,7 @@ None of these is used by the library.  They cross-check it from outside:
   a density.
 * :func:`reference_ledger` is ``bubble_energies`` computed tighter, for
   checking its quadrature: K15 on inner panels 2**-12 to 2**8 in steps of
-  2**(1/4), and radial runs at rel_tol 1e-13 with no absolute floor.
+  2**(1/4), and radial runs at rel_tol 1e-13.
 * :func:`fit_power_log_basis` fits c1 * eps^p * ln(1/eps) + c2 * eps^p, the
   shape of the dimension-three sliver energy.
 * :func:`sliver_energy_integral` and :func:`sliver_mass_integral` are the
@@ -158,11 +157,14 @@ def rayleigh_quotient_check(
     # profile features live at radius ~ scale**(1/kappa); seed panels there,
     # and at split / 2**k down to 2**-64 times that width: below a radius
     # r << width the integrands hold a share of about (r / width)**(N-2+2 kappa)
-    # and (r / width)**(N-s) of their mass, both exponents above 1
+    # and (r / width)**(N-s) of their mass, both exponents above 1.  Past the
+    # split scale + r**kappa grows from about scale to >> scale over decades
+    # of r near s -> 2, so the tail is seeded at split * 2**k as far out
     width = scale ** (1.0 / kappa)
     split = max(1.0, 8.0 * width)
     depth = math.ceil(math.log2(split / width)) + 64
-    seeds = (0.25 * width, width, 4.0 * width, *(split * 2.0**-j for j in range(1, depth + 1)))
+    seeds = (0.25 * width, width, 4.0 * width,
+             *(split * 2.0**j for j in range(-depth, depth + 1) if j))
     opts = dict(split=split, rel_tol=rel_tol, breakpoints=seeds)
     num = omega * integrate_improper(grad_sq, **opts)
     den = omega * integrate_improper(weighted_mass, **opts)
@@ -182,20 +184,23 @@ def integrate_improper(
     The caller is responsible for integrability (head singularities no worse
     than the open panel rule can resolve, tail decay strictly faster than
     1/r).  Used for profile integrals that do not reduce to the power
-    family; the tail beyond ``max(split, lo)`` is mapped with u = 1/r.  A
-    stacked ``f`` returns (rows, nodes), as for :func:`adaptive_gauss_kronrod`.
+    family; the tail beyond ``max(split, lo)`` is mapped with u = 1/r, and
+    each of ``breakpoints`` past it seeds that map at 1/r.  Every run stops
+    on ``rel_tol`` alone.  A stacked ``f`` returns (rows, nodes), as for
+    :func:`adaptive_gauss_kronrod`.
     """
     cut = max(split, lo)
-    tol = dict(rel_tol=rel_tol, abs_tol=0.5 * min(1e-14, rel_tol))
     total = 0.0
     if cut > lo:
-        total += adaptive_gauss_kronrod(f, lo, cut, breakpoints=breakpoints, **tol)
+        total += adaptive_gauss_kronrod(f, lo, cut, rel_tol=rel_tol, breakpoints=breakpoints)
 
     def mapped(u: np.ndarray) -> np.ndarray:
         r = 1.0 / u
         return f(r) * r * r
 
-    return total + adaptive_gauss_kronrod(mapped, 0.0, 1.0 / cut, **tol)
+    tail_seeds = [1.0 / b for b in breakpoints if b > cut]
+    return total + adaptive_gauss_kronrod(mapped, 0.0, 1.0 / cut, rel_tol=rel_tol,
+                                          breakpoints=tail_seeds)
 
 
 def uncut_density(p: HSParams, rows: Sequence[str | float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -257,8 +262,8 @@ def reference_ledger(eps: float, geom: BoundaryGeometry, cut: CutoffSpec,
     *far_masses) of ``bubble_energies`` computed tighter: the same rows,
     curvature rule and radial breakpoints (the cutoff onset delta / tau
     among them), with the inner integral of ``_fine_inner_stack`` and the
-    radial integrals at rel_tol 1e-13 with no absolute floor, one
-    Gauss-Kronrod run per curvature node and one for the half-space rows.
+    radial integrals at rel_tol 1e-13, one Gauss-Kronrod run per
+    curvature node and one for the half-space rows.
     """
     tau = eps ** (1.0 / (2.0 - p.s))
     rows = ("grad", "mass", "l2", *(HSParams(p.N, s).two_star for _, s in far_sites))
@@ -266,7 +271,7 @@ def reference_ledger(eps: float, geom: BoundaryGeometry, cut: CutoffSpec,
     n = p.N
     gammas, weights = _curvature_rule(tuple(sorted(geom.curvatures)))
     seeds = [*_POWER_SEEDS, cut.delta / tau]
-    opts = dict(rel_tol=1e-13, abs_tol=0.0)
+    opts = dict(rel_tol=1e-13)
     hi = 2.0 * cut.delta / tau
 
     def chunked(f: Callable) -> Callable:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -15,7 +16,8 @@ from hslab.cli import ConfigError, load_config, main
 from hslab.extremals import HSParams
 from hslab.identities import lambda_existence_bound
 from hslab.variational import (
-    DomainGrid, Singularity, load_field, node_volumes, singular_weight,
+    DomainGrid, ProblemConfig, Singularity, load_field, mountain_pass_solve, node_volumes,
+    singular_weight,
 )
 
 from oracles import threshold_inequality_check
@@ -116,6 +118,37 @@ singularities:
 """
 
 
+QUADRATURE_CFGS = {"constants": CONSTANTS_CFG, "identities": IDENTITIES_CFG,
+                   "boundary": BOUNDARY_CFG}
+
+
+class TestFlagsAreConfigKeys:
+    @pytest.mark.parametrize("command", sorted(QUADRATURE_CFGS))
+    def test_tol_key_and_flag_write_the_same_bytes(self, tmp_path, command):
+        text = QUADRATURE_CFGS[command]
+        by_key, by_flag = tmp_path / "key.csv", tmp_path / "flag.csv"
+        keyed = write_config(tmp_path, text + "tol: 1.0e-8\n", "key.yaml")
+        assert main([command, "--config", keyed, "--out", str(by_key)]) == 0
+        plain = write_config(tmp_path, text, "plain.yaml")
+        assert main([command, "--config", plain, "--out", str(by_flag), "--tol", "1e-8"]) == 0
+        assert by_key.read_bytes() == by_flag.read_bytes()
+
+    def test_empty_out_flag_keeps_the_config_output(self, tmp_path):
+        out = tmp_path / "from-config.csv"
+        cfg = write_config(tmp_path, CONSTANTS_CFG + f"output: {out}\n")
+        assert main(["constants", "--config", cfg, "--out", ""]) == 0
+        assert len(read_csv(out)) == 3
+
+    def test_seed_key_and_flag_give_the_same_solve(self, tmp_path):
+        text = SOLVE_CFG.replace("type: constant\n  value: 1.0", "type: random")
+        by_key, by_flag = tmp_path / "key.csv", tmp_path / "flag.csv"
+        keyed = write_config(tmp_path, text + "seed: 11\n", "key.yaml")
+        assert main(["solve", "--config", keyed, "--out", str(by_key)]) == 0
+        plain = write_config(tmp_path, text, "plain.yaml")
+        assert main(["solve", "--config", plain, "--out", str(by_flag), "--seed", "11"]) == 0
+        assert by_key.read_bytes() == by_flag.read_bytes()
+
+
 class TestConstantsCommand:
     def test_values_and_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, CONSTANTS_CFG)
@@ -182,6 +215,43 @@ class TestIdentitiesCommand:
                   if line.startswith("failed: ")]
         assert len(failed) == 1
         assert failed[0].startswith("failed: identities(N=3, s=1.0, beta=99.0): ")
+
+
+    def test_empty_default_beta_range_writes_the_ratios_row_only(self, tmp_path):
+        # at N = 3, s = 1.6 the recurrence range [2, 2(N - s) - 1] is empty
+        cfg = write_config(tmp_path, "params:\n  N: 3\n  s: 1.6\n")
+        out = str(tmp_path / "identities.csv")
+        assert main(["identities", "--config", cfg, "--out", out]) == 0
+        assert [row[0] for row in read_csv(out)[1:]] == ["ratios"]
+        # an explicit beta is still checked against that range
+        cfg = write_config(tmp_path, "params:\n  N: 3\n  s: 1.6\nbeta_list: [2.0]\n")
+        assert main(["identities", "--config", cfg, "--out", out]) == 1
+
+
+UNDERFLOWING = "params:\n  N: 5\n  s: 1.995\n"
+UNDERFLOW = "radial moments below the smallest normal float: (a="
+
+
+class TestUnderflowingMoments:
+    def test_constants_failure_names_the_members(self, tmp_path, capsys):
+        out = str(tmp_path / "constants.csv")
+        assert main(["constants", "--config", write_config(tmp_path, UNDERFLOWING),
+                     "--out", out]) == 1
+        assert len(read_csv(out)) == 1
+        (failed,) = capsys.readouterr().err.splitlines()
+        assert failed.startswith(f"failed: constants(N=5, s=1.995): {UNDERFLOW}2.01, ")
+
+    def test_identities_keep_the_rows_above_the_underflow(self, tmp_path, capsys):
+        out = str(tmp_path / "identities.csv")
+        assert main(["identities", "--config", write_config(tmp_path, UNDERFLOWING),
+                     "--out", out]) == 1
+        rows = read_csv(out)[1:]
+        assert [(r[0], float(r[3])) for r in rows] == [("recurrence", 2.0),
+                                                       ("recurrence", 2.602)]
+        assert all(float(r[6]) < 1e-13 for r in rows)
+        failed = capsys.readouterr().err.splitlines()
+        assert len(failed) == 5 and all(UNDERFLOW in line for line in failed)
+        assert failed[-1].startswith("failed: identities ratios(N=5, s=1.995): ")
 
 
 class TestBoundaryCommand:
@@ -329,6 +399,20 @@ class TestSweepLambdaCommand:
         assert float(rec["lambda_bound"]) == pytest.approx(1.9081211875356696, rel=1e-9)
         assert rec["below_threshold"] == "true"
 
+    def test_threshold_column_is_each_solves_threshold(self, tmp_path):
+        cfg = write_config(tmp_path, MIXED_SWEEP_CFG)
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep-lambda", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        grid = DomainGrid(((0.0, 1.0),) * 3, (12,) * 3)
+        sites = (Singularity((0.3, 0.5, 0.5), 0.5), Singularity((0.7, 0.5, 0.5), 1.2))
+        for row in rows[1:]:
+            rec = dict(zip(rows[0], row))
+            problem = ProblemConfig(grid, float(rec["lam"]), sites)
+            report, _ = mountain_pass_solve(problem, np.ones(grid.shape))
+            assert float(rec["threshold"]) == report.threshold
+            assert rec["below_threshold"] == ("true" if report.below_threshold else "false")
+
     def test_nonpositive_lambda_is_itemized_failure(self, tmp_path):
         cfg = write_config(
             tmp_path, SWEEP_CFG.replace("[0.005, 0.02]", "[0.005, -1.0]")
@@ -374,7 +458,7 @@ FAULTY_CONFIGS = {
     "far_site_nan": ("boundary", BOUNDARY_CFG + far_sites(".nan"), "far_sites[0]"),
     "tol_nan": ("constants", CONSTANTS_CFG + "tol: .nan\n", "tol"),
     "tol_one": ("boundary", BOUNDARY_CFG + "tol: 1.0\n", "tol"),
-    # solve runs no quadrature, so a tol there is an error, not ignored
+    # solve's tolerance is solver.grad_tol, so a tol there is an error, not ignored
     "tol_solve": ("solve", SOLVE_CFG + "tol: .nan\n", "tol"),
     "infinite_lambda": ("sweep-lambda", SWEEP_CFG.replace("[0.005, 0.02]", "[0.005, .inf]"),
                         "lambda_list"),
@@ -408,15 +492,31 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["0", "1.5", "-1e-3"])
-    @pytest.mark.parametrize("command", ["constants", "identities", "boundary", "sweep-lambda"])
+    @pytest.mark.parametrize("command", ["constants", "identities", "boundary"])
     def test_quadrature_tol_flag_out_of_range_exits_2(self, tmp_path, capsys, command, tol):
-        text = {"constants": CONSTANTS_CFG, "identities": IDENTITIES_CFG,
-                "boundary": BOUNDARY_CFG, "sweep-lambda": SWEEP_CFG}[command]
+        text = QUADRATURE_CFGS[command]
         out = tmp_path / "x.csv"
         code = main([command, "--config", write_config(tmp_path, text), "--out", str(out),
                      f"--tol={tol}"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: tol: rel_tol must lie in (0, 1)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["key", "flag"])
+    @pytest.mark.parametrize("command", ["solve", "sweep-lambda"])
+    def test_solver_commands_reject_tol(self, tmp_path, capsys, command, route):
+        # their one tolerance is solver.grad_tol, however tol would reach them
+        text = {"solve": SOLVE_CFG, "sweep-lambda": SWEEP_CFG}[command]
+        out = tmp_path / "x.csv"
+        argv = [command, "--out", str(out)]
+        if route == "key":
+            text += "tol: 1.0e-3\n"
+        else:
+            argv.append("--tol=1e-3")
+        assert main([*argv, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            "error: tol: solve and sweep-lambda take no tol; "
+            "their tolerance is solver.grad_tol\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-1e-3", "-1.0e-3"])

@@ -196,6 +196,16 @@ class TestRayleighQuotient:
         q = rayleigh_quotient_check(1e-3, p, base="power")
         assert q == pytest.approx(whole_space_constants(p).best_constant, rel=1e-12)
 
+    @pytest.mark.parametrize("n, s, scale", [(4, 1.9, 1.0), (5, 1.95, 1.0), (3, 1.95, 2.0)])
+    def test_power_base_keeps_the_tail_mass_near_s_two(self, n, s, scale):
+        # past the split scale + r**(2-s) grows from about scale to >> scale
+        # over tens of decades of r: a run stopped by an absolute floor missed
+        # that mass (by 3.5e-5, 2.8e-3 and 6e-2 here), and an unseeded tail
+        # leaves 4.8e-14 at N = 3
+        p = HSParams(N=n, s=s)
+        q = rayleigh_quotient_check(scale, p, base="power")
+        assert q == pytest.approx(whole_space_constants(p).best_constant, rel=2e-14, abs=0.0)
+
     def test_linear_base_optimal_only_when_s_is_one(self):
         # the linear radial profile is the true optimizer at s=1 ...
         c = whole_space_constants(P31)

@@ -103,12 +103,10 @@ class TestAdaptiveGaussKronrod:
         exact = (1.0 / 3.0) ** 2 / 2.0 + (2.0 / 3.0) ** 2 / 2.0
         assert value == pytest.approx(exact, rel=1e-12)
 
-    def test_tolerance_not_met(self):
+    def test_tolerance_not_met(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 2)
         with pytest.raises(ToleranceNotMet):
-            adaptive_gauss_kronrod(
-                lambda x: np.sin(50.0 * x), 0.0, 10.0,
-                rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=2,
-            )
+            adaptive_gauss_kronrod(lambda x: np.sin(50.0 * x), 0.0, 10.0, rel_tol=1e-13)
 
 
 def _counted(f):
@@ -194,13 +192,11 @@ class TestStackedRows:
         assert max(splits) > min(splits)
         assert len(calls) <= 1 + max(splits)
 
-    def test_tolerance_not_met_in_one_row_is_raised(self):
+    def test_tolerance_not_met_in_one_row_is_raised(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 2)
         rows = [lambda x: x * x, lambda x: np.sin(50.0 * x), np.cos]
         with pytest.raises(ToleranceNotMet):
-            adaptive_gauss_kronrod(
-                _stacked(rows), 0.0, 10.0,
-                rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=2,
-            )
+            adaptive_gauss_kronrod(_stacked(rows), 0.0, 10.0, rel_tol=1e-13)
 
     def test_non_finite_in_one_row_is_raised(self):
         rows = [lambda x: x * x, lambda x: x, np.cos]
@@ -355,6 +351,21 @@ class TestStackedMoments:
         alone = [half for half in halves if _unsettled([half], rel_tol)]
         assert _unsettled(halves, rel_tol) == alone
         assert len(alone) < len(halves)
+
+    @pytest.mark.parametrize("n, s", [(5, 1.995), (3, 1.9981)])
+    def test_underflowing_member_is_named(self, n, s):
+        # the gradient moment of the bubble rounds to 0 at N = 5, s = 1.995;
+        # at N = 3, s = 1.9981 its halves are subnormal and, moving by their
+        # rounding grain, never settle.  At s = 1.99 it is 1.2e-180 at N = 5
+        # and keeps its relative accuracy
+        tiny = RadialPowerIntegrand(n + 1.0 - 2.0 * s, 2.0 * (n - s) / (2.0 - s), s)
+        fine = RadialPowerIntegrand(2.02, 602.0, 1.99)
+        assert integrate_radial_power(fine) == pytest.approx(
+            beta_closed_form(fine.a, fine.b, fine.s), rel=1e-12, abs=0.0)
+        with pytest.raises(quadrature.Underflow) as err:
+            integrate_radial_powers([fine, tiny])
+        assert str(err.value) == ("radial moments below the smallest normal float: "
+                                  f"(a={tiny.a!r}, b={tiny.b!r}, s={s!r})")
 
 
 # Beta exponents from x = 1e-3, where the head map takes m = 2000, to 200
